@@ -35,6 +35,7 @@ from .core import (
     Term,
     Var,
     check_arity,
+    grid_columns,
 )
 
 
@@ -163,10 +164,9 @@ def _closure_full(alg: SortedAlgebra, inputs: tuple[int, ...], budget: int):
     """Fragment at one input profile, every cod sort, as tables and terms."""
     n_points = prod(alg.carriers[s] for s in inputs)
     seeds = {s: [] for s in range(alg.n_sorts)}
-    cols = np.array(list(itertools.product(*(range(alg.carriers[s]) for s in inputs))),
-                    dtype=np.int64).reshape(n_points, len(inputs))
+    cols = grid_columns(alg.carriers[s] for s in inputs)
     for i, s in enumerate(inputs):
-        seeds[s].append((cols[:, i], Var(Profile(inputs, s), i)))
+        seeds[s].append((cols[i], Var(Profile(inputs, s), i)))
     out = saturate(alg, n_points, seeds, budget, ambient_inputs=inputs)
     result = {}
     for s, (matrix, terms) in out.items():

@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 MAX_ARITY = 6
 TABLE_BUDGET = 2_000_000
 SUBUNIVERSE_BUDGET = 200_000
@@ -101,9 +103,9 @@ class OpTable:
 
 def projection(carriers: tuple[int, ...], inputs: tuple[int, ...], pos: int) -> OpTable:
     """The pos-th projection at the given input profile."""
-    assert 0 <= pos < len(inputs)
-    outs = tuple(args[pos] for args in itertools.product(*(range(carriers[s]) for s in inputs)))
-    return OpTable(Profile(inputs, inputs[pos]), carriers, outs)
+    if not 0 <= pos < len(inputs):
+        raise ProfileError("projection position %d outside %d inputs" % (pos, len(inputs)))
+    return tabulate(Profile(inputs, inputs[pos]), carriers, lambda *cols: cols[pos])
 
 
 def constant_table(carriers: tuple[int, ...], inputs: tuple[int, ...], cod: int, value: int) -> OpTable:
@@ -133,13 +135,8 @@ def compose(f: OpTable, gs: tuple[OpTable, ...], *, inputs: tuple[int, ...] | No
         inputs = gs[0].profile.inputs
     elif inputs is None:
         raise ProfileError("composition with no inner tables needs an explicit input profile")
-    sizes = tuple(f.carriers[s] for s in inputs)
-    if not gs:
-        return OpTable(Profile(inputs, f.profile.cod), f.carriers, (f.outputs[0],) * prod(sizes) if f.outputs else ())
-    outs = []
-    for args in itertools.product(*(range(n) for n in sizes)):
-        outs.append(f.apply(tuple(g.apply(args) for g in gs)))
-    return OpTable(Profile(inputs, f.profile.cod), f.carriers, tuple(outs))
+    return tabulate(Profile(inputs, f.profile.cod), f.carriers,
+                    lambda *cols: gather(f, [gather(g, cols) for g in gs]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +327,71 @@ def table_of_term(alg: SortedAlgebra, t: Term) -> OpTable:
 
 
 # ---------------------------------------------------------------------------
-# mixed-radix codes (used for product carriers)
+# mixed-radix codes and the tabulation kernel, the one owner of row-major
+# domain order and digit order.  A table is built over an open grid, so
+# per-argument work stays on length-n columns; only gather and encode are
+# domain sized.
 
 def encode_mixed(values, radices) -> int:
-    code = 0
-    for v, r in zip(values, radices, strict=True):
-        assert 0 <= v < r
-        code = code * r + v
-    return code
+    if not all(0 <= v < r for v, r in zip(values, radices, strict=True)):
+        raise ValueError("digits %r outside radices %r" % (tuple(values), tuple(radices)))
+    return int(encode_digits(values, radices))
 
 
 def decode_mixed(code: int, radices) -> tuple[int, ...]:
-    out = []
-    for r in reversed(radices):
-        out.append(code % r)
-        code //= r
-    assert code == 0
-    return tuple(reversed(out))
+    if not 0 <= code < prod(radices):
+        raise ValueError("code %r outside radices %r" % (code, tuple(radices)))
+    return tuple(int(d) for d in decode_digits(code, radices))
 
 
 def decode_all(radices) -> list[tuple[int, ...]]:
     """decode_mixed for every code, in code order."""
     return list(itertools.product(*(range(r) for r in radices)))
+
+
+def encode_digits(digits, radices) -> np.ndarray:
+    """encode_mixed on broadcastable arrays of digits known to be in range."""
+    code = np.int64(0)
+    for d, r in zip(digits, radices, strict=True):
+        code = code * r + d
+    return code
+
+
+def decode_digits(codes, radices) -> tuple[np.ndarray, ...]:
+    """decode_mixed on an array of codes: one digit array per radix."""
+    out = []
+    for r in reversed(radices):
+        codes, digit = np.divmod(codes, r)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def open_grid(sizes) -> tuple[np.ndarray, ...]:
+    """One index column per argument, broadcasting to the row-major domain."""
+    sizes = tuple(sizes)
+    return tuple(np.arange(n).reshape([n if j == i else 1 for j in range(len(sizes))])
+                 for i, n in enumerate(sizes))
+
+
+def grid_columns(sizes) -> list[np.ndarray]:
+    """Each open-grid column spread over the whole domain: the projections."""
+    sizes = tuple(sizes)
+    return [np.broadcast_to(c, sizes).ravel() for c in open_grid(sizes)]
+
+
+def gather(t: OpTable, args) -> np.ndarray:
+    """t at broadcastable argument arrays, one per input."""
+    return np.asarray(t.outputs, dtype=np.int64)[encode_digits(args, t.domain_sizes)]
+
+
+def tabulate(profile: Profile, carriers: tuple[int, ...], fn) -> OpTable:
+    """The table of fn(*open_grid(domain)), broadcast to the domain and
+    raveled row-major into Python ints, as table_search_key expects."""
+    shape = tuple(carriers[s] for s in profile.inputs)
+    values = np.asarray(fn(*open_grid(shape)))
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
+    return OpTable(profile, tuple(carriers), tuple(values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,22 @@ The pair splits C into the retract images R_s = e_s(C).  The matrix product
 rebuilds an algebra on the product of the retracts, with each basic
 operation g transported along the decomposition map
 
-  phi(g)(b_1, ..., b_n)_s = e_s(g(d(b_1), ..., d(b_n)))
+  phi(g) = split . g . (recombine x ... x recombine)
 
-where d(b) means d applied to the decoded retract components of b.  The
-checks compare three independently computed versions of the lam-ary tables
-of the product: the transported image phi(Clo_lam(C)), the fragment
-generated from the transported basics, and the assembly of e_s-image
-classes computed by closing restricted projections over retract-valued
-argument points.
+where recombine sends a product code to d of its retract components and
+split sends c to the code of (e_s(c) for each s).  Both are lookup arrays
+over one carrier, so a transported table is one gather.  The checks
+compare three independently computed versions of the lam-ary tables of the
+product: the transported image phi(Clo_lam(C)), the fragment generated from
+the transported basics, and the assembly of e_s-image classes of the clone
+closed over the retract-valued part of the domain.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -50,8 +52,13 @@ from .core import (
     Verification,
     check_arity,
     compose,
+    decode_digits,
     decode_mixed,
+    encode_digits,
     encode_mixed,
+    gather,
+    grid_columns,
+    tabulate,
 )
 from .clone import generate_fragment, saturate
 
@@ -68,6 +75,11 @@ class DiagonalPair:
     def retracts(self) -> tuple[tuple[int, ...], ...]:
         """Per slot, the sorted image of e_s."""
         return tuple(tuple(sorted(set(e.outputs))) for e in self.es)
+
+
+def retract_maps(pair: DiagonalPair, retracts) -> list[np.ndarray]:
+    """Per slot, the array y -> position of e_s(y) in retracts[s]."""
+    return [np.searchsorted(r, e.outputs) for e, r in zip(pair.es, retracts)]
 
 
 def _shape_ok(alg: SortedAlgebra, pair: DiagonalPair) -> str:
@@ -221,23 +233,25 @@ class MatrixProduct:
         return self.pair.d.apply(self.element_of(code))
 
 
+@lru_cache(maxsize=8)
+def _transport_maps(pair: DiagonalPair, retracts):
+    """The decomposition map's halves as read-only arrays: recombine[b] is d
+    of product code b's retract elements, split[y] the code of its slots."""
+    sizes = tuple(len(r) for r in retracts)
+    digits = decode_digits(np.arange(prod(sizes)), sizes)
+    recombine = gather(pair.d, [np.asarray(r, dtype=np.int64)[i] for r, i in zip(retracts, digits)])
+    split = encode_digits(retract_maps(pair, retracts), sizes)
+    recombine.flags.writeable = split.flags.writeable = False
+    return recombine, split
+
+
 def decompose_table(source: SortedAlgebra, pair: DiagonalPair, f: OpTable,
                     retracts=None) -> OpTable:
     """Transport one term table of the source onto the product carrier."""
-    if retracts is None:
-        retracts = pair.retracts()
-    sizes = tuple(len(r) for r in retracts)
-    N = prod(sizes)
-    pos = [{v: i for i, v in enumerate(r)} for r in retracts]
-    outputs = []
-    for args in itertools.product(range(N), repeat=f.arity):
-        inner = tuple(
-            pair.d.apply(tuple(r[i] for r, i in zip(retracts, decode_mixed(b, sizes))))
-            for b in args)
-        y = f.apply(inner)
-        comps = tuple(pos[s][e.apply((y,))] for s, e in enumerate(pair.es))
-        outputs.append(encode_mixed(comps, sizes))
-    return OpTable(Profile((0,) * f.arity, 0), (N,), tuple(outputs))
+    retracts = pair.retracts() if retracts is None else tuple(tuple(r) for r in retracts)
+    recombine, split = _transport_maps(pair, retracts)
+    return tabulate(Profile((0,) * f.arity, 0), (len(recombine),),
+                    lambda *cols: split[gather(f, [recombine[c] for c in cols])])
 
 
 def matrix_product(source: SortedAlgebra, pair: DiagonalPair) -> MatrixProduct:
@@ -276,40 +290,20 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
     S = mp.pair.width
     retracts = mp.retracts
     positions = [retracts[s] for _ in range(lam) for s in range(S)]
-    points = list(itertools.product(*positions))
-    n_points = len(points)
-    cols = np.array(points, dtype=np.int64).reshape(n_points, lam * S)
+    n_points = prod(len(r) for r in positions)
     rho = (0,) * (lam * S)
-    seeds = {0: [(cols[:, j], Var(Profile(rho, 0), j)) for j in range(lam * S)]}
+    cols = grid_columns(len(r) for r in positions)
+    seeds = {0: [(np.asarray(r, dtype=np.int64)[c], Var(Profile(rho, 0), j))
+                 for j, (r, c) in enumerate(zip(positions, cols))]}
     closed = saturate(mp.source, n_points, seeds, budget, ambient_inputs=rho)
     matrix, _terms = closed[0]
-    class_reps: list[list[bytes]] = []
-    arrays: list[dict[bytes, np.ndarray]] = []
-    for s in range(S):
-        e_flat = np.asarray(mp.pair.es[s].outputs, dtype=np.int64)
-        seen: dict[bytes, np.ndarray] = {}
-        for row in matrix:
-            pushed = e_flat[row]
-            seen.setdefault(pushed.tobytes(), pushed)
-        class_reps.append(list(seen))
-        arrays.append(seen)
-    if prod(len(c) for c in class_reps) > budget:
+    # The e_s-image classes as slot-index rows; closure point j is domain
+    # point j of a lam-ary product table, so one class per slot is a table.
+    classes = [np.searchsorted(r, np.unique(gather(e, [matrix]), axis=0))
+               for r, e in zip(retracts, mp.pair.es)]
+    if prod(len(c) for c in classes) > budget:
         raise BudgetError("class assembly would exceed the table budget")
-    sizes = mp.sizes
-    N = prod(sizes)
-    point_index = {p: i for i, p in enumerate(points)}
-    pos = [{v: i for i, v in enumerate(r)} for r in retracts]
-    out = set()
-    for keys in itertools.product(*class_reps):
-        reps = [arrays[s][k] for s, k in enumerate(keys)]
-        outputs = []
-        for args in itertools.product(range(N), repeat=lam):
-            flat = tuple(v for b in args for v in mp.element_of(b))
-            j = point_index[flat]
-            comps = tuple(pos[s][int(reps[s][j])] for s in range(S))
-            outputs.append(encode_mixed(comps, sizes))
-        out.add(tuple(outputs))
-    return out
+    return {tuple(encode_digits(slots, mp.sizes).tolist()) for slots in itertools.product(*classes)}
 
 
 def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
@@ -354,11 +348,10 @@ def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
         "" if bad is None else "breaks at %r" % (bad,)))
 
     n = source.carriers[0]
-    mu = [mp.encode(tuple({v: i for i, v in enumerate(r)}[e.apply((a,))]
-                          for r, e in zip(mp.retracts, pair.es)))
-          for a in range(n)]
+    recombine, split = _transport_maps(pair, mp.retracts)
+    mu = split.tolist()
     bijective = len(set(mu)) == n == mp.algebra.carriers[0]
-    inverse_ok = bijective and all(mp.recombine(mu[a]) == a for a in range(n))
+    inverse_ok = bijective and recombine[split].tolist() == list(range(n))
     checks.append(CheckResult(
         "element-bijection", bijective and inverse_ok,
         "carrier %d, product %d, distinct %d" % (n, mp.algebra.carriers[0], len(set(mu)))))

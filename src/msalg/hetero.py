@@ -3,9 +3,9 @@
 The pair (d, e_0..e_{S-1}) marks out retract images R_s = e_s(C).  The
 split algebra has one sort per slot, carrier R_s relabeled 0..|R_s|-1, and
 one symbol per (basic operation g, argument sort assignment v, target slot
-t), tabulated as
+t): the table of g on R_v1 x ... x R_vn, pushed through e_t and relabeled,
 
-  het_<g>_t<t>_v<v>(a_1, ..., a_n) = index of e_t(g(R_v1[a_1], ..., R_vn[a_n]))
+  het_<g>_t<t>_v<v> = index_t . e_t . g . (R_v1 x ... x R_vn)
 
 Cross-sort families and the canonical pair connect the two directions for a
 collapsed algebra: when the source is pure, pick for every ordered sort
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+
+import numpy as np
 
 from .core import (
     BudgetError,
@@ -37,9 +38,13 @@ from .core import (
     Symbol,
     TABLE_BUDGET,
     Verification,
+    decode_digits,
+    encode_digits,
+    gather,
+    tabulate,
 )
-from .clone import generate_fragment, is_pure
-from .diagonal import DiagonalPair, verify_diagonal_pair
+from .clone import generate_fragment
+from .diagonal import DiagonalPair, retract_maps, verify_diagonal_pair
 from .homog import HomogenizedAlgebra, homogenize
 
 
@@ -76,12 +81,10 @@ def cross_family_from_purity(alg: SortedAlgebra, *,
 def mu_maps(h: HomogenizedAlgebra, family: CrossSortFamily):
     """Per sort, the coding a -> code of (e_{s,t}(a) for each t)."""
     S = len(h.radices)
-    out = []
-    for s in range(S):
-        out.append(tuple(
-            h.encode(tuple(family.maps[s][t].apply((a,)) for t in range(S)))
-            for a in range(h.radices[s])))
-    return tuple(out)
+    return tuple(
+        tuple(encode_digits([gather(family.maps[s][t], [np.arange(h.radices[s])])
+                             for t in range(S)], h.radices).tolist())
+        for s in range(S))
 
 
 def canonical_pair(h: HomogenizedAlgebra, family: CrossSortFamily | None = None) -> DiagonalPair:
@@ -90,14 +93,11 @@ def canonical_pair(h: HomogenizedAlgebra, family: CrossSortFamily | None = None)
         family = cross_family_from_purity(h.source)
         if family is None:
             raise ProfileError("source is not pure, no canonical pair exists")
-    S = len(h.radices)
-    es = []
-    for s in range(S):
-        outputs = tuple(
-            h.encode(tuple(family.maps[s][t].apply((h.decode(x)[s],)) for t in range(S)))
-            for x in range(h.size))
-        es.append(OpTable(Profile((0,), 0), (h.size,), outputs))
-    return DiagonalPair(h.algebra.table("diag"), tuple(es))
+    mus = [np.asarray(m, dtype=np.int64) for m in mu_maps(h, family)]
+    es = tuple(tabulate(Profile((0,), 0), (h.size,),
+                        lambda col: mus[s][decode_digits(col, h.radices)[s]])
+               for s in range(len(h.radices)))
+    return DiagonalPair(h.algebra.table("diag"), es)
 
 
 # ---------------------------------------------------------------------------
@@ -122,31 +122,24 @@ def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
         raise ProfileError("not a diagonal pair: %s" % ver.failures()[0].name)
     S = pair.width
     retracts = pair.retracts()
-    pos = [{v: i for i, v in enumerate(r)} for r in retracts]
     sizes = tuple(len(r) for r in retracts)
 
-    total = 0
-    for sym in source.signature.symbols:
-        n = sym.profile.arity
-        for v in itertools.product(range(S), repeat=n):
-            total += S * prod(sizes[s] for s in v)
+    # sum over sort assignments v of prod(sizes[v_i]) is sum(sizes) ** arity
+    total = sum(S * sum(sizes) ** sym.profile.arity for sym in source.signature.symbols)
     if total > budget:
         raise BudgetError("split signature needs %d table entries, budget is %d"
                           % (total, budget))
 
+    split = retract_maps(pair, retracts)
     symbols = []
     tables = []
     for sym, g in zip(source.signature.symbols, source.tables):
-        n = g.arity
-        for v in itertools.product(range(S), repeat=n):
+        for v in itertools.product(range(S), repeat=g.arity):
             for t in range(S):
                 name = "het_%s_t%d_v%s" % (sym.name, t, "".join(str(s) for s in v))
-                outputs = []
-                for args in itertools.product(*(range(sizes[s]) for s in v)):
-                    y = g.apply(tuple(retracts[s][a] for s, a in zip(v, args)))
-                    outputs.append(pos[t][pair.es[t].apply((y,))])
                 symbols.append(Symbol(name, Profile(v, t)))
-                tables.append(OpTable(Profile(v, t), sizes, tuple(outputs)))
+                tables.append(tabulate(Profile(v, t), sizes, lambda *cols: split[t][
+                    gather(g, [np.asarray(retracts[s], dtype=np.int64)[c] for s, c in zip(v, cols)])]))
     sig = SortedSignature(tuple("r%d" % s for s in range(S)), tuple(symbols))
     return HeterogenizedAlgebra(
         algebra=SortedAlgebra(sig, sizes, tuple(tables)),
@@ -155,12 +148,9 @@ def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
 
 def _conjugate(f: OpTable, fwd, inv, carriers) -> OpTable:
     """Relabel a table along per-sort bijections (fwd composed with inv)."""
-    sizes = [carriers[s] for s in f.profile.inputs]
-    outputs = []
-    for args in itertools.product(*(range(n) for n in sizes)):
-        back = tuple(inv[s][a] for s, a in zip(f.profile.inputs, args))
-        outputs.append(fwd[f.profile.cod][f.apply(back)])
-    return OpTable(f.profile, tuple(carriers), tuple(outputs))
+    fwd_cod = np.asarray(fwd[f.profile.cod], dtype=np.int64)
+    return tabulate(f.profile, carriers, lambda *cols: fwd_cod[gather(
+        f, [np.asarray(inv[s], dtype=np.int64)[c] for s, c in zip(f.profile.inputs, cols)])])
 
 
 def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
@@ -254,9 +244,7 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
     n = source.carriers[0]
     checks = []
 
-    pos = [{v: i for i, v in enumerate(r)} for r in het.retracts]
-    psi = tuple(hb.encode(tuple(pos[t][pair.es[t].apply((c,))] for t in range(pair.width)))
-                for c in range(n))
+    psi = tuple(encode_digits(retract_maps(pair, het.retracts), hb.radices).tolist())
     bij = len(set(psi)) == n == hb.size
     checks.append(CheckResult("element-bijection", bij,
                               "source %d, collapsed %d, distinct %d" % (n, hb.size, len(set(psi)))))

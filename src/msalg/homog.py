@@ -5,9 +5,9 @@ with sort 0 most significant.  The signature keeps one n-ary symbol
 "lift_<f>" per source symbol f plus one fresh S-ary symbol "diag" (S = sort
 count):
 
-  - diag(a_0, ..., a_{S-1}) takes component s from argument a_s;
-  - lift_f(a_0, ..., a_{n-1}) applies f to the relevant decoded components
-    in its cod slot and copies every other component from argument 0.
+  - component s of diag is component s of its argument s;
+  - the cod component of lift_f is f of the matching components of its
+    arguments, and every other component is copied from argument 0.
 
 A nullary f has no argument 0 to copy junk from.  When every sort has some
 closed term, lift_f stays nullary and the junk slots take the least value a
@@ -24,6 +24,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .core import (
     MAX_ARITY,
     OpTable,
@@ -35,9 +37,13 @@ from .core import (
     TABLE_BUDGET,
     check_arity,
     decode_all,
+    decode_digits,
     decode_mixed,
+    encode_digits,
     encode_mixed,
+    gather,
     is_homomorphism,
+    tabulate,
 )
 from .clone import generate_fragment
 
@@ -73,24 +79,23 @@ def _closed_term_values(alg: SortedAlgebra):
 
 
 def _lift(radices, f: OpTable) -> OpTable:
-    n = prod(radices)
-    outputs = []
-    for args in itertools.product(range(n), repeat=f.arity):
-        decoded = [decode_mixed(a, radices) for a in args]
+    """f on the product carrier.  A nullary f gets one dummy argument, which
+    supplies the junk components."""
+
+    def lifted(*cols):
+        decoded = [decode_digits(c, radices) for c in cols]
         comps = list(decoded[0])
-        comps[f.profile.cod] = f.apply(tuple(d[s] for d, s in zip(decoded, f.profile.inputs)))
-        outputs.append(encode_mixed(comps, radices))
-    return OpTable(Profile((0,) * f.arity, 0), (n,), tuple(outputs))
+        comps[f.profile.cod] = gather(f, [d[s] for d, s in zip(decoded, f.profile.inputs)])
+        return encode_digits(comps, radices)
+
+    return tabulate(Profile((0,) * max(f.arity, 1), 0), (prod(radices),), lifted)
 
 
 def _diag_table(radices) -> OpTable:
     S = len(radices)
-    n = prod(radices)
-    outputs = []
-    for args in itertools.product(range(n), repeat=S):
-        comps = tuple(decode_mixed(a, radices)[s] for s, a in enumerate(args))
-        outputs.append(encode_mixed(comps, radices))
-    return OpTable(Profile((0,) * S, 0), (n,), tuple(outputs))
+    return tabulate(Profile((0,) * S, 0), (prod(radices),),
+                    lambda *cols: encode_digits(
+                        [decode_digits(c, radices)[s] for s, c in enumerate(cols)], radices))
 
 
 def homogenize(alg: SortedAlgebra, *, max_arity: int = MAX_ARITY) -> HomogenizedAlgebra:
@@ -102,26 +107,16 @@ def homogenize(alg: SortedAlgebra, *, max_arity: int = MAX_ARITY) -> Homogenized
     tables = [_diag_table(radices)]
     closed = None
     for sym, f in zip(alg.signature.symbols, alg.tables):
-        lifted_name = "lift_%s" % sym.name
-        if f.arity >= 1:
-            symbols.append(Symbol(lifted_name, Profile((0,) * f.arity, 0)))
-            tables.append(_lift(radices, f))
-            continue
-        if closed is None:
+        if f.arity == 0 and closed is None:
             closed = _closed_term_values(alg)
-        if all(vals for vals in closed):
+        if f.arity == 0 and all(closed):
             comps = [vals[0] for vals in closed]
             comps[f.profile.cod] = f.outputs[0]
-            symbols.append(Symbol(lifted_name, Profile((), 0)))
-            tables.append(OpTable(Profile((), 0), (n,), (encode_mixed(comps, radices),)))
+            lifted = OpTable(Profile((), 0), (n,), (encode_mixed(comps, radices),))
         else:
-            outputs = []
-            for a in range(n):
-                comps = list(decode_mixed(a, radices))
-                comps[f.profile.cod] = f.outputs[0]
-                outputs.append(encode_mixed(comps, radices))
-            symbols.append(Symbol(lifted_name, Profile((0,), 0)))
-            tables.append(OpTable(Profile((0,), 0), (n,), tuple(outputs)))
+            lifted = _lift(radices, f)
+        symbols.append(Symbol("lift_%s" % sym.name, lifted.profile))
+        tables.append(lifted)
 
     result = SortedAlgebra(SortedSignature(("h",), tuple(symbols)), (n,), tuple(tables))
     return HomogenizedAlgebra(algebra=result, source=alg, radices=radices)
@@ -142,7 +137,8 @@ def assemble(h: HomogenizedAlgebra, gs) -> OpTable:
     argument block i of each g_s.
     """
     S = len(h.radices)
-    assert len(gs) == S and S >= 1
+    if len(gs) != S or S < 1:
+        raise ProfileError("need one component table per sort, got %d for %d sorts" % (len(gs), S))
     rho = tuple(range(S))
     lam, rem = divmod(gs[0].profile.arity, S)
     if rem or any(g.profile.inputs != rho * lam for g in gs):
@@ -150,12 +146,12 @@ def assemble(h: HomogenizedAlgebra, gs) -> OpTable:
     for s, g in enumerate(gs):
         if g.profile.cod != s:
             raise ProfileError("component %d lands in sort %d" % (s, g.profile.cod))
-    n = h.size
-    outputs = []
-    for args in itertools.product(range(n), repeat=lam):
-        flat = tuple(v for a in args for v in h.decode(a))
-        outputs.append(h.encode(tuple(g.apply(flat) for g in gs)))
-    return OpTable(Profile((0,) * lam, 0), (n,), tuple(outputs))
+
+    def glued(*cols):
+        flat = [d for c in cols for d in decode_digits(c, h.radices)]
+        return encode_digits([gather(g, flat) for g in gs], h.radices)
+
+    return tabulate(Profile((0,) * lam, 0), (h.size,), glued)
 
 
 def assembled_fragment(h: HomogenizedAlgebra, lam: int, *,
@@ -182,11 +178,9 @@ def morphism_lift(hA: HomogenizedAlgebra, hB: HomogenizedAlgebra, maps):
     """Turn per-sort maps A_s -> B_s into one map between product carriers."""
     if len(hA.radices) != len(hB.radices):
         raise ProfileError("sort counts differ")
-    out = []
-    for code in range(hA.size):
-        comps = hA.decode(code)
-        out.append(hB.encode(tuple(m[v] for m, v in zip(maps, comps))))
-    return tuple(out)
+    comps = decode_digits(np.arange(hA.size), hA.radices)
+    images = [np.asarray(m, dtype=np.int64)[c] for m, c in zip(maps, comps, strict=True)]
+    return tuple(encode_digits(images, hB.radices).tolist())
 
 
 def verify_morphism_lift(hA: HomogenizedAlgebra, hB: HomogenizedAlgebra, maps):

@@ -31,13 +31,17 @@ from .core import (
     SUBUNIVERSE_BUDGET,
     BudgetError,
     CheckResult,
-    OpTable,
     ProfileError,
     SortedAlgebra,
     Verification,
+    decode_digits,
     decode_mixed,
+    encode_digits,
     encode_mixed,
+    gather,
     is_isomorphism,
+    open_grid,
+    tabulate,
 )
 from .homog import HomogenizedAlgebra, assembled_fragment, homogenize
 
@@ -90,10 +94,12 @@ def subalgebra_generate(alg: SortedAlgebra, gens) -> SubUniverse:
     gens is one iterable of elements per sort.  Nullary symbols contribute
     their values even when every generator set is empty.
     """
-    assert len(gens) == alg.n_sorts
+    if len(gens) != alg.n_sorts:
+        raise ProfileError("need %d generator sets, got %d" % (alg.n_sorts, len(gens)))
     members = [set(g) for g in gens]
     for s, n in enumerate(alg.carriers):
-        assert all(0 <= x < n for x in members[s]), "generator outside carrier %d" % s
+        if any(not 0 <= x < n for x in members[s]):
+            raise ProfileError("generator outside carrier %d of size %d" % (s, n))
     changed = True
     while changed:
         changed = False
@@ -203,7 +209,8 @@ def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
     resulting merges are queued in turn.  Transitive consequences are free,
     the union-find keeps classes merged.
     """
-    assert len(pairs) == alg.n_sorts
+    if len(pairs) != alg.n_sorts:
+        raise ProfileError("need %d pair sets, got %d" % (alg.n_sorts, len(pairs)))
     parent = [list(range(n)) for n in alg.carriers]
 
     def find(s, x):
@@ -226,7 +233,8 @@ def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
     queue = deque()
     for s, ps in enumerate(pairs):
         for a, b in ps:
-            assert 0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]
+            if not (0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]):
+                raise ProfileError("pair (%d, %d) outside carrier %d" % (a, b, s))
             if union(s, a, b):
                 queue.append((s, a, b))
 
@@ -335,48 +343,44 @@ def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
 
 # ------------------------------------------------- quotients and products
 
+def _block_reps(cong: Congruence, s: int) -> np.ndarray:
+    """The least element of each block of sort s, in label order."""
+    return np.unique(np.asarray(cong.classes[s], dtype=np.int64), return_index=True)[1]
+
+
 def quotient(alg: SortedAlgebra, cong: Congruence) -> SortedAlgebra:
     """Algebra on the blocks.  Same signature object; element k of sort s
     is the k-th block in first-appearance order."""
-    assert len(cong.classes) == alg.n_sorts
-    for s, n in enumerate(alg.carriers):
-        assert len(cong.classes[s]) == n
+    if len(cong.classes) != alg.n_sorts or any(
+            len(c) != n for c, n in zip(cong.classes, alg.carriers)):
+        raise ProfileError("partition shape does not match carriers %r" % (alg.carriers,))
     ok, wit = is_congruence(alg, cong.classes)
-    assert ok, "not compatible, so the quotient is not well defined: %r" % (wit,)
+    if not ok:
+        raise ProfileError("not compatible, so the quotient is not well defined: %r" % (wit,))
     counts = tuple(cong.block_count(s) for s in range(alg.n_sorts))
-    reps = []
-    for s in range(alg.n_sorts):
-        r = [-1] * counts[s]
-        for x, l in enumerate(cong.classes[s]):
-            if r[l] < 0:
-                r[l] = x
-        reps.append(r)
+    reps = [_block_reps(cong, s) for s in range(alg.n_sorts)]
     tables = []
     for sym, tab in zip(alg.signature.symbols, alg.tables):
         ins, cod = sym.profile.inputs, sym.profile.cod
-        outs = []
-        for row in itertools.product(*[range(counts[t]) for t in ins]):
-            args = tuple(reps[t][l] for t, l in zip(ins, row))
-            outs.append(cong.classes[cod][tab.apply(args)])
-        tables.append(OpTable(sym.profile, counts, tuple(outs)))
+        tables.append(tabulate(sym.profile, counts, lambda *cols: np.asarray(cong.classes[cod])[
+            gather(tab, [reps[t][c] for t, c in zip(ins, cols)])]))
     return SortedAlgebra(alg.signature, counts, tuple(tables))
 
 
 def restrict_to_subuniverse(alg: SortedAlgebra, su: SubUniverse) -> SortedAlgebra:
     """Algebra on a closed family, elements renumbered by position."""
-    assert len(su.sets) == alg.n_sorts
+    if len(su.sets) != alg.n_sorts:
+        raise ProfileError("family has %d sets for %d sorts" % (len(su.sets), alg.n_sorts))
     ok, wit = is_closed_family(alg, su.sets)
-    assert ok, "family is not closed, %s escapes at %r" % wit
-    index = [{x: i for i, x in enumerate(xs)} for xs in su.sets]
-    counts = su.sizes()
+    if not ok:
+        raise ProfileError("family is not closed, %s escapes at %r" % wit)
+    members = [np.asarray(xs, dtype=np.int64) for xs in su.sets]
     tables = []
     for sym, tab in zip(alg.signature.symbols, alg.tables):
         ins, cod = sym.profile.inputs, sym.profile.cod
-        outs = []
-        for args in itertools.product(*[su.sets[s] for s in ins]):
-            outs.append(index[cod][tab.apply(args)])
-        tables.append(OpTable(sym.profile, counts, tuple(outs)))
-    return SortedAlgebra(alg.signature, counts, tuple(tables))
+        tables.append(tabulate(sym.profile, su.sizes(), lambda *cols: np.searchsorted(
+            members[cod], gather(tab, [members[t][c] for t, c in zip(ins, cols)]))))
+    return SortedAlgebra(alg.signature, su.sizes(), tuple(tables))
 
 
 def direct_product(algs) -> SortedAlgebra:
@@ -386,7 +390,8 @@ def direct_product(algs) -> SortedAlgebra:
     digit convention the product carrier uses for sorts.
     """
     algs = list(algs)
-    assert algs, "need at least one factor"
+    if not algs:
+        raise ProfileError("direct product needs at least one factor")
     sig = algs[0].signature
     for a in algs[1:]:
         if a.signature != sig:
@@ -396,13 +401,13 @@ def direct_product(algs) -> SortedAlgebra:
     tables = []
     for idx, sym in enumerate(sig.symbols):
         ins, cod = sym.profile.inputs, sym.profile.cod
-        outs = []
-        for row in itertools.product(*[range(carriers[t]) for t in ins]):
-            split = [decode_mixed(code, radices[t]) for code, t in zip(row, ins)]
-            value = tuple(a.tables[idx].apply(tuple(col[i] for col in split))
-                          for i, a in enumerate(algs))
-            outs.append(encode_mixed(value, radices[cod]))
-        tables.append(OpTable(sym.profile, carriers, tuple(outs)))
+
+        def componentwise(*cols):
+            split = [decode_digits(c, radices[t]) for c, t in zip(cols, ins)]
+            return encode_digits([gather(a.tables[idx], [digits[i] for digits in split])
+                                  for i, a in enumerate(algs)], radices[cod])
+
+        tables.append(tabulate(sym.profile, carriers, componentwise))
     return SortedAlgebra(sig, carriers, tuple(tables))
 
 
@@ -417,10 +422,27 @@ def family_product(h: HomogenizedAlgebra, su: SubUniverse) -> SubUniverse:
 
 def congruence_product(h: HomogenizedAlgebra, cong: Congruence) -> Congruence:
     """Componentwise partition of the product carrier."""
-    assert len(cong.classes) == len(h.radices)
-    raw = [tuple(cong.classes[s][v] for s, v in enumerate(h.decode(code)))
-           for code in range(h.size)]
-    return Congruence((_relabel(raw),))
+    if len(cong.classes) != len(h.radices):
+        raise ProfileError("partition has %d sorts, the collapse %d" % (len(cong.classes), len(h.radices)))
+    digits = decode_digits(np.arange(h.size), h.radices)
+    labels = [np.asarray(c, dtype=np.int64)[d] for c, d in zip(cong.classes, digits)]
+    raw = encode_digits(labels, [cong.block_count(s) for s in range(len(h.radices))])
+    return Congruence((_relabel(raw.tolist()),))
+
+
+def _quotient_psi(h: HomogenizedAlgebra, hq: HomogenizedAlgebra, theta: Congruence):
+    """Collapsed quotient -> quotient of the collapse, via least block members."""
+    digits = decode_digits(np.arange(hq.size), hq.radices)
+    members = [_block_reps(theta, s)[d] for s, d in enumerate(digits)]
+    labels = np.asarray(congruence_product(h, theta).classes[0], dtype=np.int64)
+    return tuple(labels[encode_digits(members, h.radices)].tolist())
+
+
+def _square_psi(h: HomogenizedAlgebra, hsq: HomogenizedAlgebra):
+    """Collapsed square -> square of the collapse: regroup the digits by factor."""
+    pairs = [decode_digits(d, (n, n))
+             for d, n in zip(decode_digits(np.arange(hsq.size), hsq.radices), h.radices)]
+    return tuple(encode_digits([p[i] for i in (0, 1) for p in pairs], h.radices * 2).tolist())
 
 
 def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> Verification:
@@ -458,17 +480,7 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
         q = quotient(alg, theta)
         hq = homogenize(q)
         hmod = quotient(h.algebra, congruence_product(h, theta))
-        reps = []
-        for s in range(alg.n_sorts):
-            r = [-1] * theta.block_count(s)
-            for x, l in enumerate(theta.classes[s]):
-                if r[l] < 0:
-                    r[l] = x
-            reps.append(r)
-        labels = congruence_product(h, theta).classes[0]
-        psi = tuple(labels[h.encode(tuple(reps[s][b] for s, b in enumerate(hq.decode(code))))]
-                    for code in range(hq.size))
-        ok, why = is_isomorphism(hq.algebra, hmod, (psi,))
+        ok, why = is_isomorphism(hq.algebra, hmod, (_quotient_psi(h, hq, theta),))
         if not ok:
             quot_ok, quot_why = False, "quotient by %r: %s" % (theta.classes, why)
             break
@@ -477,14 +489,7 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
     sq = direct_product([alg, alg])
     hsq = homogenize(sq)
     hh = direct_product([h.algebra, h.algebra])
-    psi = []
-    for code in range(hsq.size):
-        split = [decode_mixed(c, (alg.carriers[s], alg.carriers[s]))
-                 for s, c in enumerate(hsq.decode(code))]
-        left = h.encode(tuple(col[0] for col in split))
-        right = h.encode(tuple(col[1] for col in split))
-        psi.append(left * h.size + right)
-    ok, why = is_isomorphism(hsq.algebra, hh, (tuple(psi),))
+    ok, why = is_isomorphism(hsq.algebra, hh, (_square_psi(h, hsq),))
     checks.append(CheckResult(
         "product-compatible", ok,
         "square on %d product elements" % hsq.size if ok else why))
@@ -637,11 +642,7 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
            for tab in h.algebra.tables]
     sets = _join_saturate(lambda seed: _power_close(ops, n, mu, seed, budget),
                           n ** mu, budget)
-    out = []
-    for s in sets:
-        tuples = frozenset(tuple((c // n ** (mu - 1 - j)) % n for j in range(mu))
-                           for c in s)
-        out.append(Relation(mu, tuples))
+    out = [Relation(mu, frozenset(decode_mixed(c, (n,) * mu) for c in s)) for s in sets]
     return sorted(out, key=_relation_key)
 
 
@@ -752,68 +753,43 @@ def _formula_sample(rels, span):
     return out
 
 
+def _pp_members(rel: Relation, radices) -> np.ndarray:
+    """Membership of rel, indexed by the row-major code of all the digits
+    (with the given radices) of a member's codes."""
+    member = np.zeros(math.prod(radices) ** rel.arity, dtype=bool)
+    for t in rel.tuples:
+        member[encode_digits([d for c in t for d in decode_digits(c, radices)], radices * rel.arity)] = True
+    return member
+
+
+def _pp_solutions(members, radices, grid, f: PPFormula) -> np.ndarray:
+    """Sorted flat codes of the free part of every satisfying assignment.
+    Each position is a block of digits with the given radices, grid is the
+    open grid over them all, and the free positions are the leading axes."""
+    width = len(radices)
+    blocks = [grid[p * width:(p + 1) * width] for p in range(f.mu + f.nu)]
+    mask = np.ones(radices * (f.mu + f.nu), dtype=bool)
+    for k, cmap in f.conjuncts:
+        mask &= members[k][encode_digits([d for p in cmap for d in blocks[p]], radices * len(cmap))]
+    n = math.prod(radices)
+    return np.flatnonzero(mask.reshape(n ** f.mu, n ** f.nu).any(axis=1))
+
+
 def _pp_both_sides(alg, h, rels, formulas, spot_checks):
     """Evaluate each formula over product codes and over matrices, compare
     through the regrouping map.  Returns (#formulas, #disagreements, spot ok)."""
     n = h.size
-    n_sorts = alg.n_sorts
-    carriers = alg.carriers
     span = max(f.mu + f.nu for f in formulas)
-
-    code_grids = {m: np.indices((n,) * m).reshape(m, -1)
-                  for m in range(1, span + 1)}
-    mat_grids = {m: np.indices(tuple(carriers) * m).reshape(m * n_sorts, -1)
-                 for m in range(1, span + 1)}
-    code_members = []
-    mat_members = []
-    for r in rels:
-        cm = np.zeros(n ** r.arity, dtype=bool)
-        mm = np.zeros(n ** r.arity, dtype=bool)
-        for t in r.tuples:
-            flat = 0
-            for c in t:
-                flat = flat * n + c
-            cm[flat] = True
-            mflat = 0
-            for c in t:
-                for s, v in enumerate(h.decode(c)):
-                    mflat = mflat * carriers[s] + v
-            mm[mflat] = True
-        code_members.append(cm)
-        mat_members.append(mm)
+    sides = [(n,), tuple(alg.carriers)]
+    members = [[_pp_members(r, radices) for r in rels] for radices in sides]
+    grids = [[open_grid(radices * m) for m in range(span + 1)] for radices in sides]
 
     bad = 0
     spot_ok = True
     for count, f in enumerate(formulas):
         m = f.mu + f.nu
-        g = code_grids[m]
-        mask = np.ones(g.shape[1], dtype=bool)
-        for k, cmap in f.conjuncts:
-            idx = np.zeros(g.shape[1], dtype=np.int64)
-            for p in cmap:
-                idx = idx * n + g[p]
-            mask &= code_members[k][idx]
-        free = np.zeros(int(mask.sum()), dtype=np.int64)
-        for j in range(f.mu):
-            free = free * n + g[j][mask]
-        code_side = np.unique(free)
-
-        g = mat_grids[m]
-        mask = np.ones(g.shape[1], dtype=bool)
-        for k, cmap in f.conjuncts:
-            idx = np.zeros(g.shape[1], dtype=np.int64)
-            for p in cmap:
-                for s in range(n_sorts):
-                    idx = idx * carriers[s] + g[p * n_sorts + s]
-            mask &= mat_members[k][idx]
-        free = np.zeros(int(mask.sum()), dtype=np.int64)
-        for j in range(f.mu):
-            row = np.zeros(int(mask.sum()), dtype=np.int64)
-            for s in range(n_sorts):
-                row = row * carriers[s] + g[j * n_sorts + s][mask]
-            free = free * n + row
-        mat_side = np.unique(free)
-
+        code_side, mat_side = (_pp_solutions(mem, radices, grid[m], f)
+                               for mem, radices, grid in zip(members, sides, grids))
         if not np.array_equal(code_side, mat_side):
             bad += 1
         if count < spot_checks:

@@ -141,6 +141,25 @@ def test_exit_2_when_quotient_lacks_pairs():
     assert rc == 2
 
 
+def test_exit_2_on_generator_outside_carrier():
+    rc, _out = run_cli(["sub", "@a_tiny", "--gens", "u=7;w="])
+    assert rc == 2
+
+
+def test_exit_2_on_pair_outside_carrier():
+    rc, _out = run_cli(["quotient", "@a_tiny", "--pair", "w", "0", "9"])
+    assert rc == 2
+
+
+def test_range_errors_exit_2_under_python_optimize():
+    for args in (["sub", "@a_tiny", "--gens", "u=7;w="],
+                 ["quotient", "@a_tiny", "--pair", "w", "0", "9"]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "msalg", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "outside carrier" in proc.stderr
+
+
 def test_exit_2_on_budget_exhaustion():
     rc, _out = run_cli(["clone", "@a_malcev", "--profile", "u,u->u",
                         "--table-budget", "3"])

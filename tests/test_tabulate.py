@@ -1,0 +1,306 @@
+"""Every open-grid tabulation against its per-point oracle.
+
+The oracles in oracle_tabulate.py walk the domain one point at a time, the
+way the library did before the tabulation kernel in msalg.core.  Each case
+below runs one converted function and its oracle over the same inputs:
+every corpus algebra and its collapse, the binary direct powers, algebras
+with nullary symbols, and an algebra with an empty carrier.  Results must
+be equal, and every table output must be a Python int: table_search_key
+hashes repr(outputs), so numpy scalars would reorder the searches.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import oracle_tabulate as oracle
+from msalg.clone import generate_fragment
+from msalg.core import (
+    OpTable,
+    Profile,
+    SortedAlgebra,
+    build_algebra,
+    compose,
+    grid_columns,
+    open_grid,
+    projection,
+)
+from msalg.corpus import corpus_algebra, corpus_names
+from msalg.diagonal import _class_assembled_fragment, decompose_table, find_diagonal_pairs, matrix_product
+from msalg.hetero import (
+    _conjugate,
+    canonical_pair,
+    cross_family_from_purity,
+    heterogenize,
+    mu_maps,
+)
+from msalg.homog import _diag_table, _lift, assemble, homogenize, morphism_lift
+from msalg.lattice import (
+    PPFormula,
+    _formula_sample,
+    _pp_members,
+    _pp_solutions,
+    _quotient_psi,
+    _square_psi,
+    congruence_generate,
+    congruence_product,
+    direct_product,
+    enumerate_congruences,
+    enumerate_subuniverses,
+    inv_enumerate,
+    quotient,
+    restrict_to_subuniverse,
+    subalgebra_generate,
+)
+
+
+def _nullary_algebras():
+    """Constants with and without a closed term in every sort, and a carrier
+    left empty so that one table has an empty domain."""
+    every_sort = build_algebra([("u", 2), ("w", 3)], [
+        ("c", (), "u", (1,)),
+        ("k", (), "w", (2,)),
+        ("f", ("u", "w"), "w", (0, 1, 2, 2, 1, 0)),
+    ])
+    dummy = build_algebra([("u", 2), ("w", 3)], [
+        ("c", (), "u", (1,)),
+        ("f", ("u",), "u", (1, 0)),
+        ("g", ("w", "w"), "w", (0, 1, 2, 1, 2, 0, 2, 0, 1)),
+    ])
+    empty = build_algebra([("u", 0), ("w", 2)], [
+        ("g", ("u",), "w", ()),
+        ("h", ("w",), "w", (1, 0)),
+        ("p", ("u", "w"), "u", ()),
+    ])
+    return [("every_sort", every_sort), ("dummy", dummy), ("empty", empty)]
+
+
+@lru_cache(maxsize=None)
+def bases():
+    """Corpus and special algebras, by name."""
+    return tuple([(name, corpus_algebra(name)) for name in corpus_names()] + _nullary_algebras())
+
+
+@lru_cache(maxsize=None)
+def collapses():
+    return tuple((name, homogenize(alg)) for name, alg in bases())
+
+
+@lru_cache(maxsize=None)
+def algebras():
+    """Every input algebra: the bases, their collapses and the binary
+    direct powers of the corpus."""
+    out = list(bases())
+    out += [("h_" + name, h.algebra) for name, h in collapses()]
+    out += [(name + "^2", direct_product([corpus_algebra(name)] * 2)) for name in corpus_names()]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def pairs():
+    """(collapse, pair) for each pure base, along its canonical pair, plus
+    the width-2 diagonal pairs of the single-sorted corpus algebra."""
+    out = []
+    for name, h in collapses():
+        family = cross_family_from_purity(h.source)
+        if family is not None:
+            out.append((name, h.algebra, canonical_pair(h, family)))
+    group = corpus_algebra("a_group")
+    out += [("a_group", group, p) for p in find_diagonal_pairs(group, 2)[:2]]
+    return tuple(out)
+
+
+def _shifted(alg):
+    """One arbitrary per-sort self-map of the carriers."""
+    return tuple(tuple((v + 1) % n for v in range(n)) for n in alg.carriers)
+
+
+def _inner_tables(alg, f):
+    """Inner tables for f over f's own input profile: a basic table where
+    one fits, a projection otherwise."""
+    ins = f.profile.inputs
+    out = []
+    for i, s in enumerate(ins):
+        fit = [t for t in alg.tables if t.profile == Profile(ins, s)]
+        out.append(fit[-1] if fit else projection(alg.carriers, ins, i))
+    return tuple(out)
+
+
+# ------------------------------------------------------------------ cases
+# Each case yields (label, fast result, oracle result).
+
+def case_projection():
+    for name, alg in algebras():
+        for f in alg.tables:
+            for pos in range(f.arity):
+                ins = f.profile.inputs
+                yield name, projection(alg.carriers, ins, pos), oracle.projection(alg.carriers, ins, pos)
+
+
+def case_compose():
+    for name, alg in algebras():
+        for f in alg.tables:
+            if f.arity:
+                gs = _inner_tables(alg, f)
+                yield name, compose(f, gs), oracle.compose(f, gs)
+            else:
+                for s in range(alg.n_sorts):
+                    yield (name + " no inner", compose(f, (), inputs=(s,)),
+                           oracle.compose(f, (), inputs=(s,)))
+
+
+def case_lift():
+    for name, h in collapses():
+        yield name + " diag", _diag_table(h.radices), oracle.diag_table(h.radices)
+        for f in h.source.tables:
+            if f.arity:
+                yield name, _lift(h.radices, f), oracle.lift(h.radices, f)
+            else:
+                yield name + " dummy", _lift(h.radices, f), oracle.dummy_lift(h.radices, f)
+
+
+def case_assemble():
+    for name, h in collapses():
+        S = len(h.radices)
+        rho = tuple(range(S))
+        frag = generate_fragment(h.source, [rho])
+        per_sort = [frag.tables.get(Profile(rho, s), ()) for s in range(S)]
+        if all(per_sort):
+            for k in range(3):
+                gs = tuple(ts[k % len(ts)] for ts in per_sort)
+                yield name, assemble(h, gs), oracle.assemble(h, gs)
+
+
+def case_morphism_lift():
+    for name, h in collapses():
+        maps = _shifted(h.source)
+        yield name, morphism_lift(h, h, maps), oracle.morphism_lift(h, h, maps)
+
+
+def case_decompose_table():
+    for name, alg, pair in pairs():
+        for f in alg.tables + (pair.d,) + pair.es:
+            yield name, decompose_table(alg, pair, f), oracle.decompose_table(alg, pair, f)
+
+
+def case_class_assembly():
+    for name, alg, pair in pairs():
+        mp = matrix_product(alg, pair)
+        yield name, _class_assembled_fragment(mp, 1), oracle.class_assembled_fragment(mp, 1)
+
+
+def case_heterogenize():
+    for name, alg, pair in pairs():
+        yield name, heterogenize(alg, pair).algebra.tables, oracle.heterogenize_tables(alg, pair)
+
+
+def case_conjugate():
+    for name, alg in algebras():
+        fwd = tuple(tuple(reversed(range(n))) for n in alg.carriers)
+        for f in alg.tables:
+            yield name, _conjugate(f, fwd, fwd, alg.carriers), oracle.conjugate(f, fwd, fwd, alg.carriers)
+
+
+def case_mu_maps_and_canonical_pair():
+    for name, h in collapses():
+        family = cross_family_from_purity(h.source)
+        if family is not None:
+            yield name, mu_maps(h, family), oracle.mu_maps(h, family)
+            yield name, canonical_pair(h, family).es, oracle.canonical_es(h, family)
+
+
+def _congruences(name, alg):
+    if name.endswith("^2"):
+        return [congruence_generate(alg, [[(0, 1)]] + [[]] * (alg.n_sorts - 1))]
+    return enumerate_congruences(alg)
+
+
+def case_quotient():
+    for name, alg in algebras():
+        for cong in _congruences(name, alg):
+            yield name, quotient(alg, cong).tables, oracle.quotient_tables(alg, cong)
+
+
+def case_restrict_to_subuniverse():
+    for name, alg in algebras():
+        if name.endswith("^2"):
+            subs = [subalgebra_generate(alg, [{0}] + [set()] * (alg.n_sorts - 1))]
+        else:
+            subs = enumerate_subuniverses(alg)
+        for su in subs:
+            yield name, restrict_to_subuniverse(alg, su).tables, oracle.restrict_tables(alg, su)
+
+
+def case_direct_product():
+    for name, alg in bases() + tuple(("h_" + n, h.algebra) for n, h in collapses()):
+        yield name, direct_product([alg, alg]).tables, oracle.direct_product_tables([alg, alg])
+    tiny = corpus_algebra("a_tiny")
+    yield "cube", direct_product([tiny] * 3).tables, oracle.direct_product_tables([tiny] * 3)
+
+
+def case_transfer_maps():
+    for name, h in collapses():
+        alg = h.source
+        for theta in enumerate_congruences(alg):
+            yield name, congruence_product(h, theta).classes[0], oracle.congruence_product_classes(h, theta)
+            hq = homogenize(quotient(alg, theta))
+            yield name, _quotient_psi(h, hq, theta), oracle.quotient_psi(h, hq, theta)
+        hsq = homogenize(direct_product([alg, alg]))
+        yield name, _square_psi(h, hsq), oracle.square_psi(alg, h, hsq)
+
+
+def case_pp_sides():
+    for name in ("a_tiny", "a_group"):
+        alg = corpus_algebra(name)
+        h = homogenize(alg)
+        rels = inv_enumerate(alg, 1)[:2] + inv_enumerate(alg, 2)[1:3]
+        formulas = _formula_sample(rels, 3)[::7] + [PPFormula(0, 1, ((0, (0,)),))]
+        for f in formulas:
+            m = f.mu + f.nu
+            fast = [_pp_solutions([_pp_members(r, radices) for r in rels], radices,
+                                  open_grid(radices * m), f)
+                    for radices in ((h.size,), alg.carriers)]
+            yield name, fast, list(oracle.pp_sides(alg, h, rels, f))
+
+
+def case_grid_columns():
+    for name, alg in algebras():
+        for f in alg.tables:
+            sizes = f.domain_sizes
+            yield (name, grid_columns(sizes),
+                   oracle.closure_columns(alg.carriers, f.profile.inputs))
+
+
+CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
+         if name.startswith("case_")}
+
+
+def _all_python_ints(x) -> bool:
+    if isinstance(x, OpTable):
+        return all(type(v) is int for v in x.outputs)
+    if isinstance(x, SortedAlgebra):
+        return _all_python_ints(x.tables)
+    if isinstance(x, (tuple, list, set, frozenset)):
+        return all(_all_python_ints(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return True
+    return type(x) is int
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(np.asarray(a), np.asarray(b))
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_oracle(case):
+    count = 0
+    for label, fast, slow in CASES[case]():
+        assert _same(fast, slow), (case, label)
+        assert _all_python_ints(fast), (case, label)
+        count += 1
+    assert count, "case %s compared nothing" % case
