@@ -78,7 +78,7 @@ class OpTable:
         if len(self.outputs) != size:
             raise ProfileError("table for %r needs %d outputs, got %d" % (p, size, len(self.outputs)))
         cod_size = self.carriers[p.cod]
-        if any(not (0 <= v < cod_size) for v in self.outputs):
+        if self.outputs and not (0 <= min(self.outputs) and max(self.outputs) < cod_size):
             raise ProfileError("table output outside carrier of size %d" % cod_size)
 
     @property
@@ -416,14 +416,17 @@ def is_homomorphism(src: "SortedAlgebra", dst: "SortedAlgebra", maps):
         for v in m:
             if not (0 <= v < dst.carriers[s]):
                 raise ProfileError("map for sort %d sends something to %d, outside the target" % (s, v))
+    images = [np.asarray(m, dtype=np.int64) for m in maps]
     for sym_s, sym_d, f_s, f_d in zip(src.signature.symbols, dst.signature.symbols,
                                       src.tables, dst.tables):
         if sym_s.profile != sym_d.profile:
             raise ProfileError("symbol %s has different profiles" % sym_s.name)
-        for args in f_s.domain():
-            mapped = tuple(maps[t][a] for t, a in zip(sym_s.profile.inputs, args))
-            if f_d.apply(mapped) != maps[sym_s.profile.cod][f_s.apply(args)]:
-                return False, (sym_s.name, args)
+        grid = open_grid(f_s.domain_sizes)
+        f_of_maps = gather(f_d, [images[t][c] for t, c in zip(sym_s.profile.inputs, grid)])
+        maps_of_f = images[sym_s.profile.cod][gather(f_s, grid)]
+        bad = np.flatnonzero(np.broadcast_to(f_of_maps != maps_of_f, f_s.domain_sizes))
+        if bad.size:
+            return False, (sym_s.name, decode_mixed(int(bad[0]), f_s.domain_sizes))
     return True, None
 
 

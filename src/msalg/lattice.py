@@ -8,13 +8,16 @@ partitions are stored as label strings in first-appearance order, so two
 equal partitions are equal tuples.  Relations live on the single product
 carrier: a member of a relation of arity mu is a mu-tuple of product codes.
 
-Invariant relations are computed two independent ways.  inv_enumerate walks
-the join lattice of subsets of the mu-th power of the homogenized algebra
-that are closed under its basic operations acting coordinatewise.
-verify_inv_iso recomputes the same lattice from the many-sorted side, using
-tuples of source term operations over a shared variable block, applied to
-matrices of source elements, and then checks that regrouping matrix rows
-into product codes is a bijection between the two answers.
+Sub, Con and Inv come from one engine: _closed_sets walks the joins of
+principal closed sets, each join computed from an already closed set.  Sub
+and Inv are closed subsets of a power of an algebra, operations acting
+coordinatewise, closed by one semi-naive kernel (_Power); a Con join reruns
+the union-find worklist of congruence_generate.  Invariant relations take
+two independent routes: inv_enumerate closes the mu-th power of the
+homogenized algebra under its basic operations, and verify_inv_iso closes
+it under tuples of source term operations over a shared variable block,
+applied to matrices of source elements, then checks that regrouping matrix
+rows into product codes is a bijection between the two answers.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .core import (
     SortedAlgebra,
     Verification,
     decode_digits,
-    decode_mixed,
     encode_digits,
     encode_mixed,
     gather,
@@ -44,6 +46,132 @@ from .core import (
     tabulate,
 )
 from .homog import HomogenizedAlgebra, assembled_fragment, homogenize
+
+
+# ---------------------------------------------------------- closed-set engine
+
+def _closed_sets(bottom, generators, join, budget: int) -> list:
+    """Every closed set, bottom first, of a lattice of frozensets in which
+    each closed set is a join of principal ones.
+
+    join(C, X) computes the least closed set containing the closed C and
+    the set X from C.  The principals are the joins of the bottom with one
+    generator each, and every closed set found is joined with every
+    principal not below it.  Closures computed (the bottom, each principal
+    and each join) count against budget."""
+    spent = 1
+
+    def counted(c, x):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetError("more than %d closures computed" % budget)
+        return join(c, x)
+
+    principals = dict.fromkeys(counted(bottom, g) for g in generators)
+    found, seen = [bottom], {bottom}
+    for c in found:
+        for p in principals:
+            if not p <= c:
+                j = counted(c, p)
+                if j not in seen:
+                    seen.add(j)
+                    found.append(j)
+    return found
+
+
+# Gathered values one closure step aims to hold at once: a larger step is
+# split along its fresh argument position, which keeps peak memory flat.
+_CHUNK = 1 << 14
+# A closure step wanting more argument rows than this raises BudgetError
+# instead of running for hours.
+_STEP_ROWS = 20_000_000
+
+
+class _Power:
+    """The mu-th power of a sorted algebra, operations acting coordinatewise.
+
+    A point of sort s is a code of mu base-n_s digits, first coordinate most
+    significant; the points of all sorts share one id space, sort by sort.
+    Tables of one profile are stacked, so a closure round costs one gather
+    per profile and argument position."""
+
+    def __init__(self, carriers, tables, mu: int):
+        self.carriers, self.mu = tuple(carriers), mu
+        self.offsets = [0] + list(itertools.accumulate(n ** mu for n in self.carriers))
+        self.size = self.offsets[-1]
+        self.digits = np.zeros((mu, self.size), dtype=np.int64)
+        for n, lo, hi in zip(self.carriers, self.offsets, self.offsets[1:]):
+            self.digits[:, lo:hi] = decode_digits(np.arange(hi - lo), (n,) * mu)
+        stacks, self.constants = {}, []
+        for t in tables:
+            if t.arity:
+                stacks.setdefault(t.profile, []).append(t.outputs)
+            else:
+                self.constants.append(self.diagonal(t.profile.cod, t.outputs[0]))
+        self.stacks = [(p, np.asarray(outs, dtype=np.int64)) for p, outs in stacks.items()]
+
+    def diagonal(self, s: int, v: int) -> int:
+        """The id of the point of sort s with every coordinate v."""
+        return self.offsets[s] + encode_mixed((v,) * self.mu, (self.carriers[s],) * self.mu)
+
+    def close(self, member: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+        """Grow member, one bool per point id, into its closure.  fresh holds
+        the ids added since member was last closed: only the argument rows
+        that use one of them are evaluated, and each round's new points are
+        the next round's fresh ones (semi-naive evaluation)."""
+        while fresh.size:
+            is_fresh = np.zeros(self.size, dtype=bool)
+            is_fresh[fresh] = True
+            every = [lo + np.flatnonzero(member[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:])]
+            new = [ids[is_fresh[ids]] for ids in every]
+            old = [ids[~is_fresh[ids]] for ids in every]
+            reached = np.zeros(self.size, dtype=bool)
+            for profile, stack in self.stacks:
+                ins = profile.inputs
+                for i in range(len(ins)):
+                    pool = [old[s] for s in ins[:i]] + [new[ins[i]]] + [every[s] for s in ins[i + 1:]]
+                    for ids in self._images(profile, stack, pool, i):
+                        reached[ids] = True
+            fresh = np.flatnonzero(reached & ~member)
+            member[fresh] = True
+        return member
+
+    def _images(self, profile, stack, pool, i):
+        """Ids the stacked tables give at every argument row drawn from pool,
+        in steps along position i."""
+        rows = math.prod(len(ids) for ids in pool)
+        if rows > _STEP_ROWS:
+            raise BudgetError("closure step wants %d argument rows" % rows)
+        step = max(1, _CHUNK * len(pool[i]) // max(rows * len(stack) * self.mu, 1))
+        k, sizes = len(pool), [self.carriers[s] for s in profile.inputs]
+        for lo in range(0, len(pool[i]) if rows else 0, step):
+            part = pool[:i] + [pool[i][lo:lo + step]] + pool[i + 1:]
+            cols = [self.digits[:, ids].reshape((self.mu,) + (1,) * j + (len(ids),) + (1,) * (k - 1 - j))
+                    for j, ids in enumerate(part)]
+            values = stack[:, encode_digits(cols, sizes)]
+            yield self.offsets[profile.cod] + encode_digits(
+                list(values.swapaxes(0, 1)), (self.carriers[profile.cod],) * self.mu)
+
+    def join(self, closed: frozenset, points) -> frozenset:
+        """The closure of a closed set of ids and some more points."""
+        member = np.zeros(self.size, dtype=bool)
+        member[list(closed)] = True
+        fresh = np.fromiter(set(points) - closed, dtype=np.int64)
+        member[fresh] = True
+        return frozenset(np.flatnonzero(self.close(member, fresh)).tolist())
+
+    def lattice(self, seeds, budget: int) -> list[frozenset]:
+        """Every closed set containing the seed ids and the constants; the
+        principals are the closures of one more point each."""
+        bottom = self.join(frozenset(), list(seeds) + self.constants)
+        return _closed_sets(bottom, ((x,) for x in range(self.size)), self.join, budget)
+
+    def subuniverse(self, closed: frozenset) -> SubUniverse:
+        """A closed set of the first power, as one sorted subset per sort."""
+        ids = sorted(closed)
+        return SubUniverse(tuple(tuple(x - lo for x in ids if lo <= x < hi)
+                                 for lo, hi in zip(self.offsets, self.offsets[1:])))
 
 
 # ----------------------------------------------------------- closed families
@@ -84,7 +212,8 @@ def is_closed_family(alg: SortedAlgebra, sets) -> tuple[bool, tuple | None]:
 def make_subuniverse(alg: SortedAlgebra, sets) -> SubUniverse:
     """Build a SubUniverse after checking closure against alg."""
     ok, wit = is_closed_family(alg, tuple(tuple(xs) for xs in sets))
-    assert ok, "family is not closed, %s escapes at %r" % wit
+    if not ok:  # raised, not asserted, so python -O checks it too
+        raise AssertionError("family is not closed, %s escapes at %r" % wit)
     return SubUniverse(tuple(tuple(xs) for xs in sets))
 
 
@@ -100,34 +229,17 @@ def subalgebra_generate(alg: SortedAlgebra, gens) -> SubUniverse:
     for s, n in enumerate(alg.carriers):
         if any(not 0 <= x < n for x in members[s]):
             raise ProfileError("generator outside carrier %d of size %d" % (s, n))
-    changed = True
-    while changed:
-        changed = False
-        for sym, tab in zip(alg.signature.symbols, alg.tables):
-            ins, cod = sym.profile.inputs, sym.profile.cod
-            for args in itertools.product(*[sorted(members[s]) for s in ins]):
-                v = tab.apply(args)
-                if v not in members[cod]:
-                    members[cod].add(v)
-                    changed = True
-    return SubUniverse(tuple(tuple(sorted(m)) for m in members))
+    power = _Power(alg.carriers, alg.tables, 1)
+    seeds = [power.offsets[s] + x for s, xs in enumerate(members) for x in xs]
+    return power.subuniverse(power.join(frozenset(), seeds + power.constants))
 
 
 def enumerate_subuniverses(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[SubUniverse]:
-    """Every closed family, in lexicographic order of their subset tuples."""
-    total = math.prod(1 << n for n in alg.carriers)
-    if total > budget:
-        raise BudgetError("would test %d candidate families, budget is %d" % (total, budget))
-    per_sort = []
-    for n in alg.carriers:
-        per_sort.append([tuple(i for i in range(n) if mask >> i & 1)
-                         for mask in range(1 << n)])
-    out = []
-    for family in itertools.product(*per_sort):
-        ok, _ = is_closed_family(alg, family)
-        if ok:
-            out.append(SubUniverse(family))
-    return sorted(out)
+    """Every closed family, in lexicographic order of their subset tuples.
+
+    budget bounds the closures computed, see _closed_sets."""
+    power = _Power(alg.carriers, alg.tables, 1)
+    return sorted(power.subuniverse(c) for c in power.lattice((), budget))
 
 
 # -------------------------------------------------------------- congruences
@@ -197,106 +309,92 @@ def is_congruence(alg: SortedAlgebra, classes) -> tuple[bool, tuple | None]:
 
 def make_congruence(alg: SortedAlgebra, classes) -> Congruence:
     ok, wit = is_congruence(alg, tuple(tuple(c) for c in classes))
-    assert ok, "partition not compatible: %s at position %d on %r with %r" % wit
+    if not ok:
+        raise AssertionError("partition not compatible: %s at position %d on %r with %r" % wit)
     return Congruence(tuple(tuple(c) for c in classes))
 
 
 def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
-    """Least congruence relating the given pairs, one pair set per sort.
-
-    Union-find plus a worklist: every merge is pushed through each single
-    operation position against all choices of the other arguments, and the
-    resulting merges are queued in turn.  Transitive consequences are free,
-    the union-find keeps classes merged.
-    """
+    """Least congruence relating the given pairs, one pair set per sort."""
     if len(pairs) != alg.n_sorts:
         raise ProfileError("need %d pair sets, got %d" % (alg.n_sorts, len(pairs)))
-    parent = [list(range(n)) for n in alg.carriers]
-
-    def find(s, x):
-        root = x
-        while parent[s][root] != root:
-            root = parent[s][root]
-        while parent[s][x] != root:
-            parent[s][x], x = root, parent[s][x]
-        return root
-
-    def union(s, a, b):
-        ra, rb = find(s, a), find(s, b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[s][rb] = ra
-        return True
-
-    queue = deque()
     for s, ps in enumerate(pairs):
         for a, b in ps:
             if not (0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]):
                 raise ProfileError("pair (%d, %d) outside carrier %d" % (a, b, s))
-            if union(s, a, b):
-                queue.append((s, a, b))
+    return _merge(_identity(alg), [(s, a, b) for s, ps in enumerate(pairs) for a, b in ps], _positions(alg))
 
-    by_sort = [[] for _ in range(alg.n_sorts)]
-    for sym, tab in zip(alg.signature.symbols, alg.tables):
-        for pos, s in enumerate(sym.profile.inputs):
-            by_sort[s].append((sym.profile, tab, pos))
 
+def _identity(alg: SortedAlgebra) -> Congruence:
+    return Congruence(tuple(tuple(range(n)) for n in alg.carriers))
+
+
+def _positions(alg: SortedAlgebra):
+    """Per sort, (cod, outputs shaped like the domain, position) for every
+    operation argument of that sort."""
+    out = [[] for _ in alg.carriers]
+    for tab in alg.tables:
+        outputs = np.asarray(tab.outputs, dtype=np.int64).reshape(tab.domain_sizes)
+        for pos, s in enumerate(tab.profile.inputs):
+            out[s].append((tab.profile.cod, outputs, pos))
+    return out
+
+
+def _merge(cong: Congruence, pairs, positions) -> Congruence:
+    """Least partition above cong that relates the (sort, a, b) pairs and is
+    compatible with the operation arguments in positions (see _positions).
+
+    Union-find plus a worklist started from cong's partition with only the
+    pairs queued: every merge is pushed through each position against all
+    choices of the other arguments, and the merges it causes are queued in
+    turn.  cong's own pairs are never pushed, so cong must be compatible."""
+    parent = []
+    for labels in cong.classes:
+        first = {}
+        parent.append([first.setdefault(label, x) for x, label in enumerate(labels)])
+
+    def find(s, x):
+        while parent[s][x] != x:
+            parent[s][x] = x = parent[s][parent[s][x]]
+        return x
+
+    def union(s, a, b):
+        ra, rb = sorted((find(s, a), find(s, b)))
+        parent[s][rb] = ra
+        return ra != rb
+
+    queue = deque(p for p in pairs if union(*p))
     while queue:
         s, a, b = queue.popleft()
-        for profile, tab, pos in by_sort[s]:
-            others = [range(alg.carriers[t])
-                      for i, t in enumerate(profile.inputs) if i != pos]
-            for rest in itertools.product(*others):
-                u = tab.apply(rest[:pos] + (a,) + rest[pos:])
-                v = tab.apply(rest[:pos] + (b,) + rest[pos:])
-                if union(profile.cod, u, v):
-                    queue.append((profile.cod, u, v))
-
-    return Congruence(tuple(_relabel(find(s, x) for x in range(n))
-                            for s, n in enumerate(alg.carriers)))
-
-
-def _growth_strings(n):
-    """All partitions of range(n) as first-appearance label strings."""
-    if n == 0:
-        yield ()
-        return
-    labels = [0] * n
-
-    def rec(i, top):
-        if i == n:
-            yield tuple(labels)
-            return
-        for v in range(top + 2):
-            labels[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0)
-
-
-def _bell(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+        for cod, outputs, pos in positions[s]:
+            left = np.take(outputs, a, axis=pos).ravel().tolist()
+            right = np.take(outputs, b, axis=pos).ravel().tolist()
+            for u, v in zip(left, right):
+                if union(cod, u, v):
+                    queue.append((cod, u, v))
+    return Congruence(tuple(_relabel(find(s, x) for x in range(len(labels)))
+                            for s, labels in enumerate(cong.classes)))
 
 
 def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Congruence]:
-    """Every congruence, in lexicographic order of their label tuples."""
-    total = math.prod(_bell(n) for n in alg.carriers)
-    if total > budget:
-        raise BudgetError("would test %d partition families, budget is %d" % (total, budget))
-    out = []
-    for classes in itertools.product(*[list(_growth_strings(n)) for n in alg.carriers]):
-        ok, _ = is_congruence(alg, classes)
-        if ok:
-            out.append(Congruence(classes))
-    return sorted(out)
+    """Every congruence, in lexicographic order of their label tuples.
+
+    The lattice walk of _closed_sets, generated by single pairs (so the
+    principals are the congruences Cg(a, b)), with each congruence keyed by
+    its related (sort, a, b) pairs, a < b."""
+    positions = _positions(alg)
+    congruences = {}
+
+    def closed(cong):
+        key = frozenset((s, a, b) for s in range(alg.n_sorts) for block in cong.blocks(s)
+                        for a, b in itertools.combinations(block, 2))
+        congruences[key] = cong
+        return key
+
+    pairs = ([(s, a, b)] for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2))
+    found = _closed_sets(closed(_identity(alg)), pairs,
+                         lambda c, more: closed(_merge(congruences[c], more, positions)), budget)
+    return sorted(congruences[key] for key in found)
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -315,30 +413,10 @@ def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
     The result is again compatible: a chain alternating between the two
     congruences maps, position by position, to a chain of the same shape.
     """
-    assert len(c1.classes) == len(c2.classes)
-    out = []
-    for l1, l2 in zip(c1.classes, c2.classes):
-        assert len(l1) == len(l2)
-        n = len(l1)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labels in (l1, l2):
-            firsts = {}
-            for x, l in enumerate(labels):
-                if l in firsts:
-                    ra, rb = find(firsts[l]), find(x)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                else:
-                    firsts[l] = x
-        out.append(_relabel(find(x) for x in range(n)))
-    return Congruence(tuple(out))
+    if [len(c) for c in c1.classes] != [len(c) for c in c2.classes]:
+        raise ProfileError("the two partitions cover different carriers")
+    return _merge(c1, [(s, block[0], x) for s in range(len(c2.classes))
+                       for block in c2.blocks(s) for x in block[1:]], [()] * len(c1.classes))
 
 
 # ------------------------------------------------- quotients and products
@@ -551,80 +629,6 @@ def invariance_witness(halg: SortedAlgebra, rel: Relation):
     return None
 
 
-def _power_close(ops, n_codes, mu, seed, budget):
-    """Close a set of flat codes (mu base-n_codes digits) under operations
-    acting digit by digit.  ops is a list of (arity, flat output array)."""
-    strides = n_codes ** np.arange(mu - 1, -1, -1, dtype=np.int64)
-    repunit = int(strides.sum())
-    member = np.zeros(n_codes ** mu, dtype=bool)
-    for c in seed:
-        member[c] = True
-    for arity, flat in ops:
-        if arity == 0:
-            member[int(flat[0]) * repunit] = True
-    while True:
-        cur = np.flatnonzero(member)
-        k = int(cur.size)
-        grew = False
-        if k:
-            digits = (cur[:, None] // strides[None, :]) % n_codes
-            for arity, flat in ops:
-                if arity == 0:
-                    continue
-                if k ** arity > 20_000_000:
-                    raise BudgetError("closure round wants %d argument rows" % k ** arity)
-                acc = None
-                for pos in range(arity):
-                    shape = [1] * arity + [mu]
-                    shape[pos] = k
-                    d = digits.reshape(shape)
-                    acc = d if acc is None else acc * n_codes + d
-                codes = (flat[acc] * strides).sum(axis=-1).ravel()
-                fresh = codes[~member[codes]]
-                if fresh.size:
-                    member[fresh] = True
-                    grew = True
-        if not grew:
-            break
-    return frozenset(int(c) for c in np.flatnonzero(member))
-
-
-def _set_key(s):
-    return (len(s), sorted(s))
-
-
-def _join_saturate(close, n_flat, budget):
-    """All closed sets, as closures of singletons completed under pairwise
-    joins.  Any closed set is a join of the singleton closures of its own
-    members, so this reaches everything."""
-    found = {close(frozenset())}
-    for c in range(n_flat):
-        found.add(close(frozenset([c])))
-    pool = sorted(found, key=_set_key)
-    frontier = list(pool)
-    tried = set()
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in pool:
-                if a <= b or b <= a:
-                    continue
-                u = a | b
-                if u in tried:
-                    continue
-                tried.add(u)
-                c = close(u)
-                if c not in found:
-                    found.add(c)
-                    fresh.append(c)
-        if len(found) > budget:
-            raise BudgetError("more than %d closed sets" % budget)
-        fresh.sort(key=_set_key)
-        pool.extend(fresh)
-        frontier = fresh
-    return sorted(found, key=_set_key)
-
-
 def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Relation]:
     """Every subset of the mu-th power of the product carrier closed under
     its basic operations acting coordinatewise.
@@ -632,17 +636,16 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
     These are exactly the subuniverses of the mu-th direct power.  Note a
     nullary operation forces its constant row into every member, so the
     empty relation only appears when no sort family of closed terms exists.
+    budget bounds the power carrier and the closures computed.
     """
-    assert mu >= 1
+    if mu < 1:
+        raise ProfileError("relation arity must be at least 1, got %d" % mu)
     h = homogenize(alg)
     n = h.size
     if n ** mu > budget:
         raise BudgetError("power carrier %d^%d exceeds budget %d" % (n, mu, budget))
-    ops = [(tab.arity, np.asarray(tab.outputs, dtype=np.int64))
-           for tab in h.algebra.tables]
-    sets = _join_saturate(lambda seed: _power_close(ops, n, mu, seed, budget),
-                          n ** mu, budget)
-    out = [Relation(mu, frozenset(decode_mixed(c, (n,) * mu) for c in s)) for s in sets]
+    power = _Power((n,), h.algebra.tables, mu)
+    out = [Relation(mu, _decoded(c, (n,) * mu)) for c in power.lattice((), budget)]
     return sorted(out, key=_relation_key)
 
 
@@ -655,32 +658,22 @@ def _matrix_route(alg: SortedAlgebra, h: HomogenizedAlgebra, mu: int, *, budget:
     lam large enough to express every basic operation and the recombining
     operation itself.  Closed-term value rows seed every set, they are the
     zero-variable tuples.  Returns each closed set as a frozenset of flat
-    matrices, in a deterministic order.
+    matrices, smaller sets first, then by their sorted members.
     """
     n_sorts = alg.n_sorts
     lam = max([n_sorts, 1] + [t.arity for t in alg.tables])
-    frag = assembled_fragment(h, lam)
-    ops = [(lam, np.asarray(outs, dtype=np.int64)) for outs in sorted(frag)]
+    power = _Power((h.size,), assembled_fragment(h, lam).values(), mu)
     closed0 = subalgebra_generate(alg, [set() for _ in range(n_sorts)])
-    base = frozenset()
-    if all(closed0.sets):
-        repunit = sum(h.size ** j for j in range(mu))
-        base = frozenset(h.encode(vals) * repunit
-                         for vals in itertools.product(*closed0.sets))
-
-    def close(seed):
-        return _power_close(ops, h.size, mu, frozenset(seed) | base, budget)
-
-    sets = _join_saturate(close, h.size ** mu, budget)
+    base = [power.diagonal(0, h.encode(vals)) for vals in itertools.product(*closed0.sets)]
+    sets = sorted(power.lattice(base, budget), key=lambda c: (len(c), sorted(c)))
     radices = tuple(alg.carriers) * mu
-    return [frozenset(tuple(decode_mixed(c, radices)) for c in s) for s in sets]
+    return [_decoded(c, radices) for c in sets]
 
 
-def _regroup(matrix, carriers, mu):
-    """Reshape one flat matrix into a mu-tuple of product codes."""
-    n_sorts = len(carriers)
-    return tuple(encode_mixed(matrix[j * n_sorts:(j + 1) * n_sorts], carriers)
-                 for j in range(mu))
+def _decoded(codes, radices) -> frozenset:
+    """Flat codes with the given radices, as digit tuples."""
+    digits = decode_digits(np.fromiter(codes, dtype=np.int64, count=len(codes)), radices)
+    return frozenset(zip(*(d.tolist() for d in digits)))
 
 
 # ------------------------------------------------- primitive positive logic
@@ -703,8 +696,8 @@ class PPFormula:
         for k, cmap in self.conjuncts:
             assert k >= 0
             for p in cmap:
-                assert 0 <= p < self.mu + self.nu, \
-                    "position %d outside %d free plus %d bound" % (p, self.mu, self.nu)
+                if not 0 <= p < self.mu + self.nu:
+                    raise AssertionError("position %d outside %d free plus %d bound" % (p, self.mu, self.nu))
 
 
 def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None) -> Relation:
@@ -753,12 +746,12 @@ def _formula_sample(rels, span):
     return out
 
 
-def _pp_members(rel: Relation, radices) -> np.ndarray:
-    """Membership of rel, indexed by the row-major code of all the digits
-    (with the given radices) of a member's codes."""
-    member = np.zeros(math.prod(radices) ** rel.arity, dtype=bool)
-    for t in rel.tuples:
-        member[encode_digits([d for c in t for d in decode_digits(c, radices)], radices * rel.arity)] = True
+def _pp_members(rows, radices) -> np.ndarray:
+    """Membership of a set of digit tuples (with the given radices),
+    indexed by their row-major codes."""
+    member = np.zeros(math.prod(radices), dtype=bool)
+    if rows:
+        member[encode_digits(np.array(list(rows), dtype=np.int64).T, radices)] = True
     return member
 
 
@@ -775,13 +768,15 @@ def _pp_solutions(members, radices, grid, f: PPFormula) -> np.ndarray:
     return np.flatnonzero(mask.reshape(n ** f.mu, n ** f.nu).any(axis=1))
 
 
-def _pp_both_sides(alg, h, rels, formulas, spot_checks):
-    """Evaluate each formula over product codes and over matrices, compare
-    through the regrouping map.  Returns (#formulas, #disagreements, spot ok)."""
+def _pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
+    """Evaluate each formula over the relations as product-code tuples and
+    over the matching matrix sets, compare through the regrouping map.
+    Returns (#formulas, #disagreements, spot ok)."""
     n = h.size
     span = max(f.mu + f.nu for f in formulas)
-    sides = [(n,), tuple(alg.carriers)]
-    members = [[_pp_members(r, radices) for r in rels] for radices in sides]
+    sides = [(n,), alg.carriers]
+    members = [[_pp_members(r.tuples, (n,) * r.arity) for r in rels],
+               [_pp_members(m, alg.carriers * r.arity) for r, m in zip(rels, mats, strict=True)]]
     grids = [[open_grid(radices * m) for m in range(span + 1)] for radices in sides]
 
     bad = 0
@@ -794,11 +789,7 @@ def _pp_both_sides(alg, h, rels, formulas, spot_checks):
             bad += 1
         if count < spot_checks:
             direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
-            flats = sorted(int(np.int64(0) if not t else
-                               int(np.ravel_multi_index(t, (n,) * f.mu)))
-                           if f.mu else 0
-                           for t in direct.tuples)
-            if not np.array_equal(np.asarray(flats, dtype=np.int64), code_side):
+            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples), code_side):
                 spot_ok = False
     return len(formulas), bad, spot_ok
 
@@ -822,26 +813,25 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     for mu in range(1, mu_max + 1):
         rels = inv_enumerate(alg, mu, budget=budget)
         mats = _matrix_route(alg, h, mu, budget=budget)
-        reshaped = sorted((Relation(mu, frozenset(_regroup(mt, alg.carriers, mu)
-                                                  for mt in s))
-                           for s in mats),
-                          key=_relation_key)
+        # regroup: read each matrix's row-major digits as mu product codes
+        reshaped = sorted((Relation(mu, _decoded([encode_mixed(mt, alg.carriers * mu) for mt in s],
+                                                 (h.size,) * mu)) for s in mats), key=_relation_key)
         checks.append(CheckResult(
             "reshape-bijection-mu%d" % mu,
             reshaped == rels and len(mats) == len(rels),
             "%d invariant sets as code tuples, %d as matrices" % (len(rels), len(mats))))
-        kept[mu] = rels
+        kept[mu] = list(zip(rels, mats))
 
     sample = []
     for arity in (1, 2):
-        rels = kept.get(arity, [])
-        full = max((len(r.tuples) for r in rels), default=0)
-        inner = [r for r in rels if 0 < len(r.tuples) < full]
-        pool = inner + [r for r in rels if r not in inner]
-        sample.extend(pool[:2])
+        pairs = kept.get(arity, [])
+        full = max((len(r.tuples) for r, _ in pairs), default=0)
+        inner = [p for p in pairs if 0 < len(p[0].tuples) < full]
+        sample.extend((inner + [p for p in pairs if p not in inner])[:2])
     if sample:
-        formulas = _formula_sample(sample, 4)
-        total, bad, spot_ok = _pp_both_sides(alg, h, sample, formulas, 25)
+        rels, mats = zip(*sample)
+        formulas = _formula_sample(rels, 4)
+        total, bad, spot_ok = _pp_both_sides(alg, h, rels, mats, formulas, 25)
         checks.append(CheckResult(
             "pp-commutation", bad == 0 and spot_ok,
             "%d formulas over %d sampled relations, %d disagreements"

@@ -55,6 +55,17 @@ def compose(f: OpTable, gs, *, inputs=None) -> OpTable:
     return OpTable(Profile(inputs, f.profile.cod), f.carriers, tuple(outs))
 
 
+def is_homomorphism(src, dst, maps):
+    """(ok, witness) with the first failing symbol and argument tuple,
+    walking each domain row-major."""
+    for sym_s, f_s, f_d in zip(src.signature.symbols, src.tables, dst.tables):
+        for args in f_s.domain():
+            mapped = tuple(maps[t][a] for t, a in zip(sym_s.profile.inputs, args))
+            if f_d.apply(mapped) != maps[sym_s.profile.cod][f_s.apply(args)]:
+                return False, (sym_s.name, args)
+    return True, None
+
+
 # ---------------------------------------------------------------- homog
 
 def lift(radices, f: OpTable) -> OpTable:

@@ -160,6 +160,15 @@ def test_range_errors_exit_2_under_python_optimize():
         assert "outside carrier" in proc.stderr
 
 
+def test_inv_arity_below_one_exits_2_with_and_without_optimize():
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "msalg", "inv", "@a_tiny", "--mu", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert "at least 1" in proc.stderr
+        assert "count:" not in proc.stdout
+
+
 def test_exit_2_on_budget_exhaustion():
     rc, _out = run_cli(["clone", "@a_malcev", "--profile", "u,u->u",
                         "--table-budget", "3"])

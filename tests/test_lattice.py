@@ -21,13 +21,16 @@ import itertools
 import pytest
 
 from msalg.clone import is_pure
-from msalg.core import BudgetError, ProfileError, build_algebra
+from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_algebra
 from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
     PPFormula,
     Relation,
     SubUniverse,
+    _formula_sample,
+    _matrix_route,
+    _pp_both_sides,
     congruence_generate,
     congruence_join,
     congruence_meet,
@@ -543,6 +546,21 @@ def test_verify_inv_iso_a_tiny():
 def test_verify_inv_iso_single_sorted():
     ver = verify_inv_iso(corpus_algebra("a_group"), 2)
     assert ver.ok, ver.failures()
+
+
+def test_pp_commutation_counts_a_changed_matrix_relation():
+    alg = corpus_algebra("a_group")
+    h = homogenize(alg)
+    rels = inv_enumerate(alg, 2)
+    mats = _matrix_route(alg, h, 2, budget=SUBUNIVERSE_BUDGET)
+    full = len(rels[-1].tuples)
+    picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
+    sample, sample_mats = [rels[i] for i in picks], [mats[i] for i in picks]
+    formulas = _formula_sample(sample, 3)
+    assert _pp_both_sides(alg, h, sample, sample_mats, formulas, 0)[1] == 0
+    changed = sorted(sample_mats[0])[1:]       # one member fewer
+    total, bad, _ = _pp_both_sides(alg, h, sample, [frozenset(changed)] + sample_mats[1:], formulas, 0)
+    assert 0 < bad <= total
 
 
 def test_verify_inv_iso_rejects_nonpure():

@@ -1,0 +1,80 @@
+"""The closed-set lattice engine against the enumerators it replaced.
+
+The oracles in oracle_lattice.py filter every candidate family, test every
+product of set partitions, or join singleton closures pairwise from
+scratch.  Each case below runs one engine entry point and its oracle on the
+same inputs: every corpus algebra and its collapse, and the nullary-symbol
+and empty-carrier algebras of test_tabulate.py.  Inv is compared for mu up
+to 2 and the matrix route for mu = 1, and for mu = 2 on a_group; the pairs
+that take seconds are left out (test_verify_inv_iso_a_tiny compares the two
+routes at mu = 2).
+"""
+
+import pytest
+
+import oracle_lattice as oracle
+from msalg.core import SUBUNIVERSE_BUDGET
+from msalg.lattice import (
+    _matrix_route,
+    enumerate_congruences,
+    enumerate_subuniverses,
+    inv_enumerate,
+    subalgebra_generate,
+)
+from test_tabulate import bases, collapses
+
+# (algebra, mu) pairs whose oracle takes seconds: the pairwise joins of
+# a_semilat's 1217 binary relations, and a_malcev's 31.
+SLOW_INV = {("a_semilat", 2), ("a_malcev", 2)}
+
+
+def _algebras():
+    return list(bases()) + [("h_" + name, h.algebra) for name, h in collapses()]
+
+
+def case_subuniverses():
+    for name, alg in _algebras():
+        yield name, enumerate_subuniverses(alg), oracle.enumerate_subuniverses(alg)
+
+
+def case_generate():
+    for name, alg in _algebras():
+        gens = [[set() for _ in alg.carriers], [set(range(n)) for n in alg.carriers]]
+        for s, n in enumerate(alg.carriers):
+            for x in range(n):
+                gens.append([{x} if t == s else set() for t in range(alg.n_sorts)])
+        for g in gens:
+            yield name, subalgebra_generate(alg, g), oracle.subalgebra_generate(alg, g)
+
+
+def case_congruences():
+    for name, alg in _algebras():
+        yield name, enumerate_congruences(alg), oracle.enumerate_congruences(alg)
+
+
+def case_inv():
+    for name, alg in bases():
+        for mu in (1, 2):
+            if (name, mu) not in SLOW_INV:
+                yield "%s mu=%d" % (name, mu), inv_enumerate(alg, mu), oracle.inv_enumerate(alg, mu)
+
+
+def case_matrix_route():
+    for name, h in collapses():
+        for mu in (1, 2) if name == "a_group" else (1,):
+            yield ("%s mu=%d" % (name, mu),
+                   _matrix_route(h.source, h, mu, budget=SUBUNIVERSE_BUDGET),
+                   oracle.matrix_route(h.source, h, mu))
+
+
+CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
+         if name.startswith("case_")}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_oracle(case):
+    count = 0
+    for label, fast, slow in CASES[case]():
+        assert fast == slow, (case, label)
+        count += 1
+    assert count, "case %s compared nothing" % case

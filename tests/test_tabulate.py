@@ -23,6 +23,7 @@ from msalg.core import (
     build_algebra,
     compose,
     grid_columns,
+    is_homomorphism,
     open_grid,
     projection,
 )
@@ -150,6 +151,17 @@ def case_compose():
                            oracle.compose(f, (), inputs=(s,)))
 
 
+def case_is_homomorphism():
+    for name, alg in algebras():
+        ident = tuple(tuple(range(n)) for n in alg.carriers)
+        for maps in (ident, _shifted(alg)):
+            yield name, is_homomorphism(alg, alg, maps), oracle.is_homomorphism(alg, alg, maps)
+        for cong in _congruences(name, alg):
+            q = quotient(alg, cong)
+            yield (name + " quotient", is_homomorphism(alg, q, cong.classes),
+                   oracle.is_homomorphism(alg, q, cong.classes))
+
+
 def case_lift():
     for name, h in collapses():
         yield name + " diag", _diag_table(h.radices), oracle.diag_table(h.radices)
@@ -256,11 +268,13 @@ def case_pp_sides():
         h = homogenize(alg)
         rels = inv_enumerate(alg, 1)[:2] + inv_enumerate(alg, 2)[1:3]
         formulas = _formula_sample(rels, 3)[::7] + [PPFormula(0, 1, ((0, (0,)),))]
+        mats = [{tuple(d for c in t for d in h.decode(c)) for t in r.tuples} for r in rels]
+        sides = [((h.size,), [_pp_members(r.tuples, (h.size,) * r.arity) for r in rels]),
+                 (alg.carriers, [_pp_members(m, alg.carriers * r.arity) for r, m in zip(rels, mats)])]
         for f in formulas:
             m = f.mu + f.nu
-            fast = [_pp_solutions([_pp_members(r, radices) for r in rels], radices,
-                                  open_grid(radices * m), f)
-                    for radices in ((h.size,), alg.carriers)]
+            fast = [_pp_solutions(members, radices, open_grid(radices * m), f)
+                    for radices, members in sides]
             yield name, fast, list(oracle.pp_sides(alg, h, rels, f))
 
 
@@ -277,6 +291,8 @@ CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
 
 
 def _all_python_ints(x) -> bool:
+    """No numpy scalar anywhere in x: ints are Python ints, and the other
+    leaves are flags, names or None."""
     if isinstance(x, OpTable):
         return all(type(v) is int for v in x.outputs)
     if isinstance(x, SortedAlgebra):
@@ -285,7 +301,7 @@ def _all_python_ints(x) -> bool:
         return all(_all_python_ints(v) for v in x)
     if isinstance(x, np.ndarray):
         return True
-    return type(x) is int
+    return type(x) in (int, bool, str, type(None))
 
 
 def _same(a, b) -> bool:
