@@ -96,7 +96,8 @@ class OpTable:
     def apply(self, args) -> int:
         idx = 0
         for a, n in zip(args, self.domain_sizes, strict=True):
-            assert 0 <= a < n, "argument %r outside carrier of size %d" % (a, n)
+            if not 0 <= a < n:
+                raise ValueError("argument %r outside carrier of size %d" % (a, n))
             idx = idx * n + a
         return self.outputs[idx]
 
@@ -384,6 +385,13 @@ def gather(t: OpTable, args) -> np.ndarray:
     return np.asarray(t.outputs, dtype=np.int64)[encode_digits(args, t.domain_sizes)]
 
 
+def first_failure(mask):
+    """The row-major-first index tuple where a boolean array of the full
+    domain shape is True, as Python ints, or None: every witness rule."""
+    mask = np.asarray(mask)
+    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape)) if mask.any() else None
+
+
 def tabulate(profile: Profile, carriers: tuple[int, ...], fn) -> OpTable:
     """The table of fn(*open_grid(domain)), broadcast to the domain and
     raveled row-major into Python ints, as table_search_key expects."""
@@ -424,9 +432,9 @@ def is_homomorphism(src: "SortedAlgebra", dst: "SortedAlgebra", maps):
         grid = open_grid(f_s.domain_sizes)
         f_of_maps = gather(f_d, [images[t][c] for t, c in zip(sym_s.profile.inputs, grid)])
         maps_of_f = images[sym_s.profile.cod][gather(f_s, grid)]
-        bad = np.flatnonzero(np.broadcast_to(f_of_maps != maps_of_f, f_s.domain_sizes))
-        if bad.size:
-            return False, (sym_s.name, decode_mixed(int(bad[0]), f_s.domain_sizes))
+        bad = first_failure(f_of_maps != maps_of_f)
+        if bad is not None:
+            return False, (sym_s.name, bad)
     return True, None
 
 

@@ -11,7 +11,8 @@ arguments:
 Idempotence of each e_s follows but is checked anyway.  The strict variant
 of collapse, e_s(d(x)) = x_s outright, forces every e_s to be the identity
 on carriers with two or more elements, so it is not part of the verdict;
-exact_projection_holds reports it separately.
+exact_projection_holds reports it separately.  Each equation is one
+whole-table comparison, witnessed by core.first_failure.
 
 The pair splits C into the retract images R_s = e_s(C).  The matrix product
 rebuilds an algebra on the product of the retracts, with each basic
@@ -25,7 +26,8 @@ over one carrier, so a transported table is one gather.  The checks
 compare three independently computed versions of the lam-ary tables of the
 product: the transported image phi(Clo_lam(C)), the fragment generated from
 the transported basics, and the assembly of e_s-image classes of the clone
-closed over the retract-valued part of the domain.
+closed over the retract-valued part of the domain; a fourth, that phi
+commutes with composition, gathers over the stacked unary tables.
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ from .core import (
     Var,
     Verification,
     check_arity,
-    compose,
     decode_digits,
     decode_mixed,
     encode_digits,
     encode_mixed,
+    first_failure,
     gather,
     grid_columns,
+    open_grid,
     tabulate,
 )
 from .clone import generate_fragment, saturate
@@ -96,51 +99,47 @@ def _shape_ok(alg: SortedAlgebra, pair: DiagonalPair) -> str:
     return ""
 
 
+def stack_unary(es, n: int) -> np.ndarray:
+    """The unary tables es as one (len(es), n) array, row s holding es[s]."""
+    return np.asarray([e.outputs for e in es], dtype=np.int64).reshape(len(es), n)
+
+
+def _collapse_failure(d: OpTable, es: np.ndarray, want) -> tuple | None:
+    """First (s, args), args row-major then the least s, with e_s(d(args))
+    != want(s, grid)[args], es stacked."""
+    S, n = es.shape
+    grid = open_grid((n,) * S)
+    y = gather(d, grid)
+    mask = np.empty((n,) * S + (S,), dtype=bool)
+    for s in range(S):
+        mask[..., s] = es[s][y] != want(s, grid)
+    bad = first_failure(mask)
+    return None if bad is None else (bad[-1], bad[:-1])
+
+
 def verify_diagonal_pair(alg: SortedAlgebra, pair: DiagonalPair) -> Verification:
-    """Check the three pair equations plus idempotence of each e_s."""
+    """Check the three pair equations plus idempotence of each e_s; each
+    failing check names its row-major-first witness (see first_failure)."""
     shape = _shape_ok(alg, pair)
     if shape:
         return Verification((CheckResult("shape", False, shape),))
     n = alg.carriers[0]
     S = pair.width
-    checks = [CheckResult("shape", True)]
-
-    bad = None
-    for args in itertools.product(range(n), repeat=S):
-        y = pair.d.apply(args)
-        for s, e in enumerate(pair.es):
-            if e.apply((y,)) != e.apply((args[s],)):
-                bad = (s, args)
-                break
-        if bad:
-            break
-    checks.append(CheckResult("collapse", bad is None,
-                              "" if bad is None else "e_%d breaks at %r" % bad))
-
-    bad = None
-    for args in itertools.product(range(n), repeat=S):
-        folded = tuple(e.apply((a,)) for e, a in zip(pair.es, args))
-        if pair.d.apply(folded) != pair.d.apply(args):
-            bad = args
-            break
-    checks.append(CheckResult("absorption", bad is None,
-                              "" if bad is None else "breaks at %r" % (bad,)))
-
-    bad = next((a for a in range(n) if pair.d.apply((a,) * S) != a), None)
-    checks.append(CheckResult("diagonal", bad is None,
-                              "" if bad is None else "d fixes everything but %d" % bad))
-
-    bad = None
-    for s, e in enumerate(pair.es):
-        for a in range(n):
-            if e.apply((e.apply((a,)),)) != e.apply((a,)):
-                bad = (s, a)
-                break
-        if bad:
-            break
-    checks.append(CheckResult("idempotence", bad is None,
-                              "" if bad is None else "e_%d at %d" % bad))
-    return Verification(tuple(checks))
+    es = stack_unary(pair.es, n)
+    grid, points = open_grid((n,) * S), np.arange(n)
+    folded = gather(pair.d, [es[s][c] for s, c in enumerate(grid)])
+    found = [
+        ("collapse", _collapse_failure(pair.d, es, lambda s, grid: es[s][grid[s]]),
+         lambda w: "e_%d breaks at %r" % w),
+        ("absorption", first_failure(folded != gather(pair.d, grid)),
+         lambda w: "breaks at %r" % (w,)),
+        ("diagonal", first_failure(gather(pair.d, [points] * S) != points),
+         lambda w: "d fixes everything but %d" % w),
+        ("idempotence", first_failure(np.take_along_axis(es, es, axis=1) != es),
+         lambda w: "e_%d at %d" % w),
+    ]
+    return Verification((CheckResult("shape", True),) + tuple(
+        CheckResult(name, bad is None, "" if bad is None else detail(bad)) for name, bad, detail in found))
 
 
 def exact_projection_holds(alg: SortedAlgebra, pair: DiagonalPair):
@@ -148,27 +147,25 @@ def exact_projection_holds(alg: SortedAlgebra, pair: DiagonalPair):
     only holds for identity retractions on carriers of size 2 or more."""
     if _shape_ok(alg, pair):
         return False, None
-    n = alg.carriers[0]
-    for args in itertools.product(range(n), repeat=pair.width):
-        y = pair.d.apply(args)
-        for s, e in enumerate(pair.es):
-            if e.apply((y,)) != args[s]:
-                return False, (s, args)
-    return True, None
+    bad = _collapse_failure(pair.d, stack_unary(pair.es, alg.carriers[0]), lambda s, grid: grid[s])
+    return bad is None, bad
 
 
 def satisfies_diagonal_identity(alg: SortedAlgebra, d: OpTable):
     """Collapsing an S x S grid row-wise and then once more agrees with
-    collapsing the main diagonal.  Returns (ok, witness grid or None)."""
+    collapsing the main diagonal.  Returns (ok, witness grid or None), one
+    gather per first grid entry, so memory stays at n^(S*S - 1)."""
     if not alg.is_single_sorted or d.carriers != alg.carriers:
         raise ProfileError("d must be a table on the single-sorted algebra")
     S = d.arity
     n = alg.carriers[0]
-    for grid in itertools.product(range(n), repeat=S * S):
+    for first in range(n):
+        grid = (first,) + open_grid((n,) * (S * S - 1))
         rows = [grid[s * S:(s + 1) * S] for s in range(S)]
-        outer = d.apply(tuple(d.apply(r) for r in rows))
-        if outer != d.apply(tuple(rows[s][s] for s in range(S))):
-            return False, grid
+        outer = gather(d, [gather(d, r) for r in rows])
+        bad = first_failure(outer != gather(d, [rows[s][s] for s in range(S)]))
+        if bad is not None:
+            return False, (first,) + bad
     return True, None
 
 
@@ -185,10 +182,10 @@ def find_diagonal_pairs(alg: SortedAlgebra, width: int, *,
     frag = generate_fragment(alg, [(0,) * width, (0,)], budget=budget)
     ds = frag.tables[Profile((0,) * width, 0)]
     es = frag.tables[Profile((0,), 0)]
-    n = alg.carriers[0]
+    points = np.arange(alg.carriers[0])
     found = []
     for d in ds:
-        if any(d.apply((a,) * width) != a for a in range(n)):
+        if (gather(d, [points] * width) != points).any():
             continue
         for combo in itertools.product(es, repeat=width):
             pair = DiagonalPair(d, tuple(combo))
@@ -306,6 +303,22 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
     return {tuple(encode_digits(slots, mp.sizes).tolist()) for slots in itertools.product(*classes)}
 
 
+def _composition_failure(tables, unary, phi, phi_unary, recombine, split):
+    """First (f, gs) in itertools.product order, as table outputs, where phi
+    of the composite f(g_1, ..., g_lam) differs from phi(f) at the stacked
+    phi(g_i); one gather per f and g_1 covers every choice of the rest."""
+    g_rec = stack_unary(unary, len(split))[:, recombine]
+    for f in tables:
+        rest = open_grid((len(unary),) * (f.arity - 1))
+        for first in range(len(unary)):
+            left = split[gather(f, [g_rec[first]] + [g_rec[c] for c in rest])]
+            right = gather(phi[f.outputs], [phi_unary[first]] + [phi_unary[c] for c in rest])
+            bad = first_failure((left != right).any(axis=-1))
+            if bad is not None:
+                return f.outputs, tuple(unary[i].outputs for i in (first,) + bad)
+    return None
+
+
 def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
                          budget: int = TABLE_BUDGET) -> Verification:
     """Cross-check the transport at arity lam from three directions."""
@@ -331,30 +344,19 @@ def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
         "phi-image-equals-classes", images == class_tables,
         "image %d vs classes %d" % (len(images), len(class_tables))))
 
-    bad = None
+    recombine, split = _transport_maps(pair, mp.retracts)
     unary = frag_src.tables[Profile((0,), 0)]
-    phi_unary = {g.outputs: decompose_table(source, pair, g, mp.retracts) for g in unary}
-    for f in src_tables:
-        for gs in itertools.product(unary, repeat=lam):
-            left = decompose_table(source, pair, compose(f, gs), mp.retracts)
-            right = compose(phi[f.outputs], tuple(phi_unary[g.outputs] for g in gs))
-            if left != right:
-                bad = (f.outputs, tuple(g.outputs for g in gs))
-                break
-        if bad:
-            break
+    phi_unary = stack_unary([decompose_table(source, pair, g, mp.retracts) for g in unary], len(recombine))
+    bad = _composition_failure(src_tables, unary, phi, phi_unary, recombine, split)
     checks.append(CheckResult(
         "composition-compatible", bad is None,
         "" if bad is None else "breaks at %r" % (bad,)))
 
-    n = source.carriers[0]
-    recombine, split = _transport_maps(pair, mp.retracts)
-    mu = split.tolist()
-    bijective = len(set(mu)) == n == mp.algebra.carriers[0]
-    inverse_ok = bijective and recombine[split].tolist() == list(range(n))
+    n, distinct = source.carriers[0], len(set(split.tolist()))
+    bijective = distinct == n == mp.algebra.carriers[0] and recombine[split].tolist() == list(range(n))
     checks.append(CheckResult(
-        "element-bijection", bijective and inverse_ok,
-        "carrier %d, product %d, distinct %d" % (n, mp.algebra.carriers[0], len(set(mu)))))
+        "element-bijection", bijective,
+        "carrier %d, product %d, distinct %d" % (n, mp.algebra.carriers[0], distinct)))
 
     tp = DiagonalPair(mp.algebra.table("mp_d"),
                       tuple(mp.algebra.table("mp_e%d" % s) for s in range(pair.width)))

@@ -40,11 +40,12 @@ from .core import (
     Verification,
     decode_digits,
     encode_digits,
+    first_failure,
     gather,
     tabulate,
 )
 from .clone import generate_fragment
-from .diagonal import DiagonalPair, retract_maps, verify_diagonal_pair
+from .diagonal import DiagonalPair, matrix_product, retract_maps, stack_unary, verify_diagonal_pair
 from .homog import HomogenizedAlgebra, homogenize
 
 
@@ -179,19 +180,13 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
     if not sizes_ok:
         return Verification(tuple(checks))
 
-    mus = mu_maps(h, family)
-    fwd = []
-    inv = []
-    bij = True
-    for s in range(S):
-        codes = mus[s]
-        slot = tuple(het.retracts[s].index(c) if c in het.retracts[s] else -1 for c in codes)
-        bij = bij and sorted(slot) == list(range(alg.carriers[s]))
-        fwd.append(slot)
-        inv.append(tuple(slot.index(i) if i in slot else -1 for i in range(len(slot))))
+    fwd = [tuple(r.index(c) if c in r else -1 for c in codes)
+           for r, codes in zip(het.retracts, mu_maps(h, family))]
+    bij = all(sorted(slot) == list(range(n)) for slot, n in zip(fwd, alg.carriers))
     checks.append(CheckResult("mu-bijective", bij))
     if not bij:
         return Verification(tuple(checks))
+    inv = [np.argsort(slot) for slot in fwd]
 
     bad = None
     for sym, f in zip(alg.signature.symbols, alg.tables):
@@ -283,56 +278,34 @@ def verify_pair_independence(source: SortedAlgebra, pair1: DiagonalPair,
     e'_s(r); mixed idempotence makes these inverse bijections and every
     transported basic (and d itself) must commute with the relabeling.
     """
-    from .diagonal import matrix_product
-
     checks = [CheckResult("shared-d", pair1.d == pair2.d)]
     if pair1.d != pair2.d or pair1.width != pair2.width:
         return Verification(tuple(checks))
     n = source.carriers[0]
-    S = pair1.width
 
-    bad = None
-    for s in range(S):
-        e, e2 = pair1.es[s], pair2.es[s]
-        for a in range(n):
-            if e.apply((e2.apply((a,)),)) != e.apply((a,)) or \
-               e2.apply((e.apply((a,)),)) != e2.apply((a,)):
-                bad = (s, a)
-                break
-        if bad:
-            break
+    es1, es2 = stack_unary(pair1.es, n), stack_unary(pair2.es, n)
+    bad = first_failure((np.take_along_axis(es1, es2, axis=1) != es1) |
+                        (np.take_along_axis(es2, es1, axis=1) != es2))
     checks.append(CheckResult("mixed-idempotence", bad is None,
                               "" if bad is None else "slot %d at %d" % bad))
-    if bad:
+    if bad is not None:
         return Verification(tuple(checks))
 
     mp1 = matrix_product(source, pair1)
     mp2 = matrix_product(source, pair2)
-    fwd = []
-    inv = []
-    bij = True
-    for s in range(S):
-        r1, r2 = mp1.retracts[s], mp2.retracts[s]
-        image = tuple(pair2.es[s].apply((r,)) for r in r1)
-        back = tuple(pair1.es[s].apply((r,)) for r in r2)
-        bij = bij and sorted(image) == list(r2) and sorted(back) == list(r1)
-        fwd.append(tuple(r2.index(x) for x in image))
-        inv.append(tuple(r1.index(x) for x in back))
+    slots = list(enumerate(zip(mp1.retracts, mp2.retracts)))
+    bij = all(sorted(es2[s][list(r1)].tolist()) == list(r2) and sorted(es1[s][list(r2)].tolist()) == list(r1)
+              for s, (r1, r2) in slots)
     checks.append(CheckResult("retract-bijections", bij))
     if not bij:
         return Verification(tuple(checks))
 
-    psi = tuple(mp2.encode(tuple(f[i] for f, i in zip(fwd, mp1.decode(b))))
-                for b in range(mp1.algebra.carriers[0]))
-    psi_inv = tuple(psi.index(x) for x in range(len(psi)))
-    bad = None
+    fwd = [np.searchsorted(r2, es2[s][list(r1)]) for s, (r1, r2) in slots]
+    digits = decode_digits(np.arange(mp1.algebra.carriers[0]), mp1.sizes)
+    psi = encode_digits([f[d] for f, d in zip(fwd, digits)], mp2.sizes)
     shared = ["mp_%s" % s.name for s in source.signature.symbols] + ["mp_d"]
-    for name in shared:
-        f1 = mp1.algebra.table(name)
-        f2 = mp2.algebra.table(name)
-        if _conjugate(f1, (psi,), (psi_inv,), mp1.algebra.carriers) != f2:
-            bad = name
-            break
+    bad = next((name for name in shared if _conjugate(mp1.algebra.table(name), (psi,), (np.argsort(psi),),
+                                                       mp1.algebra.carriers) != mp2.algebra.table(name)), None)
     checks.append(CheckResult("product-transport", bad is None,
                               "" if bad is None else "symbol %s" % bad))
     return Verification(tuple(checks))

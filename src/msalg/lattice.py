@@ -17,7 +17,9 @@ two independent routes: inv_enumerate closes the mu-th power of the
 homogenized algebra under its basic operations, and verify_inv_iso closes
 it under tuples of source term operations over a shared variable block,
 applied to matrices of source elements, then checks that regrouping matrix
-rows into product codes is a bijection between the two answers.
+rows into product codes is a bijection between the two answers.  The
+membership checks (closure, compatibility, invariance) gather each operation
+over an open grid at once and report core.first_failure's witness.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     decode_digits,
     encode_digits,
     encode_mixed,
+    first_failure,
     gather,
     is_isomorphism,
     open_grid,
@@ -195,17 +198,21 @@ def is_closed_family(alg: SortedAlgebra, sets) -> tuple[bool, tuple | None]:
     """Whether each operation keeps the family inside itself.
 
     Returns (True, None) or (False, (symbol name, argument tuple)) with the
-    first escaping application in declaration order.
+    first escaping application, row-major over the sorted members.
     """
-    assert len(sets) == alg.n_sorts
-    members = [set(xs) for xs in sets]
+    if len(sets) != alg.n_sorts:
+        raise ProfileError("family has %d sets for %d sorts" % (len(sets), alg.n_sorts))
+    members = [sorted(set(xs)) for xs in sets]
     for s, n in enumerate(alg.carriers):
-        assert all(0 <= x < n for x in members[s])
+        if any(not 0 <= x < n for x in members[s]):
+            raise ProfileError("family member outside carrier %d of size %d" % (s, n))
+    columns = [np.asarray(xs, dtype=np.int64) for xs in members]
     for sym, tab in zip(alg.signature.symbols, alg.tables):
         ins, cod = sym.profile.inputs, sym.profile.cod
-        for args in itertools.product(*[sorted(members[s]) for s in ins]):
-            if tab.apply(args) not in members[cod]:
-                return False, (sym.name, args)
+        grid = open_grid(len(members[s]) for s in ins)
+        bad = first_failure(~np.isin(gather(tab, [columns[s][c] for s, c in zip(ins, grid)]), columns[cod]))
+        if bad is not None:
+            return False, (sym.name, tuple(members[s][i] for s, i in zip(ins, bad)))
     return True, None
 
 
@@ -283,27 +290,20 @@ def is_congruence(alg: SortedAlgebra, classes) -> tuple[bool, tuple | None]:
     Changing a single argument inside its block must not move the output
     out of its block; by chaining positions this covers simultaneous
     changes.  Returns (False, (symbol, position, (a, b), other args)) on
-    the first violation.
+    the first violation by symbol, position, other args, then pair a < b.
     """
-    assert len(classes) == alg.n_sorts
-    for s, n in enumerate(alg.carriers):
-        assert len(classes[s]) == n
+    if len(classes) != alg.n_sorts or any(len(c) != n for c, n in zip(classes, alg.carriers)):
+        raise ProfileError("partition shape does not match carriers %r" % (alg.carriers,))
+    labels = [np.asarray(c, dtype=np.int64) for c in classes]
     for sym, tab in zip(alg.signature.symbols, alg.tables):
         ins, cod = sym.profile.inputs, sym.profile.cod
+        outputs = labels[cod][np.asarray(tab.outputs, dtype=np.int64)].reshape(tab.domain_sizes)
         for pos, s in enumerate(ins):
-            pairs = [(a, b)
-                     for a in range(alg.carriers[s])
-                     for b in range(a + 1, alg.carriers[s])
-                     if classes[s][a] == classes[s][b]]
-            if not pairs:
-                continue
-            others = [range(alg.carriers[t]) for i, t in enumerate(ins) if i != pos]
-            for rest in itertools.product(*others):
-                for a, b in pairs:
-                    left = tab.apply(rest[:pos] + (a,) + rest[pos:])
-                    right = tab.apply(rest[:pos] + (b,) + rest[pos:])
-                    if classes[cod][left] != classes[cod][right]:
-                        return False, (sym.name, pos, (a, b), rest)
+            a, b = np.nonzero(np.triu(labels[s][:, None] == labels[s][None, :], 1))
+            moved = [np.moveaxis(np.take(outputs, x, axis=pos), pos, -1) for x in (a, b)]
+            bad = first_failure(moved[0] != moved[1])
+            if bad is not None:
+                return False, (sym.name, pos, (int(a[bad[-1]]), int(b[bad[-1]])), bad[:-1])
     return True, None
 
 
@@ -612,20 +612,28 @@ def _relation_key(rel: Relation):
 
 def invariance_witness(halg: SortedAlgebra, rel: Relation):
     """None when every basic operation, applied coordinatewise to members,
-    lands in the relation; otherwise (symbol name, member rows).
+    lands in the relation; otherwise (symbol name, the first member rows).
 
     Nullary symbols produce a constant row that must always be present, so
     the empty relation is not closed once the algebra has constants.
     """
-    assert halg.is_single_sorted
-    members = sorted(rel.tuples)
+    if not halg.is_single_sorted:
+        raise ProfileError("invariance is checked on a single-sorted algebra")
+    members, radices = sorted(rel.tuples), halg.carriers * rel.arity
+    m, rows = len(members), np.asarray(members, dtype=np.int64).reshape(len(members), rel.arity)
+    if rows.size and not (0 <= rows.min() and rows.max() < halg.carriers[0]):
+        raise ProfileError("relation member outside the carrier of size %d" % halg.carriers[0])
+    member = _pp_members(rel.tuples, radices)
     for sym, tab in zip(halg.signature.symbols, halg.tables):
         k = sym.profile.arity
-        for rows in itertools.product(members, repeat=k):
-            image = tuple(tab.apply(tuple(r[j] for r in rows))
-                          for j in range(rel.arity))
-            if image not in rel.tuples:
-                return sym.name, rows
+        # the leading member rows one at a time, so a step stays near _CHUNK
+        lead = next(i for i in range(k + 1) if m ** (k - i) <= _CHUNK)
+        for prefix in itertools.product(range(m), repeat=lead):
+            grid = prefix + open_grid((m,) * (k - lead))
+            images = [gather(tab, [rows[c, j] for c in grid]) for j in range(rel.arity)]
+            bad = first_failure(np.broadcast_to(~member[encode_digits(images, radices)], (m,) * (k - lead)))
+            if bad is not None:
+                return sym.name, tuple(members[i] for i in prefix + bad)
     return None
 
 
@@ -704,8 +712,8 @@ def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None
     """The relation a formula defines over the given relations.
 
     A free tuple belongs when some assignment of the bound positions makes
-    every conjunct hold.  With verify_with set to a single-sorted algebra,
-    invariance of all inputs and of the result is asserted.
+    every conjunct hold.  With verify_with set to a single-sorted algebra, a
+    non-invariant input or result raises ProfileError with its witness.
     """
     rels = list(relations)
     for k, cmap in formula.conjuncts:
@@ -714,17 +722,17 @@ def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None
         if len(cmap) != rels[k].arity:
             raise ProfileError("conjunct on relation %d has %d positions, arity is %d"
                                % (k, len(cmap), rels[k].arity))
-    if verify_with is not None:
-        for r in rels:
-            assert invariance_witness(verify_with, r) is None
     out = set()
     for assign in itertools.product(range(carrier), repeat=formula.mu + formula.nu):
         if all(tuple(assign[p] for p in cmap) in rels[k].tuples
                for k, cmap in formula.conjuncts):
             out.add(assign[:formula.mu])
     result = Relation(formula.mu, frozenset(out))
-    if verify_with is not None:
-        assert invariance_witness(verify_with, result) is None
+    for what, rel in ([("relation %d" % k, r) for k, r in enumerate(rels)] + [("the result", result)]
+                      if verify_with is not None else []):
+        witness = invariance_witness(verify_with, rel)
+        if witness is not None:
+            raise ProfileError("%s is not invariant: %s leaves it at %r" % ((what,) + witness))
     return result
 
 
@@ -803,6 +811,8 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     Needs a pure unary fragment, the hypothesis under which the regrouping
     map is a bijection on members in the first place.
     """
+    if mu_max < 1:
+        raise ProfileError("relation arity bound must be at least 1, got %d" % mu_max)
     report = is_pure(alg)
     if not report.pure:
         raise ProfileError("needs a pure unary fragment, no cross maps for sort pairs %r"

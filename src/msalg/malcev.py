@@ -10,12 +10,14 @@ produced the table.
 
 Searches scan candidates in ascending table_search_key order.  Keys are
 injective on distinct tables, so there are no ties to break, and the term
-attached to a table is the one its fragment recorded.
+attached to a table is the one its fragment recorded.  The identities are
+checked by gathering a candidate at all (x, x, y), (x, y, y) or (x, y, x).
 
 The brute-force checks at the bottom are single-algebra statements about
 the congruence lattice of their argument, a necessary condition for the
 corresponding variety-level property; the term witnesses above are what
-certify the variety-level direction.
+certify the variety-level direction.  There partitions are boolean
+relation matrices, and witnesses come from core.first_failure.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ import itertools
 from dataclasses import dataclass
 
 from .clone import generate_fragment
+import numpy as np
+
 from .core import (
     JONSSON_MAX,
     SUBUNIVERSE_BUDGET,
     TABLE_BUDGET,
     OpTable,
     Profile,
+    ProfileError,
     SortedAlgebra,
     Term,
+    first_failure,
+    gather,
+    open_grid,
     projection,
     table_search_key,
 )
@@ -61,11 +69,8 @@ class JonssonChain:
 
 
 def _is_malcev(table: OpTable, n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            if table.apply((x, x, y)) != y or table.apply((x, y, y)) != x:
-                return False
-    return True
+    x, y = open_grid((n, n))
+    return not ((gather(table, [x, x, y]) != y) | (gather(table, [x, y, y]) != x)).any()
 
 
 def _ternary_candidates(alg: SortedAlgebra, s: int, budget: int):
@@ -97,6 +102,15 @@ def find_malcev_homog(alg: SortedAlgebra, *, budget: int = TABLE_BUDGET):
     return MalcevWitness("homogenized", (hit,), (frag.witness(hit),))
 
 
+def _chain_links(cands, n: int):
+    """The candidates fixing the flanks, d(x, y, x) = x, and per such table
+    its values at (x, x, y) and at (x, y, y), (x, y) row-major."""
+    x, y = open_grid((n, n))
+    dset = [t for t in cands if not (gather(t, [x, y, x]) != x).any()]
+    return (dset, *({t: tuple(gather(t, args).ravel().tolist()) for t in dset}
+                    for args in ([x, x, y], [x, y, y])))
+
+
 def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
     """Shortest chain over one sort as [(table, term), ...], or None.
 
@@ -106,11 +120,7 @@ def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
     list, so the result is deterministic.
     """
     cands, frag = _ternary_candidates(alg, s, budget)
-    n = alg.carriers[s]
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    dset = [t for t in cands if all(t.apply((x, y, x)) == x for x, y in pairs)]
-    sig_xxy = {t: tuple(t.apply((x, x, y)) for x, y in pairs) for t in dset}
-    sig_xyy = {t: tuple(t.apply((x, y, y)) for x, y in pairs) for t in dset}
+    dset, sig_xxy, sig_xyy = _chain_links(cands, alg.carriers[s])
     by_xxy, by_xyy = {}, {}
     for t in dset:
         by_xxy.setdefault(sig_xxy[t], []).append(t)
@@ -155,8 +165,9 @@ def find_jonsson(alg: SortedAlgebra, *, nmax: int = JONSSON_MAX,
     repeating their final projection, which keeps every link equality;
     homogenized searches the ternary fragment of the product carrier.
     """
-    assert mode in ("per_sort", "homogenized")
-    assert nmax >= 0
+    if mode not in ("per_sort", "homogenized") or nmax < 0:
+        raise ProfileError("need mode per_sort or homogenized and a chain bound of at least 0, "
+                           "got %r and %d" % (mode, nmax))
     if mode == "homogenized":
         chain = _chain_single(homogenize(alg).algebra, 0, nmax, budget)
         if chain is None:
@@ -197,16 +208,23 @@ class DistributivityReport:
     witness: tuple | None  # (theta, eta, delta classes, sort, (a, b))
 
 
-def _compose_partitions(l1, l2, n):
-    out = set()
-    for a in range(n):
-        for b in range(n):
-            if l1[a] != l1[b]:
-                continue
-            for c in range(n):
-                if l2[b] == l2[c]:
-                    out.add((a, c))
-    return out
+def _relation(labels) -> np.ndarray:
+    """A partition given by block labels, as its boolean relation matrix."""
+    return np.equal.outer(labels, labels)
+
+
+def _compose_partitions(l1, l2):
+    """The relation product of two partitions, as a boolean matrix."""
+    return _relation(l1).astype(np.int64) @ _relation(l2).astype(np.int64) > 0
+
+
+def _first_split(left, right):
+    """(s, (a, b)), a < b: the first pair just one congruence relates."""
+    for s, (l1, l2) in enumerate(zip(left.classes, right.classes)):
+        spot = first_failure(np.triu(_relation(l1) != _relation(l2), 1))
+        if spot is not None:
+            return s, spot
+    return None
 
 
 def check_cp_bruteforce(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> PermutabilityReport:
@@ -215,11 +233,10 @@ def check_cp_bruteforce(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET)
     for i, theta in enumerate(cons):
         for eta in cons[i + 1:]:
             for s in range(alg.n_sorts):
-                n = alg.carriers[s]
-                left = _compose_partitions(theta.classes[s], eta.classes[s], n)
-                right = _compose_partitions(eta.classes[s], theta.classes[s], n)
-                if left != right:
-                    pair = min(left ^ right)
+                left = _compose_partitions(theta.classes[s], eta.classes[s])
+                right = _compose_partitions(eta.classes[s], theta.classes[s])
+                pair = first_failure(left != right)
+                if pair is not None:
                     return PermutabilityReport(
                         False, len(cons),
                         (theta.classes, eta.classes, s, pair))
@@ -234,18 +251,6 @@ def check_cd_bruteforce(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET)
         right = congruence_join(congruence_meet(theta, eta),
                                 congruence_meet(theta, delta))
         if left != right:
-            spot = None
-            for s in range(alg.n_sorts):
-                for a in range(alg.carriers[s]):
-                    for b in range(a + 1, alg.carriers[s]):
-                        if left.related(s, a, b) != right.related(s, a, b):
-                            spot = (s, (a, b))
-                            break
-                    if spot:
-                        break
-                if spot:
-                    break
-            return DistributivityReport(
-                False, len(cons),
-                (theta.classes, eta.classes, delta.classes) + spot)
+            return DistributivityReport(False, len(cons), (theta.classes, eta.classes, delta.classes)
+                                        + _first_split(left, right))
     return DistributivityReport(True, len(cons), None)

@@ -169,6 +169,25 @@ def test_inv_arity_below_one_exits_2_with_and_without_optimize():
         assert "count:" not in proc.stdout
 
 
+def test_inv_iso_arity_bound_below_one_exits_2_with_and_without_optimize():
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "msalg", "inv-iso", "@a_tiny", "--mu-max", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert "at least 1" in proc.stderr
+        assert "verdict:" not in proc.stdout
+
+
+def test_negative_jonsson_bound_exits_2_with_and_without_optimize():
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "msalg", "jonsson", "@a_lattice",
+                               "--jonsson-max", "-1"], capture_output=True, text=True)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert "at least 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "absent" not in proc.stdout
+
+
 def test_exit_2_on_budget_exhaustion():
     rc, _out = run_cli(["clone", "@a_malcev", "--profile", "u,u->u",
                         "--table-budget", "3"])
