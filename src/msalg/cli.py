@@ -207,9 +207,9 @@ def _cmd_clone(args, rep):
         tables = frag.tables.get(prof, ())
         rep.add("profile %s" % text, "%d tables" % len(tables))
         if args.tables:
-            for i, t in enumerate(tables):
+            for i, (t, term) in enumerate(zip(tables, frag.witnesses.get(prof, ()))):
                 rep.add("table %s #%d" % (text, i), _fmt_outputs(t))
-                rep.add("term %s #%d" % (text, i), term_str(frag.witness(t)))
+                rep.add("term %s #%d" % (text, i), term_str(term))
     return 0
 
 

@@ -8,8 +8,9 @@ from contextlib import redirect_stdout
 
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.cli import main
+from msalg.clone import fragment_contains, generate_fragment
 from msalg.fmt import parse_algebra
-from msalg.core import build_algebra
+from msalg.core import Profile, build_algebra, term_str
 from msalg.hetero import canonical_pair
 from msalg.homog import homogenize
 from msalg.lattice import inv_enumerate
@@ -192,6 +193,25 @@ def test_exit_2_on_budget_exhaustion():
     rc, _out = run_cli(["clone", "@a_malcev", "--profile", "u,u->u",
                         "--table-budget", "3"])
     assert rc == 2
+
+
+def test_clone_tables_report_the_witness_of_each_table():
+    """--tables prints each table with its aligned witness: the report is
+    the one a per-table fragment_contains lookup gives."""
+    alg = corpus_algebra("a_malcev")
+    text = "u,w,w->w"
+    frag = generate_fragment(alg, [(0, 1, 1)])
+    tables = frag.tables[Profile((0, 1, 1), 1)]
+    lines = ["profile %s: %d tables" % (text, len(tables))]
+    for i, t in enumerate(tables):
+        found, term = fragment_contains(frag, t)
+        assert found
+        lines.append("table %s #%d: %s" % (text, i, " ".join(map(str, t.outputs))))
+        lines.append("term %s #%d: %s" % (text, i, term_str(term)))
+    rc, out = run_cli(["clone", "@a_malcev", "--profile", text, "--tables", "--deterministic-timing"])
+    assert rc == 0 and len(tables) > 1
+    assert "\n".join(lines) + "\n" in out
+    assert out.count("term %s #" % text) == len(tables)
 
 
 def test_malcev_absence_exits_1():
