@@ -12,11 +12,11 @@ The inner loop runs on numpy: a table is a vector over the domain points.  A
 round takes each symbol's lead-argument tuples in blocks of _CHUNK gathered
 values, in itertools.product order; one gather per block reads each tuple's
 slice of the table and one take reads every candidate row.  Rows are told
-apart by a 64-bit hash: rows whose hash the store holds are dropped,
-np.unique with its first indexes sorted keeps the first occurrence of each
-remaining hash, and every hash match is confirmed by exact row equality (a
-block with an unconfirmed match takes a per-row bytes-key path instead).
-Only new rows reach Python, which builds their witness terms.
+apart by exact keys, each row's bytes as one np.void value: a binary search
+in the store's sorted keys finds each candidate's one possible stored
+equal, an exact row comparison drops the rows already stored, and np.unique
+with its first indexes sorted keeps the first occurrence of each remaining
+row.  Only new rows reach Python, which builds their witness terms.
 
 The same engine closes generator vectors over an arbitrary point set (a
 subalgebra of a direct power), which other modules use to compute
@@ -54,95 +54,62 @@ from .core import (
 _CHUNK = 1 << 16
 
 
-def _hash_weights(n_words: int) -> np.ndarray:
-    """A fixed uint64 weight per word of a row, splitmix64 of its index."""
-    x = np.arange(n_words, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _words(rows: np.ndarray) -> np.ndarray:
-    """Each row's bytes, zero-padded to whole uint64 words: rows hash as the
-    dot product of their words with _hash_weights, wrapping mod 2^64."""
-    raw = rows.view(np.uint8)
-    width = -(-raw.shape[1] // 8) * 8
-    if width != raw.shape[1]:
-        padded = np.zeros((len(raw), width), dtype=np.uint8)
-        padded[:, :raw.shape[1]] = raw
-        raw = padded
-    return raw.view(np.uint64)
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one opaque np.void value of its bytes (V0 for zero-width
+    rows, which .view cannot make)."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="V0")
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 class _Store:
-    """Growable matrix of table vectors for one cod sort, with the terms, an
-    exact bytes-key index, and the rows as words with their hashes sorted
-    for batch lookups."""
+    """Growable matrix of table vectors for one cod sort, with the terms and
+    the rows' keys sorted for batch lookups."""
 
-    def __init__(self, n_points: int, dtype, weights: np.ndarray):
+    def __init__(self, n_points: int, dtype):
         self.matrix = np.zeros((16, n_points), dtype=dtype)
-        self.words = np.zeros((16, len(weights)), dtype=np.uint64)
-        self.weights = weights
         self.count = 0
         self.terms: list[Term] = []
-        self.index: set[bytes] = set()
         self._sorted = None
 
     def rows(self, upto: int | None = None) -> np.ndarray:
         return self.matrix[: self.count if upto is None else upto]
 
-    def _append(self, rows: np.ndarray, words: np.ndarray, terms: list) -> None:
+    def _append(self, rows: np.ndarray, terms: list) -> None:
         end = self.count + len(rows)
         if end > len(self.matrix):
             pad = max(len(self.matrix), end - self.count)
             self.matrix = np.concatenate([self.rows(), np.zeros((pad, self.matrix.shape[1]), self.matrix.dtype)])
-            self.words = np.concatenate([self.words[:self.count], np.zeros((pad, self.words.shape[1]), np.uint64)])
         self.matrix[self.count:end] = rows
-        self.words[self.count:end] = words
-        self.index.update(row.tobytes() for row in rows)
         self.terms.extend(terms)
         self.count = end
         self._sorted = None
-
-    def _find(self, hashes: np.ndarray):
-        """For each hash, a stored row and whether its hash is equal."""
-        if self.count == 0:
-            return np.zeros(len(hashes), dtype=np.int64), np.zeros(len(hashes), dtype=bool)
-        if self._sorted is None:
-            stored = self.words[:self.count] @ self.weights
-            order = np.argsort(stored, kind="stable")
-            self._sorted = (stored[order], order)
-        known, order = self._sorted
-        pos = np.minimum(np.searchsorted(known, hashes), self.count - 1)
-        return order[pos], known[pos] == hashes
 
     def admit(self, rows: np.ndarray, term_of) -> int:
         """Append the rows of a candidate batch that are not stored yet, each
         at its first occurrence in batch order with the term term_of(r) of
         batch row r; return how many were appended.
 
-        Rows are told apart by hash, and every hash match, against the store
-        or inside the batch, is confirmed by exact equality; a batch with an
-        unconfirmed match takes the exact bytes-key path instead.
+        Each batch row is compared exactly with the stored row its key sorts
+        next to, and np.unique over the keys of the rest keeps first
+        occurrences.
         """
-        words = _words(rows)
-        hashes = words @ self.weights
-        at, hit = self._find(hashes)
-        if not (hit & (words != self.words.take(at, axis=0)).any(axis=1)).any():
-            rest = np.flatnonzero(~hit)
-            if not len(rest):
-                return 0
-            _, first, inverse = np.unique(hashes[rest], return_index=True, return_inverse=True)
-            if (words[rest] == words.take(rest[first[inverse]], axis=0)).all():
-                new = rest[np.sort(first)]
-                self._append(rows[new], words[new], [term_of(int(r)) for r in new])
-                return len(new)
-        added = 0
-        for r, row in enumerate(rows):
-            if row.tobytes() not in self.index:
-                self._append(rows[r:r + 1], words[r:r + 1], [term_of(r)])
-                added += 1
-        return added
+        keys = _keys(rows)
+        rest = np.arange(len(rows))
+        if self.count:
+            if self._sorted is None:
+                stored = _keys(self.rows())
+                order = np.argsort(stored, kind="stable")
+                self._sorted = (stored[order], order)
+            known, order = self._sorted
+            at = order[np.minimum(np.searchsorted(known, keys), self.count - 1)]
+            rest = np.flatnonzero((rows != self.matrix.take(at, axis=0)).any(axis=1))
+        if not len(rest):
+            return 0
+        _, first = np.unique(keys[rest], return_index=True)
+        added = rest[np.sort(first)]
+        self._append(rows[added], [term_of(int(r)) for r in added])
+        return len(added)
 
 
 def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGET, *,
@@ -158,8 +125,7 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
     already carry it.
     """
     dtype = np.min_scalar_type(max(alg.carriers, default=0))
-    weights = _hash_weights(-(-n_points * dtype.itemsize // 8))
-    stores = {s: _Store(n_points, dtype, weights) for s in range(alg.n_sorts)}
+    stores = {s: _Store(n_points, dtype) for s in range(alg.n_sorts)}
     for s, pairs in seeds.items():
         if pairs:
             vecs, terms = zip(*pairs)

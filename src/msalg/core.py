@@ -285,7 +285,8 @@ def validate_term(alg: SortedAlgebra, t: Term) -> None:
             raise ProfileError("term profile names sort %d outside the algebra" % s)
     if isinstance(t, Var):
         return
-    assert isinstance(t, App)
+    if not isinstance(t, App):
+        raise ProfileError("term %r is neither a variable nor an application" % (t,))
     sym = alg.signature.symbols[alg.signature.symbol_index(t.symbol)]
     if sym.profile.cod != t.profile.cod:
         raise ProfileError("term root %s has cod %d, profile says %d" % (t.symbol, sym.profile.cod, t.profile.cod))
@@ -304,7 +305,8 @@ def eval_term(alg: SortedAlgebra, t: Term, args: tuple[int, ...]) -> int:
         raise ProfileError("term wants %d arguments, got %d" % (t.profile.arity, len(args)))
     if isinstance(t, Var):
         return args[t.index]
-    assert isinstance(t, App)
+    if not isinstance(t, App):
+        raise ProfileError("term %r is neither a variable nor an application" % (t,))
     table = alg.table(t.symbol)
     return table.apply(tuple(eval_term(alg, a, args) for a in t.args))
 
@@ -314,6 +316,7 @@ def table_of_term(alg: SortedAlgebra, t: Term) -> OpTable:
 
     Built bottom-up by table composition, so the cost is one composition per
     subterm rather than one recursive evaluation per domain point.
+    validate_term raises ProfileError first on any ill-shaped subterm.
     """
     validate_term(alg, t)
     inputs = t.profile.inputs
@@ -321,7 +324,6 @@ def table_of_term(alg: SortedAlgebra, t: Term) -> OpTable:
     def rec(u: Term) -> OpTable:
         if isinstance(u, Var):
             return projection(alg.carriers, inputs, u.index)
-        assert isinstance(u, App)
         return compose(alg.table(u.symbol), tuple(rec(a) for a in u.args), inputs=inputs)
 
     return rec(t)

@@ -162,7 +162,8 @@ def assembled_fragment(h: HomogenizedAlgebra, lam: int, *,
     decoded-argument profile; the lam-ary fragment of the product algebra
     must equal this set.  Keyed by outputs.  Requires lam >= 1.
     """
-    assert lam >= 1
+    if lam < 1:
+        raise ProfileError("assembly needs lam >= 1, got %d" % lam)
     S = len(h.radices)
     rho = tuple(range(S)) * lam
     frag = generate_fragment(h.source, [rho], budget=budget)

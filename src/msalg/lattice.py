@@ -187,8 +187,8 @@ class SubUniverse:
 
     def __post_init__(self):
         for xs in self.sets:
-            assert all(a < b for a, b in zip(xs, xs[1:])), \
-                "subset %r is not strictly increasing" % (xs,)
+            if not all(a < b for a, b in zip(xs, xs[1:])):
+                raise ProfileError("subset %r is not strictly increasing" % (xs,))
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(xs) for xs in self.sets)
@@ -261,8 +261,8 @@ class Congruence:
         for labels in self.classes:
             top = -1
             for v in labels:
-                assert 0 <= v <= top + 1, \
-                    "labels %r are not in first-appearance order" % (labels,)
+                if not 0 <= v <= top + 1:
+                    raise ProfileError("labels %r are not in first-appearance order" % (labels,))
                 top = max(top, v)
 
     def related(self, s: int, a: int, b: int) -> bool:
@@ -399,12 +399,9 @@ def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGE
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
     """Blockwise intersection, always a congruence when both inputs are."""
-    assert len(c1.classes) == len(c2.classes)
-    out = []
-    for l1, l2 in zip(c1.classes, c2.classes):
-        assert len(l1) == len(l2)
-        out.append(_relabel(zip(l1, l2)))
-    return Congruence(tuple(out))
+    if [len(c) for c in c1.classes] != [len(c) for c in c2.classes]:
+        raise ProfileError("the two partitions cover different carriers")
+    return Congruence(tuple(_relabel(zip(l1, l2)) for l1, l2 in zip(c1.classes, c2.classes)))
 
 
 def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
@@ -493,7 +490,8 @@ def direct_product(algs) -> SortedAlgebra:
 
 def family_product(h: HomogenizedAlgebra, su: SubUniverse) -> SubUniverse:
     """The box over a closed family, as a subset of the product carrier."""
-    assert len(su.sets) == len(h.radices)
+    if len(su.sets) != len(h.radices):
+        raise ProfileError("family has %d sorts, the collapse %d" % (len(su.sets), len(h.radices)))
     codes = tuple(sorted(h.encode(vals) for vals in itertools.product(*su.sets)))
     return SubUniverse((codes,))
 
@@ -601,9 +599,11 @@ class Relation:
     tuples: frozenset
 
     def __post_init__(self):
-        assert self.arity >= 0
+        if self.arity < 0:
+            raise ProfileError("relation arity %d is negative" % self.arity)
         for t in self.tuples:
-            assert len(t) == self.arity, "tuple %r in a relation of arity %d" % (t, self.arity)
+            if len(t) != self.arity:
+                raise ProfileError("tuple %r in a relation of arity %d" % (t, self.arity))
 
 
 def _relation_key(rel: Relation):
@@ -700,12 +700,14 @@ class PPFormula:
     conjuncts: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        assert self.mu >= 0 and self.nu >= 0
+        if self.mu < 0 or self.nu < 0:
+            raise ProfileError("free and bound counts %d, %d must not be negative" % (self.mu, self.nu))
         for k, cmap in self.conjuncts:
-            assert k >= 0
+            if k < 0:
+                raise ProfileError("conjunct names relation %d" % k)
             for p in cmap:
                 if not 0 <= p < self.mu + self.nu:
-                    raise AssertionError("position %d outside %d free plus %d bound" % (p, self.mu, self.nu))
+                    raise ProfileError("position %d outside %d free plus %d bound" % (p, self.mu, self.nu))
 
 
 def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None) -> Relation:

@@ -1,8 +1,9 @@
 """Slow reference saturation for the clone closure kernel.
 
 saturate and _Store here are the kernel msalg.clone used before batched
-gathers and hash-confirmed deduplication replaced it: one numpy gather per
-tuple of lead arguments and one bytes-key dict probe per candidate row.
+gathers and batch-wise exact-key deduplication replaced it: one numpy
+gather per tuple of lead arguments and one bytes-key dict probe per
+candidate row.
 test_saturate.py compares the kernel with it on values, insertion order,
 witness terms and budget errors.
 """

@@ -189,6 +189,18 @@ def test_negative_jonsson_bound_exits_2_with_and_without_optimize():
         assert "absent" not in proc.stdout
 
 
+def test_pp_usage_errors_exit_2():
+    """Negative counts and out-of-range positions are usage errors; the
+    python -O rerun runs this too, so no assert decides them."""
+    for args in (["--mu", "-1", "--conjunct", "1:0:0"],
+                 ["--mu", "2", "--nu", "-1", "--conjunct", "1:1:0"],
+                 ["--mu", "2", "--nu", "-1", "--conjunct", "1:0:0"],
+                 ["--mu", "1", "--conjunct", "2:0:0,5"]):
+        rc, out = run_cli(["pp", "@a_group", *args])
+        assert rc == 2, args
+        assert "result:" not in out
+
+
 def test_exit_2_on_budget_exhaustion():
     rc, _out = run_cli(["clone", "@a_malcev", "--profile", "u,u->u",
                         "--table-budget", "3"])

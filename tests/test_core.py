@@ -14,6 +14,7 @@ from msalg.core import (
     OpTable,
     Profile,
     ProfileError,
+    Term,
     Var,
     build_algebra,
     compose,
@@ -153,6 +154,17 @@ def test_term_validation_rejects_sort_mismatch():
     bad = App(prof, "m", (Var(Profile((0,), 0), 0),))  # m wants sort w
     with pytest.raises(ProfileError):
         validate_term(alg, bad)
+
+
+def test_terms_that_are_neither_variable_nor_application_are_rejected():
+    alg = corpus_algebra("a_tiny")
+    odd = Term(Profile((0,), 0))
+    with pytest.raises(ProfileError):
+        validate_term(alg, odd)
+    with pytest.raises(ProfileError):
+        eval_term(alg, odd, (0,))
+    with pytest.raises(ProfileError):
+        table_of_term(alg, App(Profile((1,), 1), "m", (Term(Profile((1,), 1)),)))
 
 
 def test_signature_validation():

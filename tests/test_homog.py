@@ -93,6 +93,11 @@ def test_adequacy_fragments_match_assembled_terms():
             assert inside == assembled, (name, lam, len(inside), len(assembled))
 
 
+def test_assembled_fragment_needs_lam_at_least_1():
+    with pytest.raises(ProfileError):
+        assembled_fragment(homogenize(corpus_algebra("a_tiny")), 0)
+
+
 def test_adequacy_counts_for_the_affine_pair():
     h = homogenize(corpus_algebra("a_malcev"))
     frag = generate_fragment(h.algebra, [(0,), (0, 0)])

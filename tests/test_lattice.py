@@ -25,6 +25,7 @@ from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_alge
 from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
+    Congruence,
     PPFormula,
     Relation,
     SubUniverse,
@@ -282,6 +283,30 @@ def test_congruence_lattice_closed_under_meet_and_join():
             assert congruence_join(c1, c2) in pool
 
 
+def test_subuniverse_rejects_an_unsorted_subset():
+    with pytest.raises(ProfileError):
+        SubUniverse(((1, 0),))
+
+
+def test_congruence_rejects_labels_out_of_first_appearance_order():
+    with pytest.raises(ProfileError):
+        Congruence(((1, 0),))
+
+
+def test_congruence_meet_rejects_mismatched_partitions():
+    with pytest.raises(ProfileError):
+        congruence_meet(Congruence(((0, 0),)), Congruence(((0, 0, 1),)))
+    with pytest.raises(ProfileError):
+        congruence_meet(Congruence(((0,),)), Congruence(((0,), (0,))))
+
+
+def test_relation_rejects_a_bad_arity_or_tuple_length():
+    with pytest.raises(ProfileError):
+        Relation(2, frozenset({(1,)}))
+    with pytest.raises(ProfileError):
+        Relation(-1, frozenset())
+
+
 def test_make_congruence_rejects_incompatible():
     alg = corpus_algebra("a_tiny")
     # relating 0 and 1 at w without relating anything at u breaks cw
@@ -374,6 +399,8 @@ def test_family_product_codes():
     su = make_subuniverse(alg, [(1,), (1, 2)])
     # codes u*3 + w for u in {1}, w in {1, 2}
     assert family_product(h, su).sets == ((4, 5),)
+    with pytest.raises(ProfileError):
+        family_product(h, SubUniverse(((1,),)))
 
 
 def test_congruence_product_codes():
@@ -534,8 +561,14 @@ def test_pp_validation():
         pp_evaluate([r], PPFormula(1, 0, ((1, (0, 0)),)), 2)   # bad index
     with pytest.raises(ProfileError):
         pp_evaluate([r], PPFormula(1, 0, ((0, (0,)),)), 2)     # arity mismatch
-    with pytest.raises(AssertionError):
+    with pytest.raises(ProfileError):
         PPFormula(1, 0, ((0, (0, 5)),))                        # position range
+    with pytest.raises(ProfileError):
+        PPFormula(-1, 0, ((0, (0,)),))                         # negative mu
+    with pytest.raises(ProfileError):
+        PPFormula(2, -1, ((0, (0,)),))                         # negative nu
+    with pytest.raises(ProfileError):
+        PPFormula(1, 0, ((-1, (0,)),))                         # negative index
 
 
 def test_verify_inv_iso_a_tiny():

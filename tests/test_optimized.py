@@ -1,7 +1,7 @@
-"""The differential equation and saturation checks and the command-line
-exit-code tests, rerun in a python -O subprocess, where assert statements
-are compiled away: no verdict, witness, table or exit status may depend on
-one."""
+"""The differential equation and saturation checks, the core, collapse and
+lattice tests, and the command-line exit-code tests, rerun in a python -O
+subprocess, where assert statements are compiled away: no verdict, witness,
+table, input check or exit status may depend on one."""
 
 import os
 import subprocess
@@ -19,8 +19,9 @@ def test_equations_and_exit_codes_pass_under_python_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(HERE, os.pardir, "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           os.path.join(HERE, "test_equations.py"),
-                           os.path.join(HERE, "test_saturate.py"), *exit_tests],
+                           *(os.path.join(HERE, "test_%s.py" % name)
+                             for name in ("equations", "saturate", "lattice", "lattice_engine", "homog", "core")),
+                           *exit_tests],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
     assert "passed" in proc.stdout and len(exit_tests) >= 10

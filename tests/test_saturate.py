@@ -3,17 +3,12 @@
 oracle_clone.saturate evaluates one numpy gather per tuple of lead
 arguments and probes a bytes-key dict once per candidate row.  The kernel
 in msalg.clone gathers whole blocks of lead tuples at once and tells rows
-apart by hash, confirming every hash match by exact equality.  Each case
-below closes the same seeds with both and requires the same tables in the
-same insertion order, the same witness terms, and the same BudgetError at
-the same budgets: every corpus algebra and its collapse at every input
-profile of arity at most 2, the nullary-symbol and empty-carrier algebras
-of test_tabulate.py, and the point-set closures behind
-diagonal._class_assembled_fragment.  The same comparisons rerun with
-degenerate hash weights: all zero, under which every row collides and only
-the exact path can tell rows apart, and one for the first word only, under
-which rows that agree on their first 8 bytes collide and about a quarter of
-the batches take the exact path.
+apart by exact keys, a batch at a time.  Each case below closes the same
+seeds with both and requires the same tables in the same insertion order,
+the same witness terms, and the same BudgetError at the same budgets: every
+corpus algebra and its collapse at every input profile of arity at most 2,
+the nullary-symbol and empty-carrier algebras of test_tabulate.py, and the
+point-set closures behind diagonal._class_assembled_fragment.
 """
 
 import itertools
@@ -109,10 +104,6 @@ def case_budgets(monkeypatch):
 CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
          if name.startswith("case_")}
 
-DEGENERATE = {"zero": lambda n: np.zeros(n, dtype=np.uint64),
-              "first_word": lambda n: (np.arange(n) == 0).astype(np.uint64)}
-
-
 def _compare(case, monkeypatch):
     count = raised = 0
     for label, alg, n_points, seeds, inputs, budget in CASES[case](monkeypatch):
@@ -132,20 +123,30 @@ def test_kernel_matches_oracle(case, monkeypatch):
         assert 0 < raised < count
 
 
-@pytest.mark.parametrize("weights", sorted(DEGENERATE))
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_kernel_matches_oracle_when_hashes_collide(case, weights, monkeypatch):
-    monkeypatch.setattr(clone, "_hash_weights", DEGENERATE[weights])
-    _compare(case, monkeypatch)
-
-
-def test_degenerate_weights_leave_every_row_to_the_exact_path():
-    """With zero weights a batch of two different rows cannot pass hash
-    confirmation, so the bytes-key path decides, and keeps first
-    occurrences in batch order."""
-    store = clone._Store(3, np.uint8, DEGENERATE["zero"](1))
-    rows = np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 1, 1]], dtype=np.uint8)
+def test_store_admits_each_row_once_at_its_first_occurrence():
+    """Duplicates inside a batch keep their first occurrence in batch order,
+    a batch already stored adds nothing, also right after an append, a
+    zero-width store holds one row, and rows differing only in a high byte
+    stay apart."""
+    store = clone._Store(3, np.uint8)
+    rows = np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 1, 1], [2, 1, 0]], dtype=np.uint8)
     assert store.admit(rows, lambda r: "t%d" % r) == 3
     assert store.rows().tolist() == [[0, 1, 2], [2, 1, 0], [1, 1, 1]]
     assert store.terms == ["t0", "t1", "t3"]
-    assert store.admit(rows[::-1].copy(), lambda r: "u%d" % r) == 0
+    assert store.admit(rows, lambda r: "u%d" % r) == 0
+    assert store.admit(rows[::-1].copy(), lambda r: "v%d" % r) == 0
+    more = np.array([[2, 2, 2], [0, 1, 2]], dtype=np.uint8)
+    assert store.admit(more, lambda r: "w%d" % r) == 1
+    assert store.admit(more, lambda r: "x%d" % r) == 0
+    assert store.terms == ["t0", "t1", "t3", "w0"]
+
+    empty = clone._Store(0, np.uint8)
+    assert empty.admit(np.zeros((4, 0), dtype=np.uint8), lambda r: "t%d" % r) == 1
+    assert empty.admit(np.zeros((2, 0), dtype=np.uint8), lambda r: "u%d" % r) == 0
+    assert empty.rows().shape == (1, 0) and empty.terms == ["t0"]
+
+    wide = clone._Store(2, np.uint16)
+    high = np.array([[1, 2], [0x101, 2], [1, 0x202], [1, 2]], dtype=np.uint16)
+    assert wide.admit(high, lambda r: "t%d" % r) == 3
+    assert wide.rows().tolist() == [[1, 2], [0x101, 2], [1, 0x202]]
+    assert wide.admit(high[1:], lambda r: "u%d" % r) == 0
