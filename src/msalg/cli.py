@@ -188,7 +188,7 @@ def _cmd_heterogenize(args, rep):
 
 def _cmd_pure(args, rep):
     alg = _load(args.algebra)
-    report = is_pure(alg)
+    report = is_pure(alg, budget=args.table_budget)
     rep.add("sorts", alg.n_sorts)
     rep.add("pure", "yes" if report.pure else "no")
     for s, t in report.missing():

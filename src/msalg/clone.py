@@ -214,17 +214,6 @@ class CloneFragment:
     witnesses: dict[Profile, tuple[Term, ...]]
     complete: frozenset[tuple[int, ...]]
 
-    def at(self, profile: Profile) -> tuple[OpTable, ...]:
-        if profile.inputs not in self.complete:
-            raise KeyError("input profile %r was not generated" % (profile.inputs,))
-        return self.tables.get(profile, ())
-
-    def witness(self, table: OpTable) -> Term:
-        found, term = fragment_contains(self, table)
-        if not found:
-            raise KeyError("table not in fragment")
-        return term
-
 
 @lru_cache(maxsize=256)
 def _closure_full(alg: SortedAlgebra, inputs: tuple[int, ...], budget: int):

@@ -472,12 +472,6 @@ class Verification:
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
-    def named(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def table_search_key(t: OpTable) -> bytes:
     """Deterministic hash key for search ordering (process independent)."""

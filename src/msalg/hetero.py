@@ -111,10 +111,6 @@ class HeterogenizedAlgebra:
     pair: DiagonalPair
     retracts: tuple[tuple[int, ...], ...]
 
-    def sort_of(self, slot: int, element: int) -> int:
-        """Index of a source element inside its slot's carrier."""
-        return self.retracts[slot].index(element)
-
 
 def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
                  budget: int = TABLE_BUDGET) -> HeterogenizedAlgebra:

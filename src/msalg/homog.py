@@ -36,7 +36,6 @@ from .core import (
     Symbol,
     TABLE_BUDGET,
     check_arity,
-    decode_all,
     decode_digits,
     decode_mixed,
     encode_digits,
@@ -63,9 +62,6 @@ class HomogenizedAlgebra:
 
     def decode(self, code: int) -> tuple[int, ...]:
         return decode_mixed(code, self.radices)
-
-    def elements(self):
-        return decode_all(self.radices)
 
 
 def _closed_term_values(alg: SortedAlgebra):

@@ -17,7 +17,10 @@ two independent routes: inv_enumerate closes the mu-th power of the
 homogenized algebra under its basic operations, and verify_inv_iso closes
 it under tuples of source term operations over a shared variable block,
 applied to matrices of source elements, then checks that regrouping matrix
-rows into product codes is a bijection between the two answers.  The
+rows into product codes is a bijection between the two answers.  A matrix
+read row-major with per-sort radices is the flat code of its product-code
+tuple, so the pp-commutation check stacks both answers' membership masks
+over one index space and evaluates each sampled formula once.  The
 membership checks (closure, compatibility, invariance) gather each operation
 over an open grid at once and report core.first_failure's witness.
 """
@@ -219,8 +222,8 @@ def is_closed_family(alg: SortedAlgebra, sets) -> tuple[bool, tuple | None]:
 def make_subuniverse(alg: SortedAlgebra, sets) -> SubUniverse:
     """Build a SubUniverse after checking closure against alg."""
     ok, wit = is_closed_family(alg, tuple(tuple(xs) for xs in sets))
-    if not ok:  # raised, not asserted, so python -O checks it too
-        raise AssertionError("family is not closed, %s escapes at %r" % wit)
+    if not ok:
+        raise ProfileError("family is not closed, %s escapes at %r" % wit)
     return SubUniverse(tuple(tuple(xs) for xs in sets))
 
 
@@ -310,7 +313,7 @@ def is_congruence(alg: SortedAlgebra, classes) -> tuple[bool, tuple | None]:
 def make_congruence(alg: SortedAlgebra, classes) -> Congruence:
     ok, wit = is_congruence(alg, tuple(tuple(c) for c in classes))
     if not ok:
-        raise AssertionError("partition not compatible: %s at position %d on %r with %r" % wit)
+        raise ProfileError("partition not compatible: %s at position %d on %r with %r" % wit)
     return Congruence(tuple(tuple(c) for c in classes))
 
 
@@ -765,41 +768,38 @@ def _pp_members(rows, radices) -> np.ndarray:
     return member
 
 
-def _pp_solutions(members, radices, grid, f: PPFormula) -> np.ndarray:
-    """Sorted flat codes of the free part of every satisfying assignment.
-    Each position is a block of digits with the given radices, grid is the
-    open grid over them all, and the free positions are the leading axes."""
-    width = len(radices)
-    blocks = [grid[p * width:(p + 1) * width] for p in range(f.mu + f.nu)]
-    mask = np.ones(radices * (f.mu + f.nu), dtype=bool)
+def _pp_solutions(members, n: int, grid, f: PPFormula) -> np.ndarray:
+    """Free parts of the satisfying assignments, one boolean row per stacked
+    membership side, indexed by flat free-position code.  members[k] holds
+    relation k's membership rows over base-n codes, grid is the open grid
+    over every position, and the free positions are the leading axes."""
+    mask = np.ones((len(members[0]),) + (n,) * (f.mu + f.nu), dtype=bool)
     for k, cmap in f.conjuncts:
-        mask &= members[k][encode_digits([d for p in cmap for d in blocks[p]], radices * len(cmap))]
-    n = math.prod(radices)
-    return np.flatnonzero(mask.reshape(n ** f.mu, n ** f.nu).any(axis=1))
+        mask &= members[k][:, encode_digits([grid[p] for p in cmap], (n,) * len(cmap))]
+    return mask.reshape(len(mask), n ** f.mu, n ** f.nu).any(axis=2)
 
 
 def _pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
-    """Evaluate each formula over the relations as product-code tuples and
-    over the matching matrix sets, compare through the regrouping map.
+    """Evaluate each formula once over the relations as product-code tuples
+    stacked with the matching matrix sets, each matrix regrouped into its
+    product codes, and count the formulas whose two sides differ.
     Returns (#formulas, #disagreements, spot ok)."""
     n = h.size
     span = max(f.mu + f.nu for f in formulas)
-    sides = [(n,), alg.carriers]
-    members = [[_pp_members(r.tuples, (n,) * r.arity) for r in rels],
-               [_pp_members(m, alg.carriers * r.arity) for r, m in zip(rels, mats, strict=True)]]
-    grids = [[open_grid(radices * m) for m in range(span + 1)] for radices in sides]
+    members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
+               for r, m in zip(rels, mats, strict=True)]
+    grids = [open_grid((n,) * m) for m in range(span + 1)]
 
     bad = 0
     spot_ok = True
     for count, f in enumerate(formulas):
-        m = f.mu + f.nu
-        code_side, mat_side = (_pp_solutions(mem, radices, grid[m], f)
-                               for mem, radices, grid in zip(members, sides, grids))
+        code_side, mat_side = _pp_solutions(members, n, grids[f.mu + f.nu], f)
         if not np.array_equal(code_side, mat_side):
             bad += 1
         if count < spot_checks:
             direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
-            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples), code_side):
+            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
+                                  np.flatnonzero(code_side)):
                 spot_ok = False
     return len(formulas), bad, spot_ok
 

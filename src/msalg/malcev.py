@@ -74,32 +74,32 @@ def _is_malcev(table: OpTable, n: int) -> bool:
 
 
 def _ternary_candidates(alg: SortedAlgebra, s: int, budget: int):
+    """The ternary fragment of sort s as (table, term) pairs in search order."""
     prof = Profile((s, s, s), s)
     frag = generate_fragment(alg, [prof], budget=budget)
-    return sorted(frag.tables[prof], key=table_search_key), frag
+    return sorted(zip(frag.tables[prof], frag.witnesses[prof]), key=lambda tw: table_search_key(tw[0]))
 
 
 def find_malcev_per_sort(alg: SortedAlgebra, *, budget: int = TABLE_BUDGET):
     """One Mal'cev table per sort, or None when any sort lacks one."""
     tables, terms = [], []
     for s in range(alg.n_sorts):
-        cands, frag = _ternary_candidates(alg, s, budget)
-        hit = next((t for t in cands if _is_malcev(t, alg.carriers[s])), None)
+        n = alg.carriers[s]
+        hit = next(((t, w) for t, w in _ternary_candidates(alg, s, budget) if _is_malcev(t, n)), None)
         if hit is None:
             return None
-        tables.append(hit)
-        terms.append(frag.witness(hit))
+        tables.append(hit[0])
+        terms.append(hit[1])
     return MalcevWitness("per_sort", tuple(tables), tuple(terms))
 
 
 def find_malcev_homog(alg: SortedAlgebra, *, budget: int = TABLE_BUDGET):
     """A Mal'cev table in the ternary fragment of the product carrier."""
     h = homogenize(alg)
-    cands, frag = _ternary_candidates(h.algebra, 0, budget)
-    hit = next((t for t in cands if _is_malcev(t, h.size)), None)
+    hit = next(((t, w) for t, w in _ternary_candidates(h.algebra, 0, budget) if _is_malcev(t, h.size)), None)
     if hit is None:
         return None
-    return MalcevWitness("homogenized", (hit,), (frag.witness(hit),))
+    return MalcevWitness("homogenized", (hit[0],), (hit[1],))
 
 
 def _chain_links(cands, n: int):
@@ -119,8 +119,8 @@ def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
     2n gives the least n.  Neighbor order follows the sorted candidate
     list, so the result is deterministic.
     """
-    cands, frag = _ternary_candidates(alg, s, budget)
-    dset, sig_xxy, sig_xyy = _chain_links(cands, alg.carriers[s])
+    cands = _ternary_candidates(alg, s, budget)
+    dset, sig_xxy, sig_xyy = _chain_links([t for t, _ in cands], alg.carriers[s])
     by_xxy, by_xyy = {}, {}
     for t in dset:
         by_xxy.setdefault(sig_xxy[t], []).append(t)
@@ -154,7 +154,8 @@ def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
         chain.append(state[0])
         state = parent[state]
     chain.reverse()
-    return [(t, frag.witness(t)) for t in chain]
+    terms = dict(cands)
+    return [(t, terms[t]) for t in chain]
 
 
 def find_jonsson(alg: SortedAlgebra, *, nmax: int = JONSSON_MAX,

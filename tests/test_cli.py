@@ -207,6 +207,18 @@ def test_exit_2_on_budget_exhaustion():
     assert rc == 2
 
 
+def test_pure_exits_2_when_a_fragment_exceeds_the_table_budget():
+    for name in ("a_malcev", "a_tiny"):
+        rc, out = run_cli(["pure", "@" + name, "--table-budget", "0"])
+        assert rc == 2, name
+        assert "verdict:" not in out
+    # nonpure has no operations, so no table is ever added past the
+    # projections: still a property failure, not a budget error
+    rc, out = run_cli(["pure", "@nonpure", "--table-budget", "0"])
+    assert rc == 1
+    assert "missing: a->b" in out
+
+
 def test_clone_tables_report_the_witness_of_each_table():
     """--tables prints each table with its aligned witness: the report is
     the one a per-table fragment_contains lookup gives."""

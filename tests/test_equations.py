@@ -173,7 +173,7 @@ def case_malcev_candidates():
     algs = list(bases()) + [("h_" + name, h.algebra) for name, h in collapses() if h.size <= 4]
     for name, alg in algs:
         for s, n in enumerate(alg.carriers):
-            cands, _frag = _ternary_candidates(alg, s, 2_000_000)
+            cands = [t for t, _ in _ternary_candidates(alg, s, 2_000_000)]
             yield name, [_is_malcev(t, n) for t in cands], [oracle.is_malcev(t, n) for t in cands]
             yield name, _chain_links(cands, n), oracle.chain_links(cands, n)
 

@@ -201,7 +201,7 @@ def test_make_subuniverse_checks_closure():
     alg = corpus_algebra("a_tiny")
     ok = make_subuniverse(alg, [(1,), (1, 2)])
     assert isinstance(ok, SubUniverse)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ProfileError):
         make_subuniverse(alg, [(0,), (0,)])   # m sends 0 to 1, escapes
 
 
@@ -310,7 +310,7 @@ def test_relation_rejects_a_bad_arity_or_tuple_length():
 def test_make_congruence_rejects_incompatible():
     alg = corpus_algebra("a_tiny")
     # relating 0 and 1 at w without relating anything at u breaks cw
-    with pytest.raises(AssertionError):
+    with pytest.raises(ProfileError):
         make_congruence(alg, ((0, 1), (0, 0, 1)))
 
 
@@ -594,6 +594,23 @@ def test_pp_commutation_counts_a_changed_matrix_relation():
     changed = sorted(sample_mats[0])[1:]       # one member fewer
     total, bad, _ = _pp_both_sides(alg, h, sample, [frozenset(changed)] + sample_mats[1:], formulas, 0)
     assert 0 < bad <= total
+
+
+def test_pp_spot_checks_read_the_code_side():
+    # the same sample and changed matrix relation as above: the sides
+    # disagree, yet every spot check against pp_evaluate holds, because
+    # pp_evaluate reads the product-code relations
+    alg = corpus_algebra("a_group")
+    h = homogenize(alg)
+    rels = inv_enumerate(alg, 2)
+    mats = _matrix_route(alg, h, 2, budget=SUBUNIVERSE_BUDGET)
+    full = len(rels[-1].tuples)
+    picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
+    changed = frozenset(sorted(mats[picks[0]])[1:])
+    total, bad, spot_ok = _pp_both_sides(alg, h, [rels[i] for i in picks], [changed, mats[picks[1]]],
+                                         _formula_sample([rels[i] for i in picks], 3), 200)
+    assert 0 < bad < total
+    assert spot_ok
 
 
 def test_verify_inv_iso_rejects_nonpure():

@@ -1,7 +1,8 @@
-"""The differential equation and saturation checks, the core, collapse and
-lattice tests, and the command-line exit-code tests, rerun in a python -O
-subprocess, where assert statements are compiled away: no verdict, witness,
-table, input check or exit status may depend on one."""
+"""The differential equation, saturation and tabulation checks, the core,
+clone, collapse, split, diagonal, format and lattice tests, and the
+command-line exit-code tests, rerun in a python -O subprocess, where assert
+statements are compiled away: no verdict, witness, table, input check or
+exit status may depend on one."""
 
 import os
 import subprocess
@@ -20,7 +21,8 @@ def test_equations_and_exit_codes_pass_under_python_optimize():
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            *(os.path.join(HERE, "test_%s.py" % name)
-                             for name in ("equations", "saturate", "lattice", "lattice_engine", "homog", "core")),
+                             for name in ("equations", "saturate", "tabulate", "lattice", "lattice_engine",
+                                          "homog", "hetero", "diagonal", "fmt", "core", "clone")),
                            *exit_tests],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

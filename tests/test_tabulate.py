@@ -269,13 +269,11 @@ def case_pp_sides():
         rels = inv_enumerate(alg, 1)[:2] + inv_enumerate(alg, 2)[1:3]
         formulas = _formula_sample(rels, 3)[::7] + [PPFormula(0, 1, ((0, (0,)),))]
         mats = [{tuple(d for c in t for d in h.decode(c)) for t in r.tuples} for r in rels]
-        sides = [((h.size,), [_pp_members(r.tuples, (h.size,) * r.arity) for r in rels]),
-                 (alg.carriers, [_pp_members(m, alg.carriers * r.arity) for r, m in zip(rels, mats)])]
+        members = [np.stack([_pp_members(r.tuples, (h.size,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
+                   for r, m in zip(rels, mats)]
         for f in formulas:
-            m = f.mu + f.nu
-            fast = [_pp_solutions(members, radices, open_grid(radices * m), f)
-                    for radices, members in sides]
-            yield name, fast, list(oracle.pp_sides(alg, h, rels, f))
+            rows = _pp_solutions(members, h.size, open_grid((h.size,) * (f.mu + f.nu)), f)
+            yield name, [np.flatnonzero(row) for row in rows], list(oracle.pp_sides(alg, h, rels, f))
 
 
 def case_grid_columns():
