@@ -18,6 +18,17 @@ equal, an exact row comparison drops the rows already stored, and np.unique
 with its first indexes sorted keeps the first occurrence of each remaining
 row.  Only new rows reach Python, which builds their witness terms.
 
+Two facts read off each table before the rounds cut idle work.  A symbol
+whose profile and table repeat an earlier symbol's is skipped: it reads the
+same snapshot of the stores, so its rows are all stored by the time it
+runs.  An argument the table ignores (its outputs do not change along that
+axis) is read at stored index 0 only.  Every round has enumerated all
+argument tuples below the previous round's store sizes, so in
+itertools.product order a tuple's row first appears at the tuple with 0 at
+every ignored position; insertion order, witness terms and budget errors
+are therefore unchanged.  A projection yields only stored rows and a
+constant table one row.
+
 The same engine closes generator vectors over an arbitrary point set (a
 subalgebra of a direct power), which other modules use to compute
 restrictions of high-arity fragments without materializing them.
@@ -123,6 +134,13 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
     row-major table, for anything else a restriction of one.  ambient_inputs
     is the input profile every witness term is built over; seed terms must
     already carry it.
+
+    Symbols that repeat an earlier symbol's profile and table are skipped,
+    and arguments a table ignores are read at stored index 0 only (the
+    all-old test still reads the pinned index, so an argument sort that was
+    empty in the previous round counts as new); the first occurrence of
+    every row, and so every witness, stays where the full enumeration puts
+    it.
     """
     dtype = np.min_scalar_type(max(alg.carriers, default=0))
     stores = {s: _Store(n_points, dtype) for s in range(alg.n_sorts)}
@@ -132,13 +150,22 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
             stores[s].admit(np.asarray(vecs, dtype=dtype).reshape(len(vecs), n_points),
                             terms.__getitem__)
     flats = [np.asarray(t.outputs, dtype=dtype) for t in alg.tables]
+    seen, symbols = set(), []
+    for sym, flat in zip(alg.signature.symbols, flats):
+        key = (sym.profile, flat.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        table = flat.reshape([alg.carriers[s] for s in sym.profile.inputs])
+        symbols.append((sym, flat, [not table.size or (table == table.take([0], axis=i)).all()
+                                    for i in range(table.ndim)]))
 
     before_prev = {s: 0 for s in stores}
     prev = {s: stores[s].count for s in stores}
     round_no = 1
     while True:
         added = False
-        for sym, flat in zip(alg.signature.symbols, flats):
+        for sym, flat, idle in symbols:
             in_sorts, cod = sym.profile.inputs, sym.profile.cod
             target = stores[cod]
             prof = Profile(ambient_inputs, cod)
@@ -150,14 +177,14 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
                 continue
             lead_sorts, last_sort = in_sorts[:-1], in_sorts[-1]
             sizes = [alg.carriers[s] for s in in_sorts]
-            hi = prev[last_sort]
+            hi = min(prev[last_sort], 1) if idle[-1] else prev[last_sort]
             if hi == 0:
                 continue
             # One row of the table per code of the lead arguments; a lead
             # tuple's slices (point, last value) are read at these columns.
             by_lead = flat.reshape(prod(sizes[:-1]), sizes[-1])
             columns = np.arange(n_points) * sizes[-1] + stores[last_sort].rows(hi)
-            radices = [prev[s] for s in lead_sorts]
+            radices = [min(prev[s], 1) if ignored else prev[s] for s, ignored in zip(lead_sorts, idle)]
             n_leads = prod(radices)
             step = max(1, _CHUNK // (max(hi, sizes[-1]) * max(n_points, 1)))
             for start in range(0, n_leads, step):
@@ -170,7 +197,7 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
                 all_old = np.ones(n_block, dtype=bool)
                 for d, s in zip(digits, lead_sorts):
                     all_old &= d < before_prev[s]
-                lo = np.where(all_old, before_prev[last_sort], 0)
+                lo = np.minimum(np.where(all_old, before_prev[last_sort], 0), hi)
                 counts = hi - lo
                 if not counts.any():
                     continue

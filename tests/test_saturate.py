@@ -2,30 +2,84 @@
 
 oracle_clone.saturate evaluates one numpy gather per tuple of lead
 arguments and probes a bytes-key dict once per candidate row.  The kernel
-in msalg.clone gathers whole blocks of lead tuples at once and tells rows
-apart by exact keys, a batch at a time.  Each case below closes the same
-seeds with both and requires the same tables in the same insertion order,
-the same witness terms, and the same BudgetError at the same budgets: every
-corpus algebra and its collapse at every input profile of arity at most 2,
-the nullary-symbol and empty-carrier algebras of test_tabulate.py, and the
+in msalg.clone gathers whole blocks of lead tuples at once, tells rows
+apart by exact keys, a batch at a time, skips symbols that repeat an
+earlier one and reads ignored arguments at stored index 0 only.  Each case
+below closes the same seeds with both and requires the same tables in the
+same insertion order, the same witness terms, and the same BudgetError at
+the same budgets: every corpus algebra, its collapse and its nu-collapses
+(split along a pair and collapsed again, where symbols repeat and ignore
+arguments) at every input profile of arity at most 2, the nullary-symbol
+and empty-carrier algebras of test_tabulate.py, a hand-built algebra with
+ignored arguments, a projection, a repeat and a constant, and the
 point-set closures behind diagonal._class_assembled_fragment.
+
+The inputs that need fragments of their own (collapses with constants,
+diagonal pairs) are built on the oracle, so a kernel that never reaches
+its fixpoint fails the comparison instead of hanging the set-up.
 """
 
+import contextlib
 import itertools
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 import pytest
 
 import oracle_clone as oracle
+import test_tabulate
 from msalg import clone, diagonal
-from msalg.core import BudgetError, Profile, TABLE_BUDGET, Var, grid_columns
-from msalg.diagonal import _class_assembled_fragment, matrix_product
-from test_tabulate import bases, collapses, pairs
+from msalg.core import BudgetError, Profile, TABLE_BUDGET, Var, build_algebra, grid_columns
+from msalg.corpus import corpus_algebra
+from msalg.diagonal import _class_assembled_fragment, find_diagonal_pairs, matrix_product
+from msalg.hetero import heterogenize
+from msalg.homog import homogenize
 
 
-def _algebras():
-    return list(bases()) + [("h_" + name, h.algebra) for name, h in collapses()]
+@contextlib.contextmanager
+def _on_the_oracle():
+    """Fragments generated inside come from oracle.saturate; the closure
+    cache and test_tabulate's cached inputs are cleared on entry and exit,
+    so nothing built by either kernel leaks into the other's runs."""
+    caches = (clone._closure_full, test_tabulate.collapses, test_tabulate.pairs)
+    for cache in caches:
+        cache.cache_clear()
+    saved, clone.saturate = clone.saturate, oracle.saturate
+    try:
+        yield
+    finally:
+        clone.saturate = saved
+        for cache in caches:
+            cache.cache_clear()
+
+
+def _idle():
+    """Ignored lead and last arguments, a projection and its repeat, and a
+    constant; f is declared before a, so its ignored lead sort w is still
+    empty in round 1."""
+    return build_algebra([("u", 2), ("w", 3)], [
+        ("f", ("w", "u"), "u", (1, 0) * 3),
+        ("a", ("u",), "w", (2, 0)),
+        ("p", ("u", "u"), "u", (0, 0, 1, 1)),
+        ("q", ("u", "u"), "u", (0, 0, 1, 1)),
+        ("k", ("u", "w"), "u", (1,) * 6),
+        ("g", ("w", "w"), "w", (1, 2, 0) * 3),
+        ("h", ("w", "u"), "w", (0, 0, 2, 2, 1, 1)),
+    ])
+
+
+@lru_cache(maxsize=None)
+def _inputs():
+    """(algebras by label, test_tabulate.pairs()), built on the oracle: the
+    bases, their collapses, the nu-collapse along every pair and _idle."""
+    with _on_the_oracle():
+        algebras = list(test_tabulate.bases())
+        algebras += [("h_" + name, h.algebra) for name, h in test_tabulate.collapses()]
+        pairs = test_tabulate.pairs()
+        algebras += [("nu_%s#%d" % (name, i), homogenize(heterogenize(alg, pair).algebra).algebra)
+                     for i, (name, alg, pair) in enumerate(pairs)]
+    return tuple(algebras) + (("idle", _idle()),), pairs
 
 
 def _projection_seeds(alg, inputs):
@@ -39,7 +93,7 @@ def _projection_seeds(alg, inputs):
 def _profile_closures():
     """(label, algebra, n_points, seeds, ambient inputs) at every input
     profile of arity at most 2."""
-    for name, alg in _algebras():
+    for name, alg in _inputs()[0]:
         for arity in range(3):
             for inputs in itertools.product(range(alg.n_sorts), repeat=arity):
                 yield ("%s %r" % (name, inputs), alg) + _projection_seeds(alg, inputs) + (inputs,)
@@ -47,15 +101,15 @@ def _profile_closures():
 
 def _point_set_closures(monkeypatch):
     """The saturate calls of _class_assembled_fragment at lam 1 and 2, as
-    recorded while it runs on the kernel."""
+    recorded while it runs on the oracle."""
     calls = []
 
     def record(alg, n_points, seeds, budget=TABLE_BUDGET, *, ambient_inputs):
         calls.append((alg, n_points, seeds, ambient_inputs))
-        return clone.saturate(alg, n_points, seeds, budget, ambient_inputs=ambient_inputs)
+        return oracle.saturate(alg, n_points, seeds, budget, ambient_inputs=ambient_inputs)
 
     monkeypatch.setattr(diagonal, "saturate", record)
-    for name, alg, pair in pairs():
+    for name, alg, pair in _inputs()[1]:
         mp = matrix_product(alg, pair)
         for lam in (1, 2):
             del calls[:]
@@ -88,13 +142,16 @@ def case_point_sets(monkeypatch):
 
 
 def case_budgets(monkeypatch):
-    """Every budget up to one past the largest store on the bases; on the
-    collapses and point sets, 0 and each store size and the one below it."""
+    """Every budget up to one past the largest store on the bases, and 0-11
+    on _idle; on the collapses, nu-collapses and point sets, 0 and each
+    store size and the one below it."""
     closures = itertools.chain(_profile_closures(), _point_set_closures(monkeypatch))
     for label, alg, n_points, seeds, inputs in closures:
         sizes = _store_sizes(_outcome(oracle.saturate, alg, n_points, seeds, inputs))
-        if label.startswith("h_") or "lam=" in label:
+        if label.startswith(("h_", "nu_")) or "lam=" in label:
             budgets = sorted({0} | {b for n in sizes for b in (n - 1, n) if b >= 0})
+        elif label.startswith("idle"):
+            budgets = range(12)
         else:
             budgets = range(max(sizes, default=0) + 2)
         for budget in budgets:
@@ -105,10 +162,16 @@ CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
          if name.startswith("case_")}
 
 def _compare(case, monkeypatch):
+    """The kernel runs first at the largest store the oracle fills, where a
+    kernel that stops reaching its fixpoint raises instead of running on,
+    then at the case's own budget."""
     count = raised = 0
     for label, alg, n_points, seeds, inputs, budget in CASES[case](monkeypatch):
-        fast = _outcome(clone.saturate, alg, n_points, seeds, inputs, budget)
         slow = _outcome(oracle.saturate, alg, n_points, seeds, inputs, budget)
+        if not isinstance(slow, str):
+            tight = max(_store_sizes(slow), default=0)
+            assert _outcome(clone.saturate, alg, n_points, seeds, inputs, tight) == slow, (case, label, tight)
+        fast = _outcome(clone.saturate, alg, n_points, seeds, inputs, budget)
         assert fast == slow, (case, label)
         count += 1
         raised += isinstance(slow, str)
@@ -121,6 +184,28 @@ def test_kernel_matches_oracle(case, monkeypatch):
     count, raised = _compare(case, monkeypatch)
     if case == "budgets":
         assert 0 < raised < count
+
+
+def test_rows_admitted_for_the_a_malcev_nu_collapse(monkeypatch):
+    """Rows handed to _Store.admit while the (0, 0) fragment of the a_malcev
+    nu-collapse, along the first diagonal pair of its collapse, is built:
+    1504946 while every symbol read every argument tuple.  The count does
+    not depend on clone._CHUNK, so only an algorithmic change moves it.  The
+    budget is the fragment's 36 tables, so a kernel that stops reaching its
+    fixpoint raises instead of running on."""
+    with _on_the_oracle():
+        h = homogenize(corpus_algebra("a_malcev")).algebra
+        nu = homogenize(heterogenize(h, find_diagonal_pairs(h, 2)[0]).algebra).algebra
+    rows = []
+    admit = clone._Store.admit
+
+    def counting(store, batch, term_of):
+        rows.append(len(batch))
+        return admit(store, batch, term_of)
+
+    monkeypatch.setattr(clone._Store, "admit", counting)
+    tables, _ = clone._closure_full.__wrapped__(nu, (0, 0), 36)[0]
+    assert len(tables) == 36 and sum(rows) == 102785
 
 
 def test_store_admits_each_row_once_at_its_first_occurrence():
