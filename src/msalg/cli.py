@@ -353,6 +353,7 @@ def _cmd_pp(args, rep):
     relations = []
     conjuncts = []
     seen = {}
+    by_arity = {}
     for spec in args.conjunct:
         bits = spec.split(":")
         if len(bits) != 3:
@@ -361,7 +362,9 @@ def _cmd_pp(args, rep):
         positions = tuple(int(x) for x in bits[2].split(",") if x.strip())
         key = (arity, index)
         if key not in seen:
-            rels = inv_enumerate(alg, arity)
+            if arity not in by_arity:
+                by_arity[arity] = inv_enumerate(alg, arity)
+            rels = by_arity[arity]
             if not 0 <= index < len(rels):
                 raise ProfileError("no relation %d at arity %d, %d exist"
                                    % (index, arity, len(rels)))

@@ -20,15 +20,18 @@ applied to matrices of source elements, then checks that regrouping matrix
 rows into product codes is a bijection between the two answers.  A matrix
 read row-major with per-sort radices is the flat code of its product-code
 tuple, so the pp-commutation check stacks both answers' membership masks
-over one index space and evaluates each sampled formula once.  The
-membership checks (closure, compatibility, invariance) gather each operation
-over an open grid at once and report core.first_failure's witness.
+over one index space, gathers them into one table of (relation, position
+map) rows per span, and evaluates formulas of one shape together, each
+batch one masked broadcast over that table.  The membership checks
+(closure, compatibility, invariance) gather each operation over an open
+grid at once and report core.first_failure's witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ from .core import (
     encode_mixed,
     first_failure,
     gather,
+    grid_columns,
     is_isomorphism,
     open_grid,
     tabulate,
@@ -768,40 +772,84 @@ def _pp_members(rows, radices) -> np.ndarray:
     return member
 
 
-def _pp_solutions(members, n: int, grid, f: PPFormula) -> np.ndarray:
-    """Free parts of the satisfying assignments, one boolean row per stacked
-    membership side, indexed by flat free-position code.  members[k] holds
-    relation k's membership rows over base-n codes, grid is the open grid
-    over every position, and the free positions are the leading axes."""
-    mask = np.ones((len(members[0]),) + (n,) * (f.mu + f.nu), dtype=bool)
-    for k, cmap in f.conjuncts:
-        mask &= members[k][:, encode_digits([grid[p] for p in cmap], (n,) * len(cmap))]
-    return mask.reshape(len(mask), n ** f.mu, n ** f.nu).any(axis=2)
+def _pp_batches(members, n: int, formulas):
+    """Free parts of every formula's satisfying assignments, one boolean
+    row per side, indexed by flat free-position code.
+
+    members[k] holds relation k's two stacked membership rows over base-n
+    codes.  Each span m gets one slot table of shape (2, slots, n^m): for
+    every distinct (relation, position map) the formulas of that span name,
+    both sides' membership at each assignment of the m positions.  Formulas
+    of one span, conjunct count and free count are evaluated together, in
+    batches of at most _CHUNK gathered booleans (one formula, where one
+    alone needs more): the AND of their slot rows, reduced with any over
+    the trailing bound axis.  Yields (positions, rows), rows[side, i]
+    belonging to formulas[positions[i]]; every formula appears once.
+    """
+    # each shape's formulas as flat C-int rows (position, then slot ids),
+    # far smaller than one Python list per formula
+    slots, groups = {}, {}
+    for pos, f in enumerate(formulas):
+        ids = slots.setdefault(f.mu + f.nu, {})
+        group = groups.setdefault((f.mu + f.nu, len(f.conjuncts), f.mu), array("i"))
+        group.append(pos)
+        group.extend(ids.setdefault(c, len(ids)) for c in f.conjuncts)
+    tables = {}
+    for m, ids in slots.items():
+        cols = grid_columns((n,) * m)
+        tables[m] = table = np.empty((2, len(ids), n ** m), dtype=bool)
+        for s, (k, cmap) in enumerate(ids):
+            codes = encode_digits([cols[p] for p in cmap], (n,) * len(cmap))
+            table[:, s] = members[k][:, np.broadcast_to(codes, (n ** m,))]
+    for (m, c, mu), group in groups.items():
+        group = np.frombuffer(group, dtype=np.intc).reshape(-1, c + 1)
+        step = max(1, _CHUNK // max(2 * n ** m, 1))
+        for lo in range(0, len(group), step):
+            pos, ids = group[lo:lo + step, 0], group[lo:lo + step, 1:]
+            mask = tables[m][:, ids[:, 0]] if c else np.ones((2, len(pos), n ** m), dtype=bool)
+            for j in range(1, c):
+                mask &= tables[m][:, ids[:, j]]
+            yield pos, mask.reshape(2, len(pos), n ** mu, n ** (m - mu)).any(axis=3)
 
 
 def _pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
-    """Evaluate each formula once over the relations as product-code tuples
-    stacked with the matching matrix sets, each matrix regrouped into its
-    product codes, and count the formulas whose two sides differ.
+    """Evaluate the formulas in batches of one shape over the relations as
+    product-code tuples stacked with the matching matrix sets, each matrix
+    regrouped into its product codes, and count the formulas whose two
+    sides differ.  The first spot_checks formulas' code-side rows, as the
+    batches produced them, are compared with pp_evaluate.
     Returns (#formulas, #disagreements, spot ok)."""
     n = h.size
-    span = max(f.mu + f.nu for f in formulas)
     members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
                for r, m in zip(rels, mats, strict=True)]
-    grids = [open_grid((n,) * m) for m in range(span + 1)]
-
     bad = 0
+    code_rows = {}
+    for pos, rows in _pp_batches(members, n, formulas):
+        bad += int(np.count_nonzero((rows[0] != rows[1]).any(axis=1)))
+        spot = pos < spot_checks
+        code_rows.update(zip(pos[spot].tolist(), rows[0, spot]))
+
     spot_ok = True
-    for count, f in enumerate(formulas):
-        code_side, mat_side = _pp_solutions(members, n, grids[f.mu + f.nu], f)
-        if not np.array_equal(code_side, mat_side):
-            bad += 1
-        if count < spot_checks:
-            direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
-            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
-                                  np.flatnonzero(code_side)):
-                spot_ok = False
+    for count in range(min(spot_checks, len(formulas))):
+        f = formulas[count]
+        direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
+        if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
+                              np.flatnonzero(code_rows[count])):
+            spot_ok = False
     return len(formulas), bad, spot_ok
+
+
+def _pp_sample(kept):
+    """The relations the pp-commutation check reads, as (relation, matrix
+    set) pairs: up to two of each arity 1 and 2 from kept (arity -> pairs),
+    those neither empty nor full first, then the rest in order."""
+    sample = []
+    for arity in (1, 2):
+        pairs = kept.get(arity, [])
+        full = max((len(r.tuples) for r, _ in pairs), default=0)
+        inner = [p for p in pairs if 0 < len(p[0].tuples) < full]
+        sample.extend((inner + [p for p in pairs if p not in inner])[:2])
+    return sample
 
 
 def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE_BUDGET) -> Verification:
@@ -834,12 +882,7 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
             "%d invariant sets as code tuples, %d as matrices" % (len(rels), len(mats))))
         kept[mu] = list(zip(rels, mats))
 
-    sample = []
-    for arity in (1, 2):
-        pairs = kept.get(arity, [])
-        full = max((len(r.tuples) for r, _ in pairs), default=0)
-        inner = [p for p in pairs if 0 < len(p[0].tuples) < full]
-        sample.extend((inner + [p for p in pairs if p not in inner])[:2])
+    sample = _pp_sample(kept)
     if sample:
         rels, mats = zip(*sample)
         formulas = _formula_sample(rels, 4)

@@ -7,6 +7,11 @@ is_congruence, Inv and the matrix route by pairwise joins of singleton
 closures, each closed from scratch, and subalgebra generation by a Python
 fixpoint over whole argument products.  test_lattice_engine.py compares the
 engine with them.
+
+pp_both_sides is the pp-commutation check as it was before formulas were
+evaluated in batches of one shape: one pp_solutions call per formula, with
+the spot checks reading that call's code-side row.  test_lattice.py
+compares the batched check with it.
 """
 
 from __future__ import annotations
@@ -15,14 +20,17 @@ import itertools
 
 import numpy as np
 
-from msalg.core import decode_mixed
+from msalg.core import decode_mixed, encode_digits, encode_mixed, open_grid
 from msalg.homog import assembled_fragment, homogenize
 from msalg.lattice import (
     Congruence,
+    PPFormula,
     Relation,
     SubUniverse,
+    _pp_members,
     is_closed_family,
     is_congruence,
+    pp_evaluate,
 )
 
 
@@ -167,3 +175,39 @@ def matrix_route(alg, h, mu) -> list[frozenset]:
                          h.size ** mu)
     radices = tuple(alg.carriers) * mu
     return [frozenset(decode_mixed(c, radices) for c in s) for s in sets]
+
+
+def pp_solutions(members, n: int, grid, f: PPFormula) -> np.ndarray:
+    """Free parts of the satisfying assignments, one boolean row per stacked
+    membership side, indexed by flat free-position code.  members[k] holds
+    relation k's membership rows over base-n codes, grid is the open grid
+    over every position, and the free positions are the leading axes."""
+    mask = np.ones((len(members[0]),) + (n,) * (f.mu + f.nu), dtype=bool)
+    for k, cmap in f.conjuncts:
+        mask &= members[k][:, encode_digits([grid[p] for p in cmap], (n,) * len(cmap))]
+    return mask.reshape(len(mask), n ** f.mu, n ** f.nu).any(axis=2)
+
+
+def pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
+    """Evaluate each formula once over the relations as product-code tuples
+    stacked with the matching matrix sets, each matrix regrouped into its
+    product codes, and count the formulas whose two sides differ.
+    Returns (#formulas, #disagreements, spot ok)."""
+    n = h.size
+    span = max(f.mu + f.nu for f in formulas)
+    members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
+               for r, m in zip(rels, mats, strict=True)]
+    grids = [open_grid((n,) * m) for m in range(span + 1)]
+
+    bad = 0
+    spot_ok = True
+    for count, f in enumerate(formulas):
+        code_side, mat_side = pp_solutions(members, n, grids[f.mu + f.nu], f)
+        if not np.array_equal(code_side, mat_side):
+            bad += 1
+        if count < spot_checks:
+            direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
+            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
+                                  np.flatnonzero(code_side)):
+                spot_ok = False
+    return len(formulas), bad, spot_ok

@@ -7,13 +7,14 @@ import sys
 from contextlib import redirect_stdout
 
 from msalg.corpus import corpus_algebra, corpus_names
+import msalg.cli as cli
 from msalg.cli import main
 from msalg.clone import fragment_contains, generate_fragment
 from msalg.fmt import parse_algebra
 from msalg.core import Profile, build_algebra, term_str
 from msalg.hetero import canonical_pair
 from msalg.homog import homogenize
-from msalg.lattice import inv_enumerate
+from msalg.lattice import PPFormula, inv_enumerate, pp_evaluate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -292,6 +293,26 @@ def test_pp_composition_through_the_cli():
                        "--conjunct", "2:%d:2,1" % k])
     assert rc == 0
     assert "result: (0,2) (1,0) (2,1)" in out
+
+
+def test_pp_enumerates_each_arity_once(monkeypatch):
+    calls = []
+
+    def counted(alg, mu, **kw):
+        calls.append((mu, inv_enumerate(alg, mu, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "inv_enumerate", counted)
+    rc, out = run_cli(["pp", "@a_tiny", "--mu", "2", "--conjunct", "2:3:0,1", "--conjunct", "2:5:1,0",
+                       "--conjunct", "2:7:0,0", "--conjunct", "1:1:1", "--conjunct", "2:3:1,1"])
+    assert rc == 0
+    assert [mu for mu, _ in calls] == [2, 1]
+    rels = [calls[0][1][i] for i in (3, 5, 7)] + [calls[1][1][1]]
+    result = pp_evaluate(rels, PPFormula(2, 0, ((0, (0, 1)), (1, (1, 0)), (2, (0, 0)), (3, (1,)), (0, (1, 1)))), 6)
+    lines = out.splitlines()
+    assert ["relation %d: %s" % (i, cli._fmt_tuples(r.tuples)) for i, r in enumerate(rels)] \
+        == [line for line in lines if line.startswith("relation ")]
+    assert "result: %s" % cli._fmt_tuples(result.tuples) in lines
 
 
 def test_quotient_output_parses_and_shrinks():

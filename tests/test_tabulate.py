@@ -24,7 +24,6 @@ from msalg.core import (
     compose,
     grid_columns,
     is_homomorphism,
-    open_grid,
     projection,
 )
 from msalg.corpus import corpus_algebra, corpus_names
@@ -40,8 +39,8 @@ from msalg.homog import _diag_table, _lift, assemble, homogenize, morphism_lift
 from msalg.lattice import (
     PPFormula,
     _formula_sample,
+    _pp_batches,
     _pp_members,
-    _pp_solutions,
     _quotient_psi,
     _square_psi,
     congruence_generate,
@@ -271,9 +270,12 @@ def case_pp_sides():
         mats = [{tuple(d for c in t for d in h.decode(c)) for t in r.tuples} for r in rels]
         members = [np.stack([_pp_members(r.tuples, (h.size,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
                    for r, m in zip(rels, mats)]
-        for f in formulas:
-            rows = _pp_solutions(members, h.size, open_grid((h.size,) * (f.mu + f.nu)), f)
-            yield name, [np.flatnonzero(row) for row in rows], list(oracle.pp_sides(alg, h, rels, f))
+        rows = {}
+        for pos, batch in _pp_batches(members, h.size, formulas):
+            rows.update((p, batch[:, i]) for i, p in enumerate(pos.tolist()))
+        assert sorted(rows) == list(range(len(formulas)))
+        for p, f in enumerate(formulas):
+            yield name, [np.flatnonzero(row) for row in rows[p]], list(oracle.pp_sides(alg, h, rels, f))
 
 
 def case_grid_columns():
