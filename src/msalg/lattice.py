@@ -20,9 +20,10 @@ applied to matrices of source elements, then checks that regrouping matrix
 rows into product codes is a bijection between the two answers.  A matrix
 read row-major with per-sort radices is the flat code of its product-code
 tuple, so the pp-commutation check stacks both answers' membership masks
-over one index space, gathers them into one table of (relation, position
-map) rows per span, and evaluates formulas of one shape together, each
-batch one masked broadcast over that table.  The membership checks
+over one index space and reads its formula sample off one table of
+(relation, position map) rows per span: a single conjunct is a row of that
+table, a pair of conjuncts one block per first slot, each reduced with any
+over the bound positions.  The membership checks
 (closure, compatibility, invariance) gather each operation over an open
 grid at once and report core.first_failure's witness.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -534,8 +534,10 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
     Five checks: boxes over closed families are exactly the closed subsets
     of the product carrier; componentwise partitions are exactly its
     congruences, bijectively; quotients commute with the construction, as
-    do binary direct powers; and the box map is injective exactly when the
-    unary cross-sort fragment is pure.
+    do binary direct powers; and the box map is injective exactly when
+    closed-term values fill every sort s1 that has no unary term into some
+    sort.  Only empty boxes collide, and the closed-term family lies below
+    every family.
     """
     h = homogenize(alg)
     checks = []
@@ -578,9 +580,11 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
         "square on %d product elements" % hsq.size if ok else why))
 
     injective = len(boxes) == len(subs_a)
-    pure = is_pure(alg).pure
+    report = is_pure(alg)
+    closed0 = subalgebra_generate(alg, [()] * alg.n_sorts).sets
+    filled = all(len(closed0[s1]) == alg.carriers[s1] for s1, _ in report.missing())
     if injective:
-        detail = "box map injective on %d families, purity %r" % (len(subs_a), pure)
+        detail = "box map injective on %d families, purity %r" % (len(subs_a), report.pure)
     else:
         seen = {}
         collapse = None
@@ -590,8 +594,8 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
                 collapse = (seen[key].sets, su.sets)
                 break
             seen[key] = su
-        detail = "families %r and %r share one box, purity %r" % (collapse + (pure,))
-    checks.append(CheckResult("sub-injective-iff-pure", injective == pure, detail))
+        detail = "families %r and %r share one box, purity %r" % (collapse + (report.pure,))
+    checks.append(CheckResult("sub-injective-iff-pure", injective == filled, detail))
 
     return Verification(tuple(checks))
 
@@ -745,22 +749,20 @@ def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None
     return result
 
 
+def _slots(rels, m):
+    """Every (relation index, position map) over m positions, in the order
+    the formula sample and its grid share."""
+    return [(k, cmap) for k, r in enumerate(rels) for cmap in itertools.product(range(m), repeat=r.arity)]
+
+
 def _formula_sample(rels, span):
     """Every formula with at most two conjuncts over the sample relations,
-    free plus bound positions adding up to 1..span."""
-    out = []
+    free plus bound positions adding up to 1..span, generated lazily."""
     for m in range(1, span + 1):
-        slots = [(k, cmap)
-                 for k, r in enumerate(rels)
-                 for cmap in itertools.product(range(m), repeat=r.arity)]
+        slots = _slots(rels, m)
         for mu in range(m, -1, -1):
-            nu = m - mu
-            for c in slots:
-                out.append(PPFormula(mu, nu, (c,)))
-            for c1 in slots:
-                for c2 in slots:
-                    out.append(PPFormula(mu, nu, (c1, c2)))
-    return out
+            for conjuncts in itertools.chain(zip(slots), itertools.product(slots, repeat=2)):
+                yield PPFormula(mu, m - mu, conjuncts)
 
 
 def _pp_members(rows, radices) -> np.ndarray:
@@ -772,71 +774,51 @@ def _pp_members(rows, radices) -> np.ndarray:
     return member
 
 
-def _pp_batches(members, n: int, formulas):
-    """Free parts of every formula's satisfying assignments, one boolean
-    row per side, indexed by flat free-position code.
-
-    members[k] holds relation k's two stacked membership rows over base-n
-    codes.  Each span m gets one slot table of shape (2, slots, n^m): for
-    every distinct (relation, position map) the formulas of that span name,
-    both sides' membership at each assignment of the m positions.  Formulas
-    of one span, conjunct count and free count are evaluated together, in
-    batches of at most _CHUNK gathered booleans (one formula, where one
-    alone needs more): the AND of their slot rows, reduced with any over
-    the trailing bound axis.  Yields (positions, rows), rows[side, i]
-    belonging to formulas[positions[i]]; every formula appears once.
-    """
-    # each shape's formulas as flat C-int rows (position, then slot ids),
-    # far smaller than one Python list per formula
-    slots, groups = {}, {}
-    for pos, f in enumerate(formulas):
-        ids = slots.setdefault(f.mu + f.nu, {})
-        group = groups.setdefault((f.mu + f.nu, len(f.conjuncts), f.mu), array("i"))
-        group.append(pos)
-        group.extend(ids.setdefault(c, len(ids)) for c in f.conjuncts)
-    tables = {}
-    for m, ids in slots.items():
-        cols = grid_columns((n,) * m)
-        tables[m] = table = np.empty((2, len(ids), n ** m), dtype=bool)
-        for s, (k, cmap) in enumerate(ids):
-            codes = encode_digits([cols[p] for p in cmap], (n,) * len(cmap))
-            table[:, s] = members[k][:, np.broadcast_to(codes, (n ** m,))]
-    for (m, c, mu), group in groups.items():
-        group = np.frombuffer(group, dtype=np.intc).reshape(-1, c + 1)
-        step = max(1, _CHUNK // max(2 * n ** m, 1))
-        for lo in range(0, len(group), step):
-            pos, ids = group[lo:lo + step, 0], group[lo:lo + step, 1:]
-            mask = tables[m][:, ids[:, 0]] if c else np.ones((2, len(pos), n ** m), dtype=bool)
-            for j in range(1, c):
-                mask &= tables[m][:, ids[:, j]]
-            yield pos, mask.reshape(2, len(pos), n ** mu, n ** (m - mu)).any(axis=3)
-
-
-def _pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
-    """Evaluate the formulas in batches of one shape over the relations as
-    product-code tuples stacked with the matching matrix sets, each matrix
-    regrouped into its product codes, and count the formulas whose two
-    sides differ.  The first spot_checks formulas' code-side rows, as the
-    batches produced them, are compared with pp_evaluate.
-    Returns (#formulas, #disagreements, spot ok)."""
+def _pp_grid(alg, h, rels, mats, span):
+    """The free parts of every formula's satisfying assignments, in
+    _formula_sample(rels, span) order, as blocks of shape (2, formulas,
+    n^mu) indexed by flat free-position code: side 0 over the product-code
+    relations, side 1 over the matching matrix sets.  Span m's slot table
+    holds both sides' membership for each slot at each assignment; single
+    conjuncts read its rows, pairs one block per first slot (no block
+    larger than the table), each reduced with any over the bound axis."""
     n = h.size
     members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
                for r, m in zip(rels, mats, strict=True)]
-    bad = 0
-    code_rows = {}
-    for pos, rows in _pp_batches(members, n, formulas):
-        bad += int(np.count_nonzero((rows[0] != rows[1]).any(axis=1)))
-        spot = pos < spot_checks
-        code_rows.update(zip(pos[spot].tolist(), rows[0, spot]))
+    for m in range(1, span + 1):
+        slots = _slots(rels, m)
+        cols = grid_columns((n,) * m)
+        table = np.empty((2, len(slots), n ** m), dtype=bool)
+        for s, (k, cmap) in enumerate(slots):
+            codes = encode_digits([cols[p] for p in cmap], (n,) * len(cmap))
+            table[:, s] = members[k][:, np.broadcast_to(codes, (n ** m,))]
+        for mu in range(m, -1, -1):
+            split = (2, len(slots), n ** mu, n ** (m - mu))
+            yield table.reshape(split).any(axis=3)
+            for c1 in range(len(slots)):
+                yield (table[:, c1, None] & table).reshape(split).any(axis=3)
 
+
+def _pp_both_sides(alg, h, rels, mats, span, spot_checks):
+    """Count the formulas of _formula_sample(rels, span) whose two sides
+    in _pp_grid differ.  The first spot_checks formulas' code-side rows
+    are compared with pp_evaluate, which also verifies that each result is
+    invariant.  Returns (#formulas, #disagreements, spot ok)."""
+    total = bad = 0
+    spots = []
+    for rows in _pp_grid(alg, h, rels, mats, span):
+        total += rows.shape[1]
+        bad += int(np.count_nonzero((rows[0] != rows[1]).any(axis=1)))
+        spots.extend(rows[0, :spot_checks - len(spots)])
+
+    n = h.size
     spot_ok = True
-    for count in range(min(spot_checks, len(formulas))):
-        f = formulas[count]
+    for f, row in zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots):
         direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
         if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
-                              np.flatnonzero(code_rows[count])):
+                              np.flatnonzero(row)):
             spot_ok = False
-    return len(formulas), bad, spot_ok
+    return total, bad, spot_ok
 
 
 def _pp_sample(kept):
@@ -860,6 +842,15 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
 
     Needs a pure unary fragment, the hypothesis under which the regrouping
     map is a bijection on members in the first place.
+
+    A matrix read row-major with per-sort radices is the flat code of its
+    product-code tuple, and both routes sort their sets by size, then
+    members, in the same order.  So once reshape-bijection-mu1 and -mu2
+    pass, each sampled pair's two stacked masks are equal, and
+    pp-commutation can count disagreements only alongside a failing
+    reshape check.  Its independent content is the spot checks: the first
+    25 formulas' grid rows are compared with pp_evaluate, which also
+    verifies that each result is invariant.
     """
     if mu_max < 1:
         raise ProfileError("relation arity bound must be at least 1, got %d" % mu_max)
@@ -885,8 +876,7 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     sample = _pp_sample(kept)
     if sample:
         rels, mats = zip(*sample)
-        formulas = _formula_sample(rels, 4)
-        total, bad, spot_ok = _pp_both_sides(alg, h, rels, mats, formulas, 25)
+        total, bad, spot_ok = _pp_both_sides(alg, h, rels, mats, 4, 25)
         checks.append(CheckResult(
             "pp-commutation", bad == 0 and spot_ok,
             "%d formulas over %d sampled relations, %d disagreements"

@@ -8,10 +8,11 @@ closures, each closed from scratch, and subalgebra generation by a Python
 fixpoint over whole argument products.  test_lattice_engine.py compares the
 engine with them.
 
-pp_both_sides is the pp-commutation check as it was before formulas were
-evaluated in batches of one shape: one pp_solutions call per formula, with
-the spot checks reading that call's code-side row.  test_lattice.py
-compares the batched check with it.
+pp_both_sides is the pp-commutation check as it was before the formula
+sample was read off one slot table per span: one pp_solutions call per
+formula of a given list, with the spot checks reading that call's
+code-side row.  test_lattice.py compares the grid with both, row by row
+and count by count.
 """
 
 from __future__ import annotations

@@ -123,6 +123,17 @@ def test_diag_verify_rejects_a_corrupted_e(tmp_path):
     assert "FAIL" in out
 
 
+def test_transfer_passes_when_closed_terms_fill_the_unreachable_sort(tmp_path):
+    # no term w -> u, so the algebra is not pure, yet the constant fills w:
+    # every closed family has w = {0}, and all 8 boxes are distinct
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "constant.alg")
+    save_algebra(path, build_algebra([("u", 3), ("w", 1)], [("c", [], "w", [0])]))
+    rc, out = run_cli(["transfer", path, "--deterministic-timing"])
+    assert rc == 0, out
+    assert "check sub-injective-iff-pure: pass (box map injective on 8 families, purity False)" in out
+
+
 def test_exit_2_on_unknown_corpus_name():
     rc, _out = run_cli(["pure", "@no_such_algebra"])
     assert rc == 2

@@ -18,13 +18,13 @@ values were derived by hand first and are asserted literally:
 
 import functools
 import itertools
-import random
 
+import numpy as np
 import pytest
 
 import oracle_lattice as oracle
 from msalg.clone import is_pure
-from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_algebra
+from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_algebra, open_grid
 from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
@@ -35,6 +35,8 @@ from msalg.lattice import (
     _formula_sample,
     _matrix_route,
     _pp_both_sides,
+    _pp_grid,
+    _pp_members,
     _pp_sample,
     congruence_generate,
     congruence_join,
@@ -593,10 +595,9 @@ def test_pp_commutation_counts_a_changed_matrix_relation():
     full = len(rels[-1].tuples)
     picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
     sample, sample_mats = [rels[i] for i in picks], [mats[i] for i in picks]
-    formulas = _formula_sample(sample, 3)
-    assert _pp_both_sides(alg, h, sample, sample_mats, formulas, 0)[1] == 0
+    assert _pp_both_sides(alg, h, sample, sample_mats, 3, 0)[1] == 0
     changed = sorted(sample_mats[0])[1:]       # one member fewer
-    total, bad, _ = _pp_both_sides(alg, h, sample, [frozenset(changed)] + sample_mats[1:], formulas, 0)
+    total, bad, _ = _pp_both_sides(alg, h, sample, [frozenset(changed)] + sample_mats[1:], 3, 0)
     assert 0 < bad <= total
 
 
@@ -611,8 +612,7 @@ def test_pp_spot_checks_read_the_code_side():
     full = len(rels[-1].tuples)
     picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
     changed = frozenset(sorted(mats[picks[0]])[1:])
-    total, bad, spot_ok = _pp_both_sides(alg, h, [rels[i] for i in picks], [changed, mats[picks[1]]],
-                                         _formula_sample([rels[i] for i in picks], 3), 200)
+    total, bad, spot_ok = _pp_both_sides(alg, h, [rels[i] for i in picks], [changed, mats[picks[1]]], 3, 200)
     assert 0 < bad < total
     assert spot_ok
 
@@ -631,58 +631,57 @@ def _pp_relations(name):
     return alg, h, rels, mats
 
 
-def _pp_inputs(name, span):
-    """The sample and the formulas over it up to span."""
-    alg, h, rels, mats = _pp_relations(name)
-    return alg, h, rels, mats, tuple(_formula_sample(rels, span))
-
-
 def _changed(mats):
     """The last matrix set (arity 2) with its first member dropped."""
     return mats[:-1] + (frozenset(sorted(mats[-1])[1:]),)
 
 
-def _same_as_oracle(alg, h, rels, mats, formulas, spot_checks):
-    got = _pp_both_sides(alg, h, rels, mats, formulas, spot_checks)
+def _same_as_oracle(alg, h, rels, mats, span, spot_checks):
+    got = _pp_both_sides(alg, h, rels, mats, span, spot_checks)
+    formulas = list(_formula_sample(rels, span))
     assert got == oracle.pp_both_sides(alg, h, rels, mats, formulas, spot_checks)
     return got
 
 
+# span 4 is what verify_inv_iso samples, span 3 keeps the others cheap;
+# a_semilat, the fifth pure corpus algebra, is left out because its 1217
+# binary invariant relations take about 7 s to enumerate
+CORPUS_SPANS = (("a_tiny", 4), ("a_malcev", 3), ("a_group", 3), ("a_lattice", 3))
+
+
+def test_pp_grid_rows_match_the_per_formula_oracle():
+    # every formula's (code, matrix) row, in sample order, against one
+    # pp_solutions call, with both sides equal and with a shortened matrix set
+    for name, span in CORPUS_SPANS:
+        alg, h, rels, mats = _pp_relations(name)
+        n = h.size
+        grids = [open_grid((n,) * m) for m in range(span + 1)]
+        for sides in (mats, _changed(mats)):
+            members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
+                       for r, m in zip(rels, sides)]
+            rows = (row for block in _pp_grid(alg, h, rels, sides, span) for row in block.transpose(1, 0, 2))
+            for f, row in zip(_formula_sample(rels, span), rows, strict=True):
+                assert np.array_equal(row, oracle.pp_solutions(members, n, grids[f.mu + f.nu], f)), (name, f)
+
+
 def test_pp_batches_match_the_per_formula_oracle_on_the_corpus():
-    # span 4 is what verify_inv_iso samples, span 3 keeps the others cheap;
-    # a_semilat, the fifth pure corpus algebra, is left out because its
-    # 1217 binary invariant relations take about 7 s to enumerate
-    for name in ("a_tiny", "a_malcev", "a_group", "a_lattice"):
-        alg, h, rels, mats, formulas = _pp_inputs(name, 4 if name == "a_tiny" else 3)
+    for name, span in CORPUS_SPANS:
+        alg, h, rels, mats = _pp_relations(name)
         assert is_pure(alg).pure
-        assert _same_as_oracle(alg, h, rels, mats, formulas, 25) == (len(formulas), 0, True), name
+        total = sum(1 for _ in _formula_sample(rels, span))
+        assert _same_as_oracle(alg, h, rels, mats, span, 25) == (total, 0, True), name
         # shortening a matrix relation leaves the code side the spot checks read
-        total, bad, _ = _same_as_oracle(alg, h, rels, _changed(mats), formulas, 0)
+        total, bad, _ = _same_as_oracle(alg, h, rels, _changed(mats), span, 0)
         assert 0 < bad < total, name
 
 
-def test_pp_batches_match_the_oracle_on_a_shuffled_sample():
-    alg, h, rels, mats, formulas = _pp_inputs("a_tiny", 3)
-    formulas = list(formulas)
-    random.Random(9).shuffle(formulas)
-    assert _same_as_oracle(alg, h, rels, _changed(mats), formulas, 25)[1] > 0
-
-
-def test_pp_batches_match_the_oracle_without_conjuncts_or_free_positions():
-    alg, h, rels, mats, formulas = _pp_inputs("a_tiny", 3)
-    bare = (PPFormula(0, 0, ()), PPFormula(2, 1, ()), PPFormula(0, 2, ()))
-    closed = tuple(f for f in formulas if f.mu == 0)
-    for sample in (bare + formulas, closed + bare):
-        assert _same_as_oracle(alg, h, rels, _changed(mats), sample, 30)[2]
-
-
 def test_pp_batches_match_the_oracle_at_every_spot_check_count():
-    alg, h, rels, mats, formulas = _pp_inputs("a_group", 2)
+    alg, h, rels, mats = _pp_relations("a_group")
     for spot_checks in (0, 25):
         for sides in (mats, _changed(mats)):
-            assert _same_as_oracle(alg, h, rels, sides, formulas, spot_checks)[2]
-    formulas = _formula_sample(rels, 1)
-    assert _same_as_oracle(alg, h, rels, _changed(mats), formulas, len(formulas) + 5)[2]
+            assert _same_as_oracle(alg, h, rels, sides, 2, spot_checks)[2]
+    size = sum(1 for _ in _formula_sample(rels, 1))
+    assert _same_as_oracle(alg, h, rels, _changed(mats), 1, size + 5)[2]
 
 
 def test_verify_inv_iso_rejects_nonpure():

@@ -1,0 +1,66 @@
+"""Properties of random small many-sorted algebras.
+
+Each hypothesis case is an algebra with one or two sorts, carriers of 0 to
+2 elements, and up to four symbols of arity 0 to 2, nullary symbols and
+empty carriers included.  Carriers stop at 2 because one draw with a
+carrier of 3 spent minutes in clone.saturate, longer than a test may run.
+The cases are derandomized with the settings of test_equations.py.
+"""
+
+import math
+
+from hypothesis import given, strategies as st
+
+from test_equations import SETTINGS
+from msalg.clone import is_pure
+from msalg.core import build_algebra
+from msalg.fmt import emit_algebra, parse_algebra
+from msalg.hetero import verify_mu_roundtrip
+from msalg.lattice import verify_sub_con_transfer
+
+SORTS = ("u", "w")
+
+
+@st.composite
+def algebras(draw):
+    carriers = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    sorts = list(zip(SORTS, carriers))
+    # uniform symbols rarely give two sorts unary maps both ways, so half
+    # the two-sort draws open with the cross maps u -> w and w -> u
+    cross = [([0], 1), ([1], 0)] if len(sorts) == 2 and draw(st.booleans()) else []
+    ops = []
+    for i in range(draw(st.integers(len(cross), 4))):
+        ins = cross[i][0] if i < len(cross) else draw(st.lists(st.sampled_from(range(len(sorts))), max_size=2))
+        points = math.prod(carriers[s] for s in ins)
+        # an operation with a nonempty domain needs a nonempty cod carrier
+        cods = [s for s, n in enumerate(carriers) if n or not points]
+        if i < len(cross):
+            cods = [s for s in cods if s == cross[i][1]]
+        if not cods:
+            continue
+        cod = draw(st.sampled_from(cods))
+        outputs = draw(st.lists(st.integers(0, max(carriers[cod] - 1, 0)), min_size=points, max_size=points))
+        ops.append(("f%d" % i, [SORTS[s] for s in ins], SORTS[cod], outputs))
+    return build_algebra(sorts, ops)
+
+
+@SETTINGS
+@given(algebras())
+def test_emit_then_parse_is_the_identity(alg):
+    text = emit_algebra(alg)
+    again = parse_algebra(text)
+    assert again == alg
+    assert emit_algebra(again) == text
+
+
+@SETTINGS
+@given(algebras())
+def test_mu_roundtrip_holds_exactly_when_pure(alg):
+    assert verify_mu_roundtrip(alg, lam=2).ok == is_pure(alg).pure
+
+
+@SETTINGS
+@given(algebras())
+def test_box_map_injectivity_matches_the_closed_term_condition(alg):
+    checks = {c.name: c for c in verify_sub_con_transfer(alg).checks}
+    assert checks["sub-injective-iff-pure"].ok, checks["sub-injective-iff-pure"].detail

@@ -37,10 +37,8 @@ from msalg.hetero import (
 )
 from msalg.homog import _diag_table, _lift, assemble, homogenize, morphism_lift
 from msalg.lattice import (
-    PPFormula,
     _formula_sample,
-    _pp_batches,
-    _pp_members,
+    _pp_grid,
     _quotient_psi,
     _square_psi,
     congruence_generate,
@@ -266,16 +264,12 @@ def case_pp_sides():
         alg = corpus_algebra(name)
         h = homogenize(alg)
         rels = inv_enumerate(alg, 1)[:2] + inv_enumerate(alg, 2)[1:3]
-        formulas = _formula_sample(rels, 3)[::7] + [PPFormula(0, 1, ((0, (0,)),))]
         mats = [{tuple(d for c in t for d in h.decode(c)) for t in r.tuples} for r in rels]
-        members = [np.stack([_pp_members(r.tuples, (h.size,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
-                   for r, m in zip(rels, mats)]
-        rows = {}
-        for pos, batch in _pp_batches(members, h.size, formulas):
-            rows.update((p, batch[:, i]) for i, p in enumerate(pos.tolist()))
-        assert sorted(rows) == list(range(len(formulas)))
-        for p, f in enumerate(formulas):
-            yield name, [np.flatnonzero(row) for row in rows[p]], list(oracle.pp_sides(alg, h, rels, f))
+        rows = (row for block in _pp_grid(alg, h, rels, mats, 3) for row in block.transpose(1, 0, 2))
+        for p, (f, row) in enumerate(zip(_formula_sample(rels, 3), rows, strict=True)):
+            # every seventh formula, and every closed one with a single conjunct
+            if p % 7 == 0 or (f.mu == 0 and len(f.conjuncts) == 1):
+                yield name, [np.flatnonzero(side) for side in row], list(oracle.pp_sides(alg, h, rels, f))
 
 
 def case_grid_columns():
