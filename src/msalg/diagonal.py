@@ -175,6 +175,12 @@ def find_diagonal_pairs(alg: SortedAlgebra, width: int, *,
 
     Deterministic: candidates come out of fragment generation in insertion
     order and the result is sorted by (d outputs, e outputs).
+
+    Separable: the collapse and idempotence equations each read one e_s, so
+    per idempotent d every slot's candidates are filtered by them first,
+    and only absorption, which couples the slots, is checked on the product
+    of the survivors.  These are verify_diagonal_pair's checks, so exactly
+    its passing pairs are found.
     """
     if not alg.is_single_sorted:
         raise ProfileError("diagonal pairs live on single-sorted algebras")
@@ -182,15 +188,20 @@ def find_diagonal_pairs(alg: SortedAlgebra, width: int, *,
     frag = generate_fragment(alg, [(0,) * width, (0,)], budget=budget)
     ds = frag.tables[Profile((0,) * width, 0)]
     es = frag.tables[Profile((0,), 0)]
-    points = np.arange(alg.carriers[0])
+    n = alg.carriers[0]
+    stacked = stack_unary(es, n)
+    idempotent = (np.take_along_axis(stacked, stacked, axis=1) == stacked).all(axis=1)
+    grid, points, axes = open_grid((n,) * width), np.arange(n), tuple(range(1, width + 1))
     found = []
     for d in ds:
         if (gather(d, [points] * width) != points).any():
             continue
-        for combo in itertools.product(es, repeat=width):
-            pair = DiagonalPair(d, tuple(combo))
-            if verify_diagonal_pair(alg, pair).ok:
-                found.append(pair)
+        y = gather(d, grid)
+        # slot s keeps the idempotent e with e(d(x)) = e(x_s) everywhere
+        slots = [np.flatnonzero(idempotent & (stacked[:, y] == stacked[:, c]).all(axis=axes)) for c in grid]
+        for combo in itertools.product(*slots):
+            if (gather(d, [stacked[i][c] for i, c in zip(combo, grid)]) == y).all():
+                found.append(DiagonalPair(d, tuple(es[i] for i in combo)))
     found.sort(key=lambda p: (p.d.outputs, tuple(e.outputs for e in p.es)))
     return tuple(found)
 

@@ -11,8 +11,15 @@ carrier: a member of a relation of arity mu is a mu-tuple of product codes.
 Sub, Con and Inv come from one engine: _closed_sets walks the joins of
 principal closed sets, each join computed from an already closed set.  Sub
 and Inv are closed subsets of a power of an algebra, operations acting
-coordinatewise, closed by one semi-naive kernel (_Power); a Con join reruns
-the union-find worklist of congruence_generate.  Invariant relations take
+coordinatewise, closed by one kernel (_Power); a Con join reruns the
+union-find worklist of congruence_generate.  A power builds, once, one
+boolean reach tensor per operation profile, true at (x_1..x_k, z) when
+some table of that profile sends the power points x_1..x_k to z, and a
+closure round contracts the member mask with each tensor one input sort at
+a time.  A tensor has (n^mu)^(k+1) cells, so a power whose tensors would
+pass _REACH_CELLS in all (mu = 3 on a 6-element binary collapse already
+wants 216^3) closes by the semi-naive digit gather instead, the one path
+that runs on large powers.  Invariant relations take
 two independent routes: inv_enumerate closes the mu-th power of the
 homogenized algebra under its basic operations, and verify_inv_iso closes
 it under tuples of source term operations over a shared variable block,
@@ -90,12 +97,17 @@ def _closed_sets(bottom, generators, join, budget: int) -> list:
     return found
 
 
-# Gathered values one closure step aims to hold at once: a larger step is
-# split along its fresh argument position, which keeps peak memory flat.
+# Gathered values one closure step, or one block of a reach tensor's build,
+# aims to hold at once: a larger step is split along its fresh argument
+# position and a build into blocks of argument rows, which keeps peak
+# memory flat.
 _CHUNK = 1 << 14
 # A closure step wanting more argument rows than this raises BudgetError
 # instead of running for hours.
 _STEP_ROWS = 20_000_000
+# A power holds reach tensors only when their cells (one byte each) number
+# fewer than this in all; a larger power closes by the digit path.
+_REACH_CELLS = 1 << 21
 
 
 class _Power:
@@ -103,8 +115,13 @@ class _Power:
 
     A point of sort s is a code of mu base-n_s digits, first coordinate most
     significant; the points of all sorts share one id space, sort by sort.
-    Tables of one profile are stacked, so a closure round costs one gather
-    per profile and argument position."""
+    Tables of one profile are stacked.  When the power's reach tensors (see
+    _reach) have fewer than _REACH_CELLS cells in all, they are built once
+    and a closure round is k row selections and any-reductions per k-ary
+    profile (_close_reach).  The cap bounds their memory, which grows as
+    (n^mu)^(k+1): larger powers close by one gather of stacked digit codes
+    per profile and argument position instead (_close_digits).  Both paths
+    reach the same least fixpoint."""
 
     def __init__(self, carriers, tables, mu: int):
         self.carriers, self.mu = tuple(carriers), mu
@@ -120,16 +137,66 @@ class _Power:
             else:
                 self.constants.append(self.diagonal(t.profile.cod, t.outputs[0]))
         self.stacks = [(p, np.asarray(outs, dtype=np.int64)) for p, outs in stacks.items()]
+        cells = sum(math.prod(self.points(s) for s in p.inputs + (p.cod,)) for p, _ in self.stacks)
+        self.reach = ([(p, self._reach(p, stack)) for p, stack in self.stacks]
+                      if cells < _REACH_CELLS else None)
+
+    def points(self, s: int) -> int:
+        return self.offsets[s + 1] - self.offsets[s]
 
     def diagonal(self, s: int, v: int) -> int:
         """The id of the point of sort s with every coordinate v."""
         return self.offsets[s] + encode_mixed((v,) * self.mu, (self.carriers[s],) * self.mu)
 
+    def _reach(self, profile, stack) -> np.ndarray:
+        """The profile's reach tensor, shape (points of input 1, ..., of
+        input k, of the cod sort), True where some stacked table sends the
+        power points (x_1..x_k) to z.  Built in blocks of argument rows,
+        about _CHUNK gathered values each."""
+        ins, k = profile.inputs, len(profile.inputs)
+        shape = [self.points(s) for s in ins]
+        cols = [self.digits[:, self.offsets[s]:self.offsets[s + 1]].reshape(
+                    (self.mu,) + (1,) * j + (shape[j],) + (1,) * (k - 1 - j)) for j, s in enumerate(ins)]
+        # the table argument code at each coordinate of each power argument row
+        args = np.broadcast_to(encode_digits(cols, [self.carriers[s] for s in ins]),
+                               (self.mu,) + tuple(shape)).reshape(self.mu, -1)
+        reach = np.zeros((args.shape[1], self.points(profile.cod)), dtype=bool)
+        step = max(1, _CHUNK // (len(stack) * self.mu))
+        for lo in range(0, args.shape[1], step):
+            values = stack[:, args[:, lo:lo + step]]
+            images = encode_digits(list(values.swapaxes(0, 1)), (self.carriers[profile.cod],) * self.mu)
+            reach[np.arange(lo, lo + images.shape[1]), images] = True
+        return reach.reshape(shape + [self.points(profile.cod)])
+
     def close(self, member: np.ndarray, fresh: np.ndarray) -> np.ndarray:
         """Grow member, one bool per point id, into its closure.  fresh holds
-        the ids added since member was last closed: only the argument rows
-        that use one of them are evaluated, and each round's new points are
-        the next round's fresh ones (semi-naive evaluation)."""
+        the ids added since member was last closed."""
+        if self.reach is None:
+            return self._close_digits(member, fresh)
+        return self._close_reach(member, fresh)
+
+    def _close_reach(self, member, fresh):
+        """Rounds until one adds nothing.  A round contracts every reach
+        tensor with the member mask, one input sort at a time (an any over
+        the member rows of its leading axis), and ORs what is left into the
+        cod sort's mask.  Reading only the member rows of a bool tensor beat
+        a float32 matmul over all rows by 4-40x on 36-point powers."""
+        sorts = [slice(lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
+        grown = fresh.size > 0
+        while grown:
+            before = np.count_nonzero(member)
+            rows = [np.flatnonzero(member[s]) for s in sorts]
+            for profile, tensor in self.reach:
+                for s in profile.inputs:
+                    tensor = tensor[rows[s]].any(axis=0)
+                member[sorts[profile.cod]] |= tensor
+            grown = np.count_nonzero(member) > before
+        return member
+
+    def _close_digits(self, member, fresh):
+        """Semi-naive evaluation: only the argument rows that use a fresh id
+        are evaluated, and each round's new points are the next round's
+        fresh ones."""
         while fresh.size:
             is_fresh = np.zeros(self.size, dtype=bool)
             is_fresh[fresh] = True
@@ -533,8 +600,10 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
 
     Five checks: boxes over closed families are exactly the closed subsets
     of the product carrier; componentwise partitions are exactly its
-    congruences, bijectively; quotients commute with the construction, as
-    do binary direct powers; and the box map is injective exactly when
+    congruences, bijectively when the product carrier is non-empty (an
+    empty one, some carrier being empty, has one congruence, the image of
+    every congruence); quotients commute with the construction, as do
+    binary direct powers; and the box map is injective exactly when
     closed-term values fill every sort s1 that has no unary term into some
     sort.  Only empty boxes collide, and the closed-term family lies below
     every family.
@@ -555,7 +624,7 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
     prods = {congruence_product(h, c) for c in cons_a}
     checks.append(CheckResult(
         "con-product-bijection",
-        prods == set(cons_h) and len(prods) == len(cons_a),
+        prods == set(cons_h) and (len(prods) == len(cons_a) or h.size == 0),
         "%d congruences on both sides" % len(cons_a)
         if len(cons_a) == len(cons_h) else
         "%d congruences, %d on the product carrier" % (len(cons_a), len(cons_h))))

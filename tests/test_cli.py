@@ -134,6 +134,17 @@ def test_transfer_passes_when_closed_terms_fill_the_unreachable_sort(tmp_path):
     assert "check sub-injective-iff-pure: pass (box map injective on 8 families, purity False)" in out
 
 
+def test_transfer_passes_when_a_carrier_is_empty(tmp_path):
+    # the empty product carrier has one congruence, the image of both
+    # partitions of u, so the congruence map is onto but not injective
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "empty.alg")
+    save_algebra(path, build_algebra([("u", 2), ("w", 0)], []))
+    rc, out = run_cli(["transfer", path, "--deterministic-timing"])
+    assert rc == 0, out
+    assert "check con-product-bijection: pass (2 congruences, 1 on the product carrier)" in out
+
+
 def test_exit_2_on_unknown_corpus_name():
     rc, _out = run_cli(["pure", "@no_such_algebra"])
     assert rc == 2

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import oracle_lattice as oracle
+from msalg import lattice
 from msalg.clone import is_pure
 from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_algebra, open_grid
 from msalg.corpus import corpus_algebra
@@ -580,6 +581,38 @@ def test_pp_validation():
 def test_verify_inv_iso_a_tiny():
     ver = verify_inv_iso(corpus_algebra("a_tiny"), 2)
     assert ver.ok, ver.failures()
+
+
+def test_verify_inv_iso_closure_counts(monkeypatch):
+    # the closures each lattice walk computes from its bottom (each
+    # principal, then each join with a principal), in call order:
+    # inv_enumerate then the matrix route, for mu = 1 and 2; a faster
+    # closure kernel must not move them
+    counts = []
+    walk = lattice._closed_sets
+
+    def counted(bottom, generators, join, budget):
+        calls = []
+
+        def joined(c, x):
+            calls.append(1)
+            return join(c, x)
+
+        found = walk(bottom, generators, joined, budget)
+        counts.append(len(calls))
+        return found
+
+    monkeypatch.setattr(lattice, "_closed_sets", counted)
+    assert verify_inv_iso(corpus_algebra("a_tiny"), 2).ok
+    assert counts == [17, 17, 1644, 1644]
+
+
+def test_verify_inv_iso_a_malcev():
+    # a ternary collapse: the matrix route closes under 216 stacked tables
+    checks = {c.name: c for c in verify_inv_iso(corpus_algebra("a_malcev"), 2).checks}
+    assert all(c.ok for c in checks.values()), checks
+    assert checks["reshape-bijection-mu1"].detail == "5 invariant sets as code tuples, 5 as matrices"
+    assert checks["reshape-bijection-mu2"].detail == "31 invariant sets as code tuples, 31 as matrices"
 
 
 def test_verify_inv_iso_single_sorted():

@@ -8,11 +8,17 @@ and empty-carrier algebras of test_tabulate.py.  Inv is compared for mu up
 to 2 and the matrix route for mu = 1, and for mu = 2 on a_group; the pairs
 that take seconds are left out (test_verify_inv_iso_a_tiny compares the two
 routes at mu = 2).
+
+_Power closes a set by one of two paths, picked by size: the reach tensors
+when they fit lattice._REACH_CELLS, which every case here does, and the
+digit gather otherwise.  Each case that closes powers runs once on each
+path, the other path stubbed out so that it cannot run unseen.
 """
 
 import pytest
 
 import oracle_lattice as oracle
+from msalg import lattice
 from msalg.core import SUBUNIVERSE_BUDGET
 from msalg.lattice import (
     _matrix_route,
@@ -71,10 +77,26 @@ CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
          if name.startswith("case_")}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_engine_matches_oracle(case):
+def _unused(*args):
+    raise AssertionError("the other closure path ran")
+
+
+def _compare(case):
     count = 0
     for label, fast, slow in CASES[case]():
         assert fast == slow, (case, label)
         count += 1
     assert count, "case %s compared nothing" % case
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_matches_oracle(case, monkeypatch):
+    monkeypatch.setattr(lattice._Power, "_close_digits", _unused)
+    _compare(case)
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - {"congruences"}))
+def test_digit_path_matches_oracle(case, monkeypatch):
+    monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
+    monkeypatch.setattr(lattice._Power, "_close_reach", _unused)
+    _compare(case)

@@ -64,3 +64,10 @@ def test_mu_roundtrip_holds_exactly_when_pure(alg):
 def test_box_map_injectivity_matches_the_closed_term_condition(alg):
     checks = {c.name: c for c in verify_sub_con_transfer(alg).checks}
     assert checks["sub-injective-iff-pure"].ok, checks["sub-injective-iff-pure"].detail
+
+
+@SETTINGS
+@given(algebras())
+def test_congruences_move_to_the_product_carrier(alg):
+    check = {c.name: c for c in verify_sub_con_transfer(alg).checks}["con-product-bijection"]
+    assert check.ok, check.detail
