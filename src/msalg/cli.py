@@ -13,6 +13,7 @@ to an algebra file (grammar documented in fmt).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -486,7 +487,14 @@ def _cmd_verify_all(args, rep):
 
 # ------------------------------------------------------------ wiring
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The msalg parser, built at the first main call of a process and
+    shared by the later ones: parse_args leaves it unchanged."""
+    return _build_parser()
+
+
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-arity", type=int, default=MAX_ARITY)
     common.add_argument("--table-budget", type=int, default=TABLE_BUDGET)

@@ -65,6 +65,9 @@ from .core import (
 )
 from .clone import generate_fragment, saturate
 
+# Gathered values one block of the composition check compares at once.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class DiagonalPair:
@@ -315,18 +318,32 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
 
 
 def _composition_failure(tables, unary, phi, phi_unary, recombine, split):
-    """First (f, gs) in itertools.product order, as table outputs, where phi
-    of the composite f(g_1, ..., g_lam) differs from phi(f) at the stacked
-    phi(g_i); one gather per f and g_1 covers every choice of the rest."""
+    """First (f, gs), f in tables order and then gs in itertools.product
+    order, as table outputs, where phi of the composite f(g_1, ..., g_lam)
+    differs from phi(f) at the stacked phi(g_i).  Nullary tables compose
+    with no g, so they never fail.
+
+    The argument codes of every gs are built once, shape (U,) * lam plus
+    the product carrier: src into f's domain, dst into phi(f)'s.  The
+    lam-ary tables are stacked as F and their phi images as P, and blocks
+    of consecutive tables, about _CHUNK gathered values each, compare
+    split[F[block][:, src]] with P[block][:, dst].  Blocks run in table
+    order and core.first_failure reads each block's (table, g_1, ..., g_lam)
+    mask row-major, so the first failing block holds the witness."""
+    lam = tables[0].arity if tables else 0
+    if lam == 0 or not unary:
+        return None
+    grid = open_grid((len(unary),) * lam)
     g_rec = stack_unary(unary, len(split))[:, recombine]
-    for f in tables:
-        rest = open_grid((len(unary),) * (f.arity - 1))
-        for first in range(len(unary)):
-            left = split[gather(f, [g_rec[first]] + [g_rec[c] for c in rest])]
-            right = gather(phi[f.outputs], [phi_unary[first]] + [phi_unary[c] for c in rest])
-            bad = first_failure((left != right).any(axis=-1))
-            if bad is not None:
-                return f.outputs, tuple(unary[i].outputs for i in (first,) + bad)
+    src = encode_digits([g_rec[c] for c in grid], (len(split),) * lam)
+    dst = encode_digits([phi_unary[c] for c in grid], (len(recombine),) * lam)
+    F = np.asarray([f.outputs for f in tables], dtype=np.int64)
+    P = np.asarray([phi[f.outputs].outputs for f in tables], dtype=np.int64)
+    step = max(1, _CHUNK // max(src.size, 1))
+    for lo in range(0, len(tables), step):
+        bad = first_failure((split[F[lo:lo + step, src]] != P[lo:lo + step, dst]).any(axis=-1))
+        if bad is not None:
+            return tables[lo + bad[0]].outputs, tuple(unary[i].outputs for i in bad[1:])
     return None
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .core import (
     SUBUNIVERSE_BUDGET,
     BudgetError,
     CheckResult,
+    OpTable,
     ProfileError,
     SortedAlgebra,
     Verification,
@@ -62,7 +63,7 @@ from .core import (
     open_grid,
     tabulate,
 )
-from .homog import HomogenizedAlgebra, assembled_fragment, homogenize
+from .homog import HomogenizedAlgebra, assembled_fragment, homogenize, morphism_lift
 
 
 # ---------------------------------------------------------- closed-set engine
@@ -588,6 +589,19 @@ def _quotient_psi(h: HomogenizedAlgebra, hq: HomogenizedAlgebra, theta: Congruen
     return tuple(labels[encode_digits(members, h.radices)].tolist())
 
 
+def _quotient_collapse(h: HomogenizedAlgebra, q: SortedAlgebra, theta: Congruence) -> HomogenizedAlgebra:
+    """The collapse of the quotient q = alg / theta, with each nullary lift
+    the image under theta of h's.  homogenize pads a nullary lift with the
+    least closed-term value of every other sort, and a quotient map need
+    not send least to least; the quotient of the collapse carries the
+    image of h's padding."""
+    hq = homogenize(q)
+    image = morphism_lift(h, hq, theta.classes)
+    tables = tuple(OpTable(t.profile, t.carriers, (image[ht.outputs[0]],)) if t.arity == 0 else t
+                   for t, ht in zip(hq.algebra.tables, h.algebra.tables, strict=True))
+    return replace(hq, algebra=SortedAlgebra(hq.algebra.signature, hq.algebra.carriers, tables))
+
+
 def _square_psi(h: HomogenizedAlgebra, hsq: HomogenizedAlgebra):
     """Collapsed square -> square of the collapse: regroup the digits by factor."""
     pairs = [decode_digits(d, (n, n))
@@ -602,11 +616,12 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
     of the product carrier; componentwise partitions are exactly its
     congruences, bijectively when the product carrier is non-empty (an
     empty one, some carrier being empty, has one congruence, the image of
-    every congruence); quotients commute with the construction, as do
-    binary direct powers; and the box map is injective exactly when
-    closed-term values fill every sort s1 that has no unary term into some
-    sort.  Only empty boxes collide, and the closed-term family lies below
-    every family.
+    every congruence); quotients commute with the construction, the
+    quotient's nullary lifts padded with the image of the collapse's
+    padding (_quotient_collapse), as do binary direct powers; and the box
+    map is injective exactly when closed-term values fill every sort s1
+    that has no unary term into some sort.  Only empty boxes collide, and
+    the closed-term family lies below every family.
     """
     h = homogenize(alg)
     checks = []
@@ -631,8 +646,7 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
 
     quot_ok, quot_why = True, "all %d quotients match" % len(cons_a)
     for theta in cons_a:
-        q = quotient(alg, theta)
-        hq = homogenize(q)
+        hq = _quotient_collapse(h, quotient(alg, theta), theta)
         hmod = quotient(h.algebra, congruence_product(h, theta))
         ok, why = is_isomorphism(hq.algebra, hmod, (_quotient_psi(h, hq, theta),))
         if not ok:
@@ -810,12 +824,19 @@ def pp_evaluate(relations, formula: PPFormula, carrier: int, *, verify_with=None
                for k, cmap in formula.conjuncts):
             out.add(assign[:formula.mu])
     result = Relation(formula.mu, frozenset(out))
-    for what, rel in ([("relation %d" % k, r) for k, r in enumerate(rels)] + [("the result", result)]
-                      if verify_with is not None else []):
-        witness = invariance_witness(verify_with, rel)
+    if verify_with is not None:
+        _require_invariant(verify_with, rels, result)
+    return result
+
+
+def _require_invariant(halg: SortedAlgebra, rels, *results) -> None:
+    """Raise ProfileError naming the first of rels, then of results, that
+    halg does not leave invariant, with its witness."""
+    for what, rel in ([("relation %d" % k, r) for k, r in enumerate(rels)]
+                      + [("the result", r) for r in results]):
+        witness = invariance_witness(halg, rel)
         if witness is not None:
             raise ProfileError("%s is not invariant: %s leaves it at %r" % ((what,) + witness))
-    return result
 
 
 def _slots(rels, m):
@@ -871,8 +892,10 @@ def _pp_grid(alg, h, rels, mats, span):
 def _pp_both_sides(alg, h, rels, mats, span, spot_checks):
     """Count the formulas of _formula_sample(rels, span) whose two sides
     in _pp_grid differ.  The first spot_checks formulas' code-side rows
-    are compared with pp_evaluate, which also verifies that each result is
-    invariant.  Returns (#formulas, #disagreements, spot ok)."""
+    are compared with pp_evaluate, and each result is verified invariant,
+    as pp_evaluate's verify_with does; the input relations, the same in
+    every spot check, are verified once.  Returns (#formulas,
+    #disagreements, spot ok)."""
     total = bad = 0
     spots = []
     for rows in _pp_grid(alg, h, rels, mats, span):
@@ -882,8 +905,12 @@ def _pp_both_sides(alg, h, rels, mats, span, spot_checks):
 
     n = h.size
     spot_ok = True
-    for f, row in zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots):
-        direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
+    spot = list(zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots))
+    if spot:
+        _require_invariant(h.algebra, rels)
+    for f, row in spot:
+        direct = pp_evaluate(rels, f, n)
+        _require_invariant(h.algebra, (), direct)
         if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
                               np.flatnonzero(row)):
             spot_ok = False

@@ -145,6 +145,51 @@ def test_transfer_passes_when_a_carrier_is_empty(tmp_path):
     assert "check con-product-bijection: pass (2 congruences, 1 on the product carrier)" in out
 
 
+def test_transfer_passes_on_a_pure_algebra_with_constants(tmp_path):
+    # closed terms take u to 1 and 2, so the collapse pads lift_f0 with 1;
+    # the quotient by u-blocks {0,2},{1} sends 1 to block 1 and 2 to block
+    # 0, so its own collapse would pad with 0, not with the image of 1
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "constants.alg")
+    save_algebra(path, build_algebra([("u", 3), ("v", 1)],
+                                     [("f0", [], "v", [0]), ("f1", [], "u", [1]),
+                                      ("f2", ["v", "v"], "u", [2]), ("f3", ["v"], "u", [2])]))
+    rc, out = run_cli(["transfer", path, "--deterministic-timing"])
+    assert rc == 0, out
+    assert "check quotient-compatible: pass (all 5 quotients match)" in out
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for args in (["pure", "@a_tiny"], ["sub", "@a_tiny"], ["pure", "@nonpure"]):
+            run_cli(args + ["--deterministic-timing"])
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_the_shared_parser_keeps_no_state_between_calls():
+    # quotient appends --pair; con without it must still enumerate, and
+    # every rerun must print its command's first report byte for byte
+    quotient = ["quotient", "@a_tiny", "--pair", "u", "0", "1", "--deterministic-timing"]
+    con = ["con", "@a_tiny", "--deterministic-timing"]
+    first = {}
+    for args in (quotient, con, quotient, con):
+        got = run_cli(args)
+        assert got == first.setdefault(tuple(args), got), args
+    assert "classes: u=[0,0] w=[0,0,1]" in first[tuple(quotient)][1]
+    assert "count: 4" in first[tuple(con)][1]
+
+
 def test_exit_2_on_unknown_corpus_name():
     rc, _out = run_cli(["pure", "@no_such_algebra"])
     assert rc == 2

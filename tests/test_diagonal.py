@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from msalg.core import OpTable, Profile, ProfileError, compose
+from msalg.core import OpTable, Profile, ProfileError, build_algebra, compose
 from msalg.clone import generate_fragment
 from msalg.corpus import corpus_algebra
 from msalg.diagonal import (
@@ -23,6 +23,7 @@ from msalg.diagonal import (
     verify_decomposition,
     verify_diagonal_pair,
 )
+from msalg.hetero import canonical_pair
 from msalg.homog import homogenize
 
 from test_clone import oracle_fragment
@@ -205,6 +206,16 @@ def test_decomposition_checks_a_malcev():
     for lam in (1, 2):
         ver = verify_decomposition(h.algebra, pair, lam)
         assert ver.ok, (lam, ver.failures())
+
+
+def test_decomposition_at_lam_0_with_constants():
+    # the nullary tables compose with no unary g, so composition holds
+    alg = build_algebra([("u", 2), ("w", 2)], [("cu", ["u"], "w", [1, 0]), ("cw", ["w"], "u", [0, 1]),
+                                               ("k", [], "u", [1])])
+    h = homogenize(alg)
+    ver = verify_decomposition(h.algebra, canonical_pair(h), 0)
+    assert ver.ok, ver.failures()
+    assert ver.checks[0].detail == "4 tables, 4 images"
 
 
 def test_matrix_product_rejects_non_pairs():

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_equations as oracle
 from oracle_lattice import growth_strings
 from test_tabulate import _all_python_ints, bases, collapses
+from msalg import diagonal
 from msalg.clone import generate_fragment
 from msalg.core import OpTable, Profile, ProfileError, build_algebra, eval_term, App, Var
 from msalg.diagonal import (
@@ -157,6 +158,8 @@ def case_composition():
                 phi_unary = stack_unary([decompose_table(alg, pair, g, mp.retracts) for g in order], len(split))
                 yield (name + label, _composition_failure(tables, order, table, phi_unary, recombine, split),
                        oracle.composition_failure(alg, pair, mp.retracts, tables, order, table))
+            yield (name + " no tables", _composition_failure([], order, table, phi_unary, recombine, split),
+                   oracle.composition_failure(alg, pair, mp.retracts, [], order, table))
 
 
 def case_pair_independence():
@@ -231,14 +234,24 @@ CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
          if name.startswith("case_")}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_matches_oracle(case):
+def _compare(case):
     count = 0
     for label, fast, slow in CASES[case]():
         assert fast == slow, (case, label)
         assert _plain(fast), (case, label)
         count += 1
     assert count, "case %s compared nothing" % case
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_oracle(case):
+    _compare(case)
+
+
+def test_composition_in_blocks_of_one_table(monkeypatch):
+    # a witness in a later block is found only through the block offset
+    monkeypatch.setattr(diagonal, "_CHUNK", 1)
+    _compare("composition")
 
 
 # ------------------------------------------------------------- hypothesis

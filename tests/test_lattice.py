@@ -717,6 +717,29 @@ def test_pp_batches_match_the_oracle_at_every_spot_check_count():
     assert _same_as_oracle(alg, h, rels, _changed(mats), 1, size + 5)[2]
 
 
+def test_pp_spot_checks_verify_each_input_relation_once(monkeypatch):
+    alg, h, rels, mats = _pp_relations("a_group")
+    checked = []
+    witness = lattice.invariance_witness
+    monkeypatch.setattr(lattice, "invariance_witness", lambda halg, rel: checked.append(rel) or witness(halg, rel))
+    assert _pp_both_sides(alg, h, rels, mats, 2, 25)[2]
+    assert checked[:len(rels)] == list(rels)
+    assert len(checked) == len(rels) + 25
+
+
+def test_pp_spot_checks_name_an_input_that_is_not_invariant():
+    alg, h, rels, mats = _pp_relations("a_group")
+    broken = Relation(2, frozenset({(0, 1), (1, 2)}))
+    assert invariance_witness(h.algebra, broken) is not None
+    rels, mats = rels[:-1] + (broken,), mats[:-1] + (broken.tuples,)
+    with pytest.raises(ProfileError) as fast:
+        _pp_both_sides(alg, h, rels, mats, 2, 25)
+    with pytest.raises(ProfileError) as slow:
+        oracle.pp_both_sides(alg, h, rels, mats, list(_formula_sample(rels, 2)), 25)
+    assert str(fast.value) == str(slow.value)
+    assert str(fast.value).startswith("relation %d is not invariant: " % (len(rels) - 1))
+
+
 def test_verify_inv_iso_rejects_nonpure():
     with pytest.raises(ProfileError):
         verify_inv_iso(corpus_algebra("nonpure"), 1)

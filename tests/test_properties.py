@@ -4,12 +4,14 @@ Each hypothesis case is an algebra with one or two sorts, carriers of 0 to
 2 elements, and up to four symbols of arity 0 to 2, nullary symbols and
 empty carriers included.  Carriers stop at 2 because one draw with a
 carrier of 3 spent minutes in clone.saturate, longer than a test may run.
-The cases are derandomized with the settings of test_equations.py.
+The quotient property also draws two-sort algebras with constants and
+only unary or nullary symbols, carriers up to 3.  The cases are
+derandomized with the settings of test_equations.py.
 """
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from test_equations import SETTINGS
 from msalg.clone import is_pure
@@ -70,4 +72,30 @@ def test_box_map_injectivity_matches_the_closed_term_condition(alg):
 @given(algebras())
 def test_congruences_move_to_the_product_carrier(alg):
     check = {c.name: c for c in verify_sub_con_transfer(alg).checks}["con-product-bijection"]
+    assert check.ok, check.detail
+
+
+@st.composite
+def algebras_with_constants(draw):
+    """Two sorts with carriers of 1 to 3, a constant in each, and up to
+    three more unary or nullary symbols.  Unary symbols keep a carrier of
+    3 cheap, and it takes 3 elements for a quotient to send a sort's least
+    closed-term value to a block that is not the least closed one."""
+    carriers = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    ops = [("k%d" % s, [], SORTS[s], [draw(st.integers(0, n - 1))]) for s, n in enumerate(carriers)]
+    for i in range(draw(st.integers(0, 3))):
+        ins = draw(st.lists(st.sampled_from(range(2)), max_size=1))
+        cod = draw(st.sampled_from(range(2)))
+        points = math.prod(carriers[s] for s in ins)
+        outputs = draw(st.lists(st.integers(0, carriers[cod] - 1), min_size=points, max_size=points))
+        ops.append(("f%d" % i, [SORTS[s] for s in ins], SORTS[cod], outputs))
+    return build_algebra(list(zip(SORTS, carriers)), ops)
+
+
+# 200 draws, not 60: about 3% of the constant draws have a quotient that
+# moves a sort's least closed-term value off the least closed block
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(algebras(), algebras_with_constants()))
+def test_quotients_move_to_the_product_carrier(alg):
+    check = {c.name: c for c in verify_sub_con_transfer(alg).checks}["quotient-compatible"]
     assert check.ok, check.detail
