@@ -42,6 +42,7 @@ from .core import (
     encode_digits,
     first_failure,
     gather,
+    grid_columns,
     tabulate,
 )
 from .clone import generate_fragment
@@ -143,11 +144,19 @@ def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
         source=source, pair=pair, retracts=retracts)
 
 
+def _conjugated(tables, profile: Profile, fwd, inv, carriers) -> list:
+    """The outputs of tables of one profile relabeled along per-sort
+    bijections (fwd composed with inv), one list each, in one gather."""
+    sizes = [carriers[s] for s in profile.inputs]
+    args = np.ravel(encode_digits([np.asarray(inv[s], dtype=np.int64)[c]
+                                   for s, c in zip(profile.inputs, grid_columns(sizes))], sizes))
+    stack = np.asarray([f.outputs for f in tables], dtype=np.int64).reshape(len(tables), args.size)
+    return np.asarray(fwd[profile.cod], dtype=np.int64)[stack[:, args]].tolist()
+
+
 def _conjugate(f: OpTable, fwd, inv, carriers) -> OpTable:
-    """Relabel a table along per-sort bijections (fwd composed with inv)."""
-    fwd_cod = np.asarray(fwd[f.profile.cod], dtype=np.int64)
-    return tabulate(f.profile, carriers, lambda *cols: fwd_cod[gather(
-        f, [np.asarray(inv[s], dtype=np.int64)[c] for s, c in zip(f.profile.inputs, cols)])])
+    """Relabel one table along per-sort bijections (fwd composed with inv)."""
+    return OpTable(f.profile, tuple(carriers), tuple(_conjugated([f], f.profile, fwd, inv, carriers)[0]))
 
 
 def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
@@ -205,16 +214,12 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
     bad = None
     frag_a = generate_fragment(alg, profiles, budget=budget)
     frag_b = generate_fragment(het.algebra, profiles, budget=budget)
-    for inputs in profiles:
-        for cod in range(S):
-            p = Profile(inputs, cod)
-            want = {_conjugate(f, fwd, inv, alg.carriers).outputs
-                    for f in frag_a.tables.get(p, ())}
-            got = {f.outputs for f in frag_b.tables.get(p, ())}
-            if want != got:
-                bad = (p, len(want), len(got))
-                break
-        if bad:
+    for inputs, cod in itertools.product(profiles, range(S)):
+        p = Profile(inputs, cod)
+        want = set(map(tuple, _conjugated(frag_a.tables.get(p, ()), p, fwd, inv, alg.carriers)))
+        got = {f.outputs for f in frag_b.tables.get(p, ())}
+        if want != got:
+            bad = (p, len(want), len(got))
             break
     checks.append(CheckResult("fragments-match", bad is None,
                               "" if bad is None else "profile %r: %d vs %d" % bad))
@@ -248,7 +253,7 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
         p = Profile((0,) * width, 0)
         frag_c = generate_fragment(source, [p.inputs], budget=budget)
         frag_h = generate_fragment(hb.algebra, [p.inputs], budget=budget)
-        want = {_conjugate(f, (psi,), (inv,), (n,)).outputs for f in frag_c.tables[p]}
+        want = set(map(tuple, _conjugated(frag_c.tables[p], p, (psi,), (inv,), (n,))))
         got = {f.outputs for f in frag_h.tables[p]}
         if want != got:
             bad = (width, len(want), len(got))

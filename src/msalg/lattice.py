@@ -26,11 +26,12 @@ it under tuples of source term operations over a shared variable block,
 applied to matrices of source elements, then checks that regrouping matrix
 rows into product codes is a bijection between the two answers.  A matrix
 read row-major with per-sort radices is the flat code of its product-code
-tuple, so the pp-commutation check stacks both answers' membership masks
-over one index space and reads its formula sample off one table of
-(relation, position map) rows per span: a single conjunct is a row of that
-table, a pair of conjuncts one block per first slot, each reduced with any
-over the bound positions.  The membership checks
+tuple, so both answers are sets of the same point ids.  The pp-commutation
+check reads its formula sample off one table of (relation, position map)
+rows per span: a single conjunct is a row of that table, a pair of
+conjuncts one block per first slot, each reduced with any over the bound
+positions, and a row of free arity up to mu_max must be one of the
+enumerated invariant relations.  The membership checks
 (closure, compatibility, invariance) gather each operation over an open
 grid at once and report core.first_failure's witness.
 """
@@ -759,17 +760,15 @@ def _matrix_route(alg: SortedAlgebra, h: HomogenizedAlgebra, mu: int, *, budget:
     shared block of lam variables per sort, the assembled fragment, with
     lam large enough to express every basic operation and the recombining
     operation itself.  Closed-term value rows seed every set, they are the
-    zero-variable tuples.  Returns each closed set as a frozenset of flat
-    matrices, smaller sets first, then by their sorted members.
+    zero-variable tuples.  Returns each closed set as a frozenset of power
+    point ids, each the flat code of a matrix, smaller sets first, then by
+    their sorted members.
     """
-    n_sorts = alg.n_sorts
-    lam = max([n_sorts, 1] + [t.arity for t in alg.tables])
+    lam = max([alg.n_sorts, 1] + [t.arity for t in alg.tables])
     power = _Power((h.size,), assembled_fragment(h, lam).values(), mu)
-    closed0 = subalgebra_generate(alg, [set() for _ in range(n_sorts)])
+    closed0 = subalgebra_generate(alg, [set() for _ in range(alg.n_sorts)])
     base = [power.diagonal(0, h.encode(vals)) for vals in itertools.product(*closed0.sets)]
-    sets = sorted(power.lattice(base, budget), key=lambda c: (len(c), sorted(c)))
-    radices = tuple(alg.carriers) * mu
-    return [_decoded(c, radices) for c in sets]
+    return sorted(power.lattice(base, budget), key=lambda c: (len(c), sorted(c)))
 
 
 def _decoded(codes, radices) -> frozenset:
@@ -864,46 +863,44 @@ def _pp_members(rows, radices) -> np.ndarray:
     return member
 
 
-def _pp_grid(alg, h, rels, mats, span):
+def _pp_grid(n, rels, span):
     """The free parts of every formula's satisfying assignments, in
-    _formula_sample(rels, span) order, as blocks of shape (2, formulas,
-    n^mu) indexed by flat free-position code: side 0 over the product-code
-    relations, side 1 over the matching matrix sets.  Span m's slot table
-    holds both sides' membership for each slot at each assignment; single
+    _formula_sample(rels, span) order, as (mu, block) pairs, the block of
+    shape (formulas, n^mu) indexed by flat free-position code.  Span m's
+    slot table holds each slot's membership at each assignment; single
     conjuncts read its rows, pairs one block per first slot (no block
     larger than the table), each reduced with any over the bound axis."""
-    n = h.size
-    members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
-               for r, m in zip(rels, mats, strict=True)]
+    members = [_pp_members(r.tuples, (n,) * r.arity) for r in rels]
     for m in range(1, span + 1):
         slots = _slots(rels, m)
         cols = grid_columns((n,) * m)
-        table = np.empty((2, len(slots), n ** m), dtype=bool)
+        table = np.empty((len(slots), n ** m), dtype=bool)
         for s, (k, cmap) in enumerate(slots):
             codes = encode_digits([cols[p] for p in cmap], (n,) * len(cmap))
-            table[:, s] = members[k][:, np.broadcast_to(codes, (n ** m,))]
+            table[s] = members[k][np.broadcast_to(codes, (n ** m,))]
         for mu in range(m, -1, -1):
-            split = (2, len(slots), n ** mu, n ** (m - mu))
-            yield table.reshape(split).any(axis=3)
+            split = (len(slots), n ** mu, n ** (m - mu))
+            yield mu, table.reshape(split).any(axis=2)
             for c1 in range(len(slots)):
-                yield (table[:, c1, None] & table).reshape(split).any(axis=3)
+                yield mu, (table[c1] & table).reshape(split).any(axis=2)
 
 
-def _pp_both_sides(alg, h, rels, mats, span, spot_checks):
-    """Count the formulas of _formula_sample(rels, span) whose two sides
-    in _pp_grid differ.  The first spot_checks formulas' code-side rows
-    are compared with pp_evaluate, and each result is verified invariant,
-    as pp_evaluate's verify_with does; the input relations, the same in
-    every spot check, are verified once.  Returns (#formulas,
-    #disagreements, spot ok)."""
+def _pp_outside_inv(h, rels, invs, span, spot_checks):
+    """Count the formulas of _formula_sample(rels, span) whose _pp_grid row
+    has a free arity mu in invs (arity -> its invariant relations) and is
+    not one of invs[mu].  The first spot_checks rows are compared with
+    pp_evaluate, each result verified invariant and the input relations
+    verified once.  Returns (#formulas, #rows outside Inv, spot ok)."""
+    n = h.size
+    masks = {mu: {_pp_members(r.tuples, (n,) * mu).tobytes() for r in rs} for mu, rs in invs.items()}
     total = bad = 0
     spots = []
-    for rows in _pp_grid(alg, h, rels, mats, span):
-        total += rows.shape[1]
-        bad += int(np.count_nonzero((rows[0] != rows[1]).any(axis=1)))
-        spots.extend(rows[0, :spot_checks - len(spots)])
+    for mu, rows in _pp_grid(n, rels, span):
+        total += len(rows)
+        if mu in masks:
+            bad += sum(row.tobytes() not in masks[mu] for row in rows)
+        spots.extend(rows[:spot_checks - len(spots)])
 
-    n = h.size
     spot_ok = True
     spot = list(zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots))
     if spot:
@@ -911,42 +908,40 @@ def _pp_both_sides(alg, h, rels, mats, span, spot_checks):
     for f, row in spot:
         direct = pp_evaluate(rels, f, n)
         _require_invariant(h.algebra, (), direct)
-        if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
-                              np.flatnonzero(row)):
-            spot_ok = False
+        spot_ok &= np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples), np.flatnonzero(row))
     return total, bad, spot_ok
 
 
-def _pp_sample(kept):
-    """The relations the pp-commutation check reads, as (relation, matrix
-    set) pairs: up to two of each arity 1 and 2 from kept (arity -> pairs),
-    those neither empty nor full first, then the rest in order."""
+def _pp_sample(invs):
+    """The relations the pp-commutation check reads: up to two of each
+    arity 1 and 2 from invs (arity -> relations), those neither empty nor
+    full first, then the rest in order."""
     sample = []
     for arity in (1, 2):
-        pairs = kept.get(arity, [])
-        full = max((len(r.tuples) for r, _ in pairs), default=0)
-        inner = [p for p in pairs if 0 < len(p[0].tuples) < full]
-        sample.extend((inner + [p for p in pairs if p not in inner])[:2])
+        rels = invs.get(arity, [])
+        full = max((len(r.tuples) for r in rels), default=0)
+        sample.extend(sorted(rels, key=lambda r: not 0 < len(r.tuples) < full)[:2])
     return sample
 
 
 def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE_BUDGET) -> Verification:
     """Regrouping matrices into product codes is a bijection between the
     invariant sets found on the many-sorted side and the closed subsets of
-    powers of the product carrier, and it commutes with primitive positive
-    definitions over a formula sample.
+    powers of the product carrier, and the relations primitive positive
+    formulas define over a sample of them stay invariant.
 
     Needs a pure unary fragment, the hypothesis under which the regrouping
     map is a bijection on members in the first place.
 
     A matrix read row-major with per-sort radices is the flat code of its
-    product-code tuple, and both routes sort their sets by size, then
-    members, in the same order.  So once reshape-bijection-mu1 and -mu2
-    pass, each sampled pair's two stacked masks are equal, and
-    pp-commutation can count disagreements only alongside a failing
-    reshape check.  Its independent content is the spot checks: the first
-    25 formulas' grid rows are compared with pp_evaluate, which also
-    verifies that each result is invariant.
+    product-code tuple, so the matrix route's closed id sets decode straight
+    into relations, which reshape-bijection-mu1.. compare with
+    inv_enumerate's.  Inv is closed under pp-definitions (Geiger, 1968), so
+    pp-commutation counts the sampled formulas whose grid row, of a free
+    arity from 1 to mu_max, is not one of the enumerated invariant
+    relations; rows of free arity 0 or above mu_max count in the total
+    only.  The first 25 formulas' grid rows are also compared with
+    pp_evaluate, which verifies that each result is invariant.
     """
     if mu_max < 1:
         raise ProfileError("relation arity bound must be at least 1, got %d" % mu_max)
@@ -956,23 +951,19 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
                            % (report.missing(),))
     h = homogenize(alg)
     checks = []
-    kept = {}
+    invs = {}
     for mu in range(1, mu_max + 1):
         rels = inv_enumerate(alg, mu, budget=budget)
-        mats = _matrix_route(alg, h, mu, budget=budget)
-        # regroup: read each matrix's row-major digits as mu product codes
-        reshaped = sorted((Relation(mu, _decoded([encode_mixed(mt, alg.carriers * mu) for mt in s],
-                                                 (h.size,) * mu)) for s in mats), key=_relation_key)
+        ids = _matrix_route(alg, h, mu, budget=budget)
+        reshaped = sorted((Relation(mu, _decoded(c, (h.size,) * mu)) for c in ids), key=_relation_key)
         checks.append(CheckResult(
-            "reshape-bijection-mu%d" % mu,
-            reshaped == rels and len(mats) == len(rels),
-            "%d invariant sets as code tuples, %d as matrices" % (len(rels), len(mats))))
-        kept[mu] = list(zip(rels, mats))
+            "reshape-bijection-mu%d" % mu, reshaped == rels,
+            "%d invariant sets as code tuples, %d as matrices" % (len(rels), len(ids))))
+        invs[mu] = rels
 
-    sample = _pp_sample(kept)
+    sample = _pp_sample(invs)
     if sample:
-        rels, mats = zip(*sample)
-        total, bad, spot_ok = _pp_both_sides(alg, h, rels, mats, 4, 25)
+        total, bad, spot_ok = _pp_outside_inv(h, sample, invs, 4, 25)
         checks.append(CheckResult(
             "pp-commutation", bad == 0 and spot_ok,
             "%d formulas over %d sampled relations, %d disagreements"

@@ -16,7 +16,6 @@ import oracle_tabulate
 from msalg.core import CheckResult, Profile, Verification
 from msalg.clone import generate_fragment
 from msalg.diagonal import DiagonalPair, _shape_ok, matrix_product
-from msalg.hetero import _conjugate
 from msalg.lattice import congruence_join, congruence_meet, enumerate_congruences
 
 
@@ -166,7 +165,7 @@ def verify_pair_independence(source, pair1, pair2) -> Verification:
     for name in ["mp_%s" % s.name for s in source.signature.symbols] + ["mp_d"]:
         f1 = mp1.algebra.table(name)
         f2 = mp2.algebra.table(name)
-        if _conjugate(f1, (psi,), (psi_inv,), mp1.algebra.carriers) != f2:
+        if oracle_tabulate.conjugate(f1, (psi,), (psi_inv,), mp1.algebra.carriers) != f2:
             bad = name
             break
     checks.append(CheckResult("product-transport", bad is None,

@@ -8,11 +8,12 @@ closures, each closed from scratch, and subalgebra generation by a Python
 fixpoint over whole argument products.  test_lattice_engine.py compares the
 engine with them.
 
-pp_both_sides is the pp-commutation check as it was before the formula
+pp_outside_inv is the pp-commutation check as it was before the formula
 sample was read off one slot table per span: one pp_solutions call per
-formula of a given list, with the spot checks reading that call's
-code-side row.  test_lattice.py compares the grid with both, row by row
-and count by count.
+formula of a given list, its free part looked up among the invariant
+relations as a Python set of tuples, and the spot checks reading that
+call's row.  test_lattice.py compares the grid with both, row by row and
+count by count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from msalg.core import decode_mixed, encode_digits, encode_mixed, open_grid
+from msalg.core import decode_mixed, encode_digits, open_grid
 from msalg.homog import assembled_fragment, homogenize
 from msalg.lattice import (
     Congruence,
@@ -179,36 +180,33 @@ def matrix_route(alg, h, mu) -> list[frozenset]:
 
 
 def pp_solutions(members, n: int, grid, f: PPFormula) -> np.ndarray:
-    """Free parts of the satisfying assignments, one boolean row per stacked
-    membership side, indexed by flat free-position code.  members[k] holds
-    relation k's membership rows over base-n codes, grid is the open grid
-    over every position, and the free positions are the leading axes."""
-    mask = np.ones((len(members[0]),) + (n,) * (f.mu + f.nu), dtype=bool)
+    """Free parts of the satisfying assignments, one boolean row indexed by
+    flat free-position code.  members[k] is relation k's membership over
+    base-n codes, grid is the open grid over every position, and the free
+    positions are the leading axes."""
+    mask = np.ones((n,) * (f.mu + f.nu), dtype=bool)
     for k, cmap in f.conjuncts:
-        mask &= members[k][:, encode_digits([grid[p] for p in cmap], (n,) * len(cmap))]
-    return mask.reshape(len(mask), n ** f.mu, n ** f.nu).any(axis=2)
+        mask &= members[k][encode_digits([grid[p] for p in cmap], (n,) * len(cmap))]
+    return mask.reshape(n ** f.mu, n ** f.nu).any(axis=1)
 
 
-def pp_both_sides(alg, h, rels, mats, formulas, spot_checks):
-    """Evaluate each formula once over the relations as product-code tuples
-    stacked with the matching matrix sets, each matrix regrouped into its
-    product codes, and count the formulas whose two sides differ.
-    Returns (#formulas, #disagreements, spot ok)."""
+def pp_outside_inv(h, rels, invs, formulas, spot_checks):
+    """Evaluate each formula once over the relations and count those whose
+    free part has an arity in invs (arity -> invariant relations) and is
+    not one of its relations.  Returns (#formulas, #outside Inv, spot ok)."""
     n = h.size
     span = max(f.mu + f.nu for f in formulas)
-    members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
-               for r, m in zip(rels, mats, strict=True)]
+    members = [_pp_members(r.tuples, (n,) * r.arity) for r in rels]
     grids = [open_grid((n,) * m) for m in range(span + 1)]
+    inv = {mu: {r.tuples for r in rs} for mu, rs in invs.items()}
 
     bad = 0
     spot_ok = True
     for count, f in enumerate(formulas):
-        code_side, mat_side = pp_solutions(members, n, grids[f.mu + f.nu], f)
-        if not np.array_equal(code_side, mat_side):
+        row = pp_solutions(members, n, grids[f.mu + f.nu], f)
+        tuples = frozenset(decode_mixed(int(c), (n,) * f.mu) for c in np.flatnonzero(row))
+        if f.mu in inv and tuples not in inv[f.mu]:
             bad += 1
-        if count < spot_checks:
-            direct = pp_evaluate(rels, f, n, verify_with=h.algebra)
-            if not np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples),
-                                  np.flatnonzero(code_side)):
-                spot_ok = False
+        if count < spot_checks and pp_evaluate(rels, f, n, verify_with=h.algebra).tuples != tuples:
+            spot_ok = False
     return len(formulas), bad, spot_ok

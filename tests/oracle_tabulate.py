@@ -303,30 +303,20 @@ def square_psi(alg, h, hsq) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def pp_sides(alg, h, rels, formula):
-    """Solutions of one formula over product codes and over matrices, each
-    as sorted free-position codes, on dense np.indices grids."""
+def pp_codes(h, rels, formula):
+    """Solutions of one formula over product codes, as sorted free-position
+    codes, on a dense np.indices grid."""
     n = h.size
-    n_sorts = alg.n_sorts
-    carriers = alg.carriers
     m = formula.mu + formula.nu
-    code_members = []
-    mat_members = []
+    members = []
     for r in rels:
-        cm = np.zeros(n ** r.arity, dtype=bool)
-        mm = np.zeros(n ** r.arity, dtype=bool)
+        member = np.zeros(n ** r.arity, dtype=bool)
         for t in r.tuples:
             flat = 0
             for c in t:
                 flat = flat * n + c
-            cm[flat] = True
-            mflat = 0
-            for c in t:
-                for s, v in enumerate(h.decode(c)):
-                    mflat = mflat * carriers[s] + v
-            mm[mflat] = True
-        code_members.append(cm)
-        mat_members.append(mm)
+            member[flat] = True
+        members.append(member)
 
     g = np.indices((n,) * m).reshape(m, -1)
     mask = np.ones(g.shape[1], dtype=bool)
@@ -334,28 +324,11 @@ def pp_sides(alg, h, rels, formula):
         idx = np.zeros(g.shape[1], dtype=np.int64)
         for p in cmap:
             idx = idx * n + g[p]
-        mask &= code_members[k][idx]
+        mask &= members[k][idx]
     free = np.zeros(int(mask.sum()), dtype=np.int64)
     for j in range(formula.mu):
         free = free * n + g[j][mask]
-    code_side = np.unique(free)
-
-    g = np.indices(tuple(carriers) * m).reshape(m * n_sorts, -1)
-    mask = np.ones(g.shape[1], dtype=bool)
-    for k, cmap in formula.conjuncts:
-        idx = np.zeros(g.shape[1], dtype=np.int64)
-        for p in cmap:
-            for s in range(n_sorts):
-                idx = idx * carriers[s] + g[p * n_sorts + s]
-        mask &= mat_members[k][idx]
-    free = np.zeros(int(mask.sum()), dtype=np.int64)
-    for j in range(formula.mu):
-        row = np.zeros(int(mask.sum()), dtype=np.int64)
-        for s in range(n_sorts):
-            row = row * carriers[s] + g[j * n_sorts + s][mask]
-        free = free * n + row
-    mat_side = np.unique(free)
-    return code_side, mat_side
+    return np.unique(free)
 
 
 # ---------------------------------------------------------------- clone

@@ -25,7 +25,7 @@ import pytest
 import oracle_lattice as oracle
 from msalg import lattice
 from msalg.clone import is_pure
-from msalg.core import SUBUNIVERSE_BUDGET, BudgetError, ProfileError, build_algebra, open_grid
+from msalg.core import BudgetError, ProfileError, build_algebra, open_grid
 from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
@@ -34,10 +34,9 @@ from msalg.lattice import (
     Relation,
     SubUniverse,
     _formula_sample,
-    _matrix_route,
-    _pp_both_sides,
     _pp_grid,
     _pp_members,
+    _pp_outside_inv,
     _pp_sample,
     congruence_generate,
     congruence_join,
@@ -620,122 +619,100 @@ def test_verify_inv_iso_single_sorted():
     assert ver.ok, ver.failures()
 
 
-def test_pp_commutation_counts_a_changed_matrix_relation():
-    alg = corpus_algebra("a_group")
-    h = homogenize(alg)
-    rels = inv_enumerate(alg, 2)
-    mats = _matrix_route(alg, h, 2, budget=SUBUNIVERSE_BUDGET)
-    full = len(rels[-1].tuples)
-    picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
-    sample, sample_mats = [rels[i] for i in picks], [mats[i] for i in picks]
-    assert _pp_both_sides(alg, h, sample, sample_mats, 3, 0)[1] == 0
-    changed = sorted(sample_mats[0])[1:]       # one member fewer
-    total, bad, _ = _pp_both_sides(alg, h, sample, [frozenset(changed)] + sample_mats[1:], 3, 0)
+def test_pp_commutation_counts_a_changed_relation():
+    # an invariant relation less one member is not invariant, and the
+    # formulas that define it fall outside Inv
+    h, rels, invs = _pp_relations("a_group")
+    assert _pp_outside_inv(h, rels, invs, 3, 0)[1] == 0
+    changed = _changed(rels, invs)
+    assert invariance_witness(h.algebra, changed[-1]) is not None
+    total, bad, _ = _pp_outside_inv(h, changed, invs, 3, 0)
     assert 0 < bad <= total
-
-
-def test_pp_spot_checks_read_the_code_side():
-    # the same sample and changed matrix relation as above: the sides
-    # disagree, yet every spot check against pp_evaluate holds, because
-    # pp_evaluate reads the product-code relations
-    alg = corpus_algebra("a_group")
-    h = homogenize(alg)
-    rels = inv_enumerate(alg, 2)
-    mats = _matrix_route(alg, h, 2, budget=SUBUNIVERSE_BUDGET)
-    full = len(rels[-1].tuples)
-    picks = [i for i, r in enumerate(rels) if 0 < len(r.tuples) < full][:2]
-    changed = frozenset(sorted(mats[picks[0]])[1:])
-    total, bad, spot_ok = _pp_both_sides(alg, h, [rels[i] for i in picks], [changed, mats[picks[1]]], 3, 200)
-    assert 0 < bad < total
-    assert spot_ok
 
 
 @functools.lru_cache(maxsize=None)
 def _pp_relations(name):
-    """verify_inv_iso's pp-commutation sample on a corpus algebra, with each
-    matrix set regrouped from its code relation (on a pure corpus algebra
-    the reshape-bijection check makes these the matrix route's sets)."""
-    alg = corpus_algebra(name)
-    h = homogenize(alg)
-    kept = {mu: [(r, frozenset(tuple(d for c in t for d in h.decode(c)) for t in r.tuples))
-                 for r in inv_enumerate(alg, mu)]
-            for mu in (1, 2)}
-    rels, mats = (tuple(x) for x in zip(*_pp_sample(kept)))
-    return alg, h, rels, mats
+    """verify_inv_iso's pp-commutation sample on a corpus algebra, with the
+    invariant relations of arity 1 and 2 (arity -> relations) it is checked
+    against."""
+    h = homogenize(corpus_algebra(name))
+    invs = {mu: inv_enumerate(h.source, mu) for mu in (1, 2)}
+    return h, tuple(_pp_sample(invs)), invs
 
 
-def _changed(mats):
-    """The last matrix set (arity 2) with its first member dropped."""
-    return mats[:-1] + (frozenset(sorted(mats[-1])[1:]),)
+def _changed(rels, invs):
+    """The sample with its last relation (arity 2) swapped for the least
+    binary invariant relation of two or more members, less its first
+    member: a relation outside Inv on every corpus algebra below."""
+    least = next(r for r in invs[2] if len(r.tuples) > 1)
+    return rels[:-1] + (Relation(2, frozenset(sorted(least.tuples)[1:])),)
 
 
-def _same_as_oracle(alg, h, rels, mats, span, spot_checks):
-    got = _pp_both_sides(alg, h, rels, mats, span, spot_checks)
+def _same_as_oracle(h, rels, invs, span, spot_checks):
+    got = _pp_outside_inv(h, rels, invs, span, spot_checks)
     formulas = list(_formula_sample(rels, span))
-    assert got == oracle.pp_both_sides(alg, h, rels, mats, formulas, spot_checks)
+    assert got == oracle.pp_outside_inv(h, rels, invs, formulas, spot_checks)
     return got
 
 
-# span 4 is what verify_inv_iso samples, span 3 keeps the others cheap;
-# a_semilat, the fifth pure corpus algebra, is left out because its 1217
-# binary invariant relations take about 7 s to enumerate
-CORPUS_SPANS = (("a_tiny", 4), ("a_malcev", 3), ("a_group", 3), ("a_lattice", 3))
+# span 4 is what verify_inv_iso samples, span 3 keeps the others cheap
+CORPUS_SPANS = (("a_tiny", 4), ("a_malcev", 3), ("a_group", 3), ("a_lattice", 3), ("a_semilat", 3))
 
 
 def test_pp_grid_rows_match_the_per_formula_oracle():
-    # every formula's (code, matrix) row, in sample order, against one
-    # pp_solutions call, with both sides equal and with a shortened matrix set
+    # every formula's row and free arity, in sample order, against one
+    # pp_solutions call, over invariant relations and with one outside Inv
     for name, span in CORPUS_SPANS:
-        alg, h, rels, mats = _pp_relations(name)
+        h, rels, invs = _pp_relations(name)
         n = h.size
         grids = [open_grid((n,) * m) for m in range(span + 1)]
-        for sides in (mats, _changed(mats)):
-            members = [np.stack([_pp_members(r.tuples, (n,) * r.arity), _pp_members(m, alg.carriers * r.arity)])
-                       for r, m in zip(rels, sides)]
-            rows = (row for block in _pp_grid(alg, h, rels, sides, span) for row in block.transpose(1, 0, 2))
-            for f, row in zip(_formula_sample(rels, span), rows, strict=True):
+        for sample in (rels, _changed(rels, invs)):
+            members = [_pp_members(r.tuples, (n,) * r.arity) for r in sample]
+            rows = ((mu, row) for mu, block in _pp_grid(n, sample, span) for row in block)
+            for f, (mu, row) in zip(_formula_sample(sample, span), rows, strict=True):
+                assert mu == f.mu, (name, f)
                 assert np.array_equal(row, oracle.pp_solutions(members, n, grids[f.mu + f.nu], f)), (name, f)
 
 
 def test_pp_batches_match_the_per_formula_oracle_on_the_corpus():
     for name, span in CORPUS_SPANS:
-        alg, h, rels, mats = _pp_relations(name)
-        assert is_pure(alg).pure
+        h, rels, invs = _pp_relations(name)
+        assert is_pure(h.source).pure
         total = sum(1 for _ in _formula_sample(rels, span))
-        assert _same_as_oracle(alg, h, rels, mats, span, 25) == (total, 0, True), name
-        # shortening a matrix relation leaves the code side the spot checks read
-        total, bad, _ = _same_as_oracle(alg, h, rels, _changed(mats), span, 0)
+        assert _same_as_oracle(h, rels, invs, span, 25) == (total, 0, True), name
+        # a relation outside Inv in the sample puts rows outside Inv
+        total, bad, _ = _same_as_oracle(h, _changed(rels, invs), invs, span, 0)
         assert 0 < bad < total, name
 
 
 def test_pp_batches_match_the_oracle_at_every_spot_check_count():
-    alg, h, rels, mats = _pp_relations("a_group")
+    h, rels, invs = _pp_relations("a_group")
     for spot_checks in (0, 25):
-        for sides in (mats, _changed(mats)):
-            assert _same_as_oracle(alg, h, rels, sides, 2, spot_checks)[2]
+        assert _same_as_oracle(h, rels, invs, 2, spot_checks)[2]
+    assert _same_as_oracle(h, _changed(rels, invs), invs, 2, 0)[1]
     size = sum(1 for _ in _formula_sample(rels, 1))
-    assert _same_as_oracle(alg, h, rels, _changed(mats), 1, size + 5)[2]
+    assert _same_as_oracle(h, rels, invs, 1, size + 5)[2]
 
 
 def test_pp_spot_checks_verify_each_input_relation_once(monkeypatch):
-    alg, h, rels, mats = _pp_relations("a_group")
+    h, rels, invs = _pp_relations("a_group")
     checked = []
     witness = lattice.invariance_witness
     monkeypatch.setattr(lattice, "invariance_witness", lambda halg, rel: checked.append(rel) or witness(halg, rel))
-    assert _pp_both_sides(alg, h, rels, mats, 2, 25)[2]
+    assert _pp_outside_inv(h, rels, invs, 2, 25)[2]
     assert checked[:len(rels)] == list(rels)
     assert len(checked) == len(rels) + 25
 
 
 def test_pp_spot_checks_name_an_input_that_is_not_invariant():
-    alg, h, rels, mats = _pp_relations("a_group")
+    h, rels, invs = _pp_relations("a_group")
     broken = Relation(2, frozenset({(0, 1), (1, 2)}))
     assert invariance_witness(h.algebra, broken) is not None
-    rels, mats = rels[:-1] + (broken,), mats[:-1] + (broken.tuples,)
+    rels = rels[:-1] + (broken,)
     with pytest.raises(ProfileError) as fast:
-        _pp_both_sides(alg, h, rels, mats, 2, 25)
+        _pp_outside_inv(h, rels, invs, 2, 25)
     with pytest.raises(ProfileError) as slow:
-        oracle.pp_both_sides(alg, h, rels, mats, list(_formula_sample(rels, 2)), 25)
+        oracle.pp_outside_inv(h, rels, invs, list(_formula_sample(rels, 2)), 25)
     assert str(fast.value) == str(slow.value)
     assert str(fast.value).startswith("relation %d is not invariant: " % (len(rels) - 1))
 

@@ -19,7 +19,7 @@ import pytest
 
 import oracle_lattice as oracle
 from msalg import lattice
-from msalg.core import SUBUNIVERSE_BUDGET
+from msalg.core import SUBUNIVERSE_BUDGET, decode_mixed
 from msalg.lattice import (
     _matrix_route,
     enumerate_congruences,
@@ -66,10 +66,12 @@ def case_inv():
 
 
 def case_matrix_route():
+    # the engine's point ids are the flat matrices' codes
     for name, h in collapses():
         for mu in (1, 2) if name == "a_group" else (1,):
             yield ("%s mu=%d" % (name, mu),
-                   _matrix_route(h.source, h, mu, budget=SUBUNIVERSE_BUDGET),
+                   [frozenset(decode_mixed(c, h.source.carriers * mu) for c in ids)
+                    for ids in _matrix_route(h.source, h, mu, budget=SUBUNIVERSE_BUDGET)],
                    oracle.matrix_route(h.source, h, mu))
 
 

@@ -5,20 +5,21 @@ Each hypothesis case is an algebra with one or two sorts, carriers of 0 to
 empty carriers included.  Carriers stop at 2 because one draw with a
 carrier of 3 spent minutes in clone.saturate, longer than a test may run.
 The quotient property also draws two-sort algebras with constants and
-only unary or nullary symbols, carriers up to 3.  The cases are
-derandomized with the settings of test_equations.py.
+only unary or nullary symbols, carriers up to 3, and asserts on them the
+whole of verify_sub_con_transfer besides.  The cases are derandomized with
+the settings of test_equations.py.
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from test_equations import SETTINGS
 from msalg.clone import is_pure
 from msalg.core import build_algebra
 from msalg.fmt import emit_algebra, parse_algebra
 from msalg.hetero import verify_mu_roundtrip
-from msalg.lattice import verify_sub_con_transfer
+from msalg.lattice import verify_inv_iso, verify_sub_con_transfer
 
 SORTS = ("u", "w")
 
@@ -75,6 +76,14 @@ def test_congruences_move_to_the_product_carrier(alg):
     assert check.ok, check.detail
 
 
+@SETTINGS
+@given(algebras())
+def test_inv_iso_holds_at_arity_1_on_pure_draws(alg):
+    assume(is_pure(alg).pure)
+    ver = verify_inv_iso(alg, 1)
+    assert ver.ok, ver.failures()
+
+
 @st.composite
 def algebras_with_constants(draw):
     """Two sorts with carriers of 1 to 3, a constant in each, and up to
@@ -99,3 +108,10 @@ def algebras_with_constants(draw):
 def test_quotients_move_to_the_product_carrier(alg):
     check = {c.name: c for c in verify_sub_con_transfer(alg).checks}["quotient-compatible"]
     assert check.ok, check.detail
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(algebras(), algebras_with_constants()))
+def test_sub_con_transfer_holds(alg):
+    ver = verify_sub_con_transfer(alg)
+    assert ver.ok, ver.failures()

@@ -30,6 +30,7 @@ from msalg.corpus import corpus_algebra, corpus_names
 from msalg.diagonal import _class_assembled_fragment, decompose_table, find_diagonal_pairs, matrix_product
 from msalg.hetero import (
     _conjugate,
+    _conjugated,
     canonical_pair,
     cross_family_from_purity,
     heterogenize,
@@ -209,6 +210,11 @@ def case_conjugate():
         fwd = tuple(tuple(reversed(range(n))) for n in alg.carriers)
         for f in alg.tables:
             yield name, _conjugate(f, fwd, fwd, alg.carriers), oracle.conjugate(f, fwd, fwd, alg.carriers)
+        # every table of one profile at once, as the fragment checks stack them
+        for p in dict.fromkeys(f.profile for f in alg.tables):
+            tables = [f for f in alg.tables if f.profile == p]
+            yield name, _conjugated(tables, p, fwd, fwd, alg.carriers), [
+                list(oracle.conjugate(f, fwd, fwd, alg.carriers).outputs) for f in tables]
 
 
 def case_mu_maps_and_canonical_pair():
@@ -264,12 +270,11 @@ def case_pp_sides():
         alg = corpus_algebra(name)
         h = homogenize(alg)
         rels = inv_enumerate(alg, 1)[:2] + inv_enumerate(alg, 2)[1:3]
-        mats = [{tuple(d for c in t for d in h.decode(c)) for t in r.tuples} for r in rels]
-        rows = (row for block in _pp_grid(alg, h, rels, mats, 3) for row in block.transpose(1, 0, 2))
+        rows = (row for _, block in _pp_grid(h.size, rels, 3) for row in block)
         for p, (f, row) in enumerate(zip(_formula_sample(rels, 3), rows, strict=True)):
             # every seventh formula, and every closed one with a single conjunct
             if p % 7 == 0 or (f.mu == 0 and len(f.conjuncts) == 1):
-                yield name, [np.flatnonzero(side) for side in row], list(oracle.pp_sides(alg, h, rels, f))
+                yield name, np.flatnonzero(row), oracle.pp_codes(h, rels, f)
 
 
 def case_grid_columns():
