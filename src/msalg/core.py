@@ -260,13 +260,15 @@ class SortedAlgebra:
 def build_algebra(sorts, ops, *, max_arity: int = MAX_ARITY) -> SortedAlgebra:
     """Convenience constructor from names.
 
-    sorts: iterable of (sort name, carrier size).
+    sorts: iterable of (sort name, carrier size), at least one.
     ops: iterable of (symbol name, input sort names, cod sort name, outputs).
     The arity bound is checked here, at the user-facing entry; constructions
     that deliberately exceed it build SortedAlgebra directly.
     """
     sort_names = tuple(n for n, _ in sorts)
     carriers = tuple(int(k) for _, k in sorts)
+    if not sort_names:
+        raise ProfileError("an algebra needs at least one sort")
     symbols = []
     tables = []
     for name, ins, cod, outputs in ops:
@@ -358,6 +360,16 @@ def encode_digits(digits, radices) -> np.ndarray:
     for d, r in zip(digits, radices, strict=True):
         code = code * r + d
     return code
+
+
+def encode_choices(stacks, radices) -> np.ndarray:
+    """encode_digits at every choice of one row per stack, each stack of
+    shape (rows, points): the result has shape (choices, points), choices
+    in itertools.product order, stack 0 the most significant digit."""
+    k = len(stacks)
+    code = encode_digits([np.expand_dims(np.asarray(st, dtype=np.int64), [j for j in range(k) if j != s])
+                          for s, st in enumerate(stacks)], radices)
+    return code.reshape(prod(code.shape[:-1]), code.shape[-1])
 
 
 def decode_digits(codes, radices) -> tuple[np.ndarray, ...]:

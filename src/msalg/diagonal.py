@@ -55,6 +55,7 @@ from .core import (
     check_arity,
     decode_digits,
     decode_mixed,
+    encode_choices,
     encode_digits,
     encode_mixed,
     first_failure,
@@ -314,7 +315,7 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
                for r, e in zip(retracts, mp.pair.es)]
     if prod(len(c) for c in classes) > budget:
         raise BudgetError("class assembly would exceed the table budget")
-    return {tuple(encode_digits(slots, mp.sizes).tolist()) for slots in itertools.product(*classes)}
+    return set(map(tuple, encode_choices(classes, mp.sizes).tolist()))
 
 
 def _composition_failure(tables, unary, phi, phi_unary, recombine, split):

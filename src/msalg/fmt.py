@@ -90,7 +90,7 @@ def parse_algebra(text: str) -> SortedAlgebra:
     if ver != "1":
         raise FormatError("unsupported format version %r" % ver, ln, col)
     tk.keyword("sorts")
-    n_sorts = tk.integer("sort count")
+    n_sorts = tk.integer("sort count", low=1)
     sorts: list[tuple[str, int]] = []
     seen_sorts = set()
     for _ in range(n_sorts):

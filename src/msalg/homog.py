@@ -20,13 +20,13 @@ and an extra unary "diag" that is the identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .core import (
+    BudgetError,
     MAX_ARITY,
     OpTable,
     Profile,
@@ -38,6 +38,7 @@ from .core import (
     check_arity,
     decode_digits,
     decode_mixed,
+    encode_choices,
     encode_digits,
     encode_mixed,
     gather,
@@ -143,11 +144,8 @@ def assemble(h: HomogenizedAlgebra, gs) -> OpTable:
         if g.profile.cod != s:
             raise ProfileError("component %d lands in sort %d" % (s, g.profile.cod))
 
-    def glued(*cols):
-        flat = [d for c in cols for d in decode_digits(c, h.radices)]
-        return encode_digits([gather(g, flat) for g in gs], h.radices)
-
-    return tabulate(Profile((0,) * lam, 0), (h.size,), glued)
+    outputs = encode_choices([[g.outputs] for g in gs], h.radices)[0]
+    return OpTable(Profile((0,) * lam, 0), (h.size,), tuple(outputs.tolist()))
 
 
 def assembled_fragment(h: HomogenizedAlgebra, lam: int, *,
@@ -156,19 +154,20 @@ def assembled_fragment(h: HomogenizedAlgebra, lam: int, *,
 
     One table per choice of a source term into each sort, all over the
     decoded-argument profile; the lam-ary fragment of the product algebra
-    must equal this set.  Keyed by outputs.  Requires lam >= 1.
+    must equal this set.  Keyed by outputs, first choice in itertools.product
+    order kept.  Requires lam >= 1 and at most budget choices.
     """
     if lam < 1:
         raise ProfileError("assembly needs lam >= 1, got %d" % lam)
     S = len(h.radices)
     rho = tuple(range(S)) * lam
     frag = generate_fragment(h.source, [rho], budget=budget)
-    per_sort = [frag.tables.get(Profile(rho, s), ()) for s in range(S)]
-    out = {}
-    for gs in itertools.product(*per_sort):
-        t = assemble(h, gs)
-        out.setdefault(t.outputs, t)
-    return out
+    per_sort = [frag.tables[Profile(rho, s)] for s in range(S)]
+    if prod(len(ts) for ts in per_sort) > budget:
+        raise BudgetError("assembly would exceed the table budget")
+    codes = encode_choices([[t.outputs for t in ts] for ts in per_sort], h.radices)
+    profile = Profile((0,) * lam, 0)
+    return {outs: OpTable(profile, (h.size,), outs) for outs in dict.fromkeys(map(tuple, codes.tolist()))}
 
 
 def morphism_lift(hA: HomogenizedAlgebra, hB: HomogenizedAlgebra, maps):

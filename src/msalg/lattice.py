@@ -153,22 +153,17 @@ class _Power:
     def _reach(self, profile, stack) -> np.ndarray:
         """The profile's reach tensor, shape (points of input 1, ..., of
         input k, of the cod sort), True where some stacked table sends the
-        power points (x_1..x_k) to z.  Built in blocks of argument rows,
-        about _CHUNK gathered values each."""
-        ins, k = profile.inputs, len(profile.inputs)
-        shape = [self.points(s) for s in ins]
-        cols = [self.digits[:, self.offsets[s]:self.offsets[s + 1]].reshape(
-                    (self.mu,) + (1,) * j + (shape[j],) + (1,) * (k - 1 - j)) for j, s in enumerate(ins)]
-        # the table argument code at each coordinate of each power argument row
-        args = np.broadcast_to(encode_digits(cols, [self.carriers[s] for s in ins]),
-                               (self.mu,) + tuple(shape)).reshape(self.mu, -1)
-        reach = np.zeros((args.shape[1], self.points(profile.cod)), dtype=bool)
-        step = max(1, _CHUNK // (len(stack) * self.mu))
-        for lo in range(0, args.shape[1], step):
-            values = stack[:, args[:, lo:lo + step]]
-            images = encode_digits(list(values.swapaxes(0, 1)), (self.carriers[profile.cod],) * self.mu)
-            reach[np.arange(lo, lo + images.shape[1]), images] = True
-        return reach.reshape(shape + [self.points(profile.cod)])
+        power points (x_1..x_k) to z: _images over every point of each
+        input sort, whose steps along position 0 are runs of rows."""
+        shape = [self.points(s) for s in profile.inputs] + [self.points(profile.cod)]
+        reach = np.zeros((math.prod(shape[:-1]), shape[-1]), dtype=bool)
+        pool = [np.arange(self.offsets[s], self.offsets[s + 1]) for s in profile.inputs]
+        lo = 0
+        for ids in self._images(profile, stack, pool, 0):
+            ids = ids.reshape(len(stack), -1) - self.offsets[profile.cod]
+            reach[np.arange(lo, lo + ids.shape[1]), ids] = True
+            lo += ids.shape[1]
+        return reach.reshape(shape)
 
     def close(self, member: np.ndarray, fresh: np.ndarray) -> np.ndarray:
         """Grow member, one bool per point id, into its closure.  fresh holds
@@ -502,9 +497,6 @@ def _block_reps(cong: Congruence, s: int) -> np.ndarray:
 def quotient(alg: SortedAlgebra, cong: Congruence) -> SortedAlgebra:
     """Algebra on the blocks.  Same signature object; element k of sort s
     is the k-th block in first-appearance order."""
-    if len(cong.classes) != alg.n_sorts or any(
-            len(c) != n for c, n in zip(cong.classes, alg.carriers)):
-        raise ProfileError("partition shape does not match carriers %r" % (alg.carriers,))
     ok, wit = is_congruence(alg, cong.classes)
     if not ok:
         raise ProfileError("not compatible, so the quotient is not well defined: %r" % (wit,))
@@ -520,8 +512,6 @@ def quotient(alg: SortedAlgebra, cong: Congruence) -> SortedAlgebra:
 
 def restrict_to_subuniverse(alg: SortedAlgebra, su: SubUniverse) -> SortedAlgebra:
     """Algebra on a closed family, elements renumbered by position."""
-    if len(su.sets) != alg.n_sorts:
-        raise ProfileError("family has %d sets for %d sorts" % (len(su.sets), alg.n_sorts))
     ok, wit = is_closed_family(alg, su.sets)
     if not ok:
         raise ProfileError("family is not closed, %s escapes at %r" % wit)
@@ -629,9 +619,14 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
 
     subs_a = enumerate_subuniverses(alg, budget=budget)
     subs_h = enumerate_subuniverses(h.algebra, budget=budget)
-    boxes = {family_product(h, su) for su in subs_a}
+    # each box to its first family; the first family on a taken box collides
+    boxes, collision = {}, None
+    for su in subs_a:
+        first = boxes.setdefault(family_product(h, su), su)
+        if first is not su and collision is None:
+            collision = (first.sets, su.sets)
     checks.append(CheckResult(
-        "sub-product-sets", boxes == set(subs_h),
+        "sub-product-sets", boxes.keys() == set(subs_h),
         "%d closed families, %d boxes, %d closed subsets of the product carrier"
         % (len(subs_a), len(boxes), len(subs_h))))
 
@@ -663,23 +658,14 @@ def verify_sub_con_transfer(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUD
         "product-compatible", ok,
         "square on %d product elements" % hsq.size if ok else why))
 
-    injective = len(boxes) == len(subs_a)
     report = is_pure(alg)
     closed0 = subalgebra_generate(alg, [()] * alg.n_sorts).sets
     filled = all(len(closed0[s1]) == alg.carriers[s1] for s1, _ in report.missing())
-    if injective:
+    if collision is None:
         detail = "box map injective on %d families, purity %r" % (len(subs_a), report.pure)
     else:
-        seen = {}
-        collapse = None
-        for su in subs_a:
-            key = family_product(h, su)
-            if key in seen:
-                collapse = (seen[key].sets, su.sets)
-                break
-            seen[key] = su
-        detail = "families %r and %r share one box, purity %r" % (collapse + (report.pure,))
-    checks.append(CheckResult("sub-injective-iff-pure", injective == filled, detail))
+        detail = "families %r and %r share one box, purity %r" % (collision + (report.pure,))
+    checks.append(CheckResult("sub-injective-iff-pure", (collision is None) == filled, detail))
 
     return Verification(tuple(checks))
 

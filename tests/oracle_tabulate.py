@@ -37,6 +37,11 @@ def decode_mixed(code: int, radices) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------- core
 
+def encode_choices(stacks, radices) -> list:
+    return [[encode_mixed(digits, radices) for digits in zip(*rows)]
+            for rows in itertools.product(*(np.asarray(st).tolist() for st in stacks))]
+
+
 def projection(carriers, inputs, pos) -> OpTable:
     outs = tuple(args[pos] for args in itertools.product(*(range(carriers[s]) for s in inputs)))
     return OpTable(Profile(inputs, inputs[pos]), carriers, outs)
@@ -108,6 +113,14 @@ def assemble(h, gs) -> OpTable:
         flat = tuple(v for a in args for v in h.decode(a))
         outputs.append(h.encode(tuple(g.apply(flat) for g in gs)))
     return OpTable(Profile((0,) * lam, 0), (n,), tuple(outputs))
+
+
+def assembled_fragment(h, per_sort) -> dict:
+    out = {}
+    for gs in itertools.product(*per_sort):
+        t = assemble(h, gs)
+        out.setdefault(t.outputs, t)
+    return out
 
 
 def morphism_lift(hA, hB, maps):

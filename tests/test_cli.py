@@ -145,6 +145,18 @@ def test_transfer_passes_when_a_carrier_is_empty(tmp_path):
     assert "check con-product-bijection: pass (2 congruences, 1 on the product carrier)" in out
 
 
+def test_files_without_sorts_exit_2(tmp_path, capsys):
+    # zero sorts leave no product carrier to collapse onto, so the parser
+    # refuses them before any command runs
+    path = tmp_path / "nosorts.alg"
+    path.write_text("msalg 1\nsorts 0\nsymbols 0\nend\n")
+    for cmd in ("transfer", "jonsson", "inv-iso"):
+        rc, out = run_cli([cmd, str(path)])
+        assert rc == 2, (cmd, out)
+        assert "verdict:" not in out
+        assert "sort count must be at least 1" in capsys.readouterr().err, cmd
+
+
 def test_transfer_passes_on_a_pure_algebra_with_constants(tmp_path):
     # closed terms take u to 1 and 2, so the collapse pads lift_f0 with 1;
     # the quotient by u-blocks {0,2},{1} sends 1 to block 1 and 2 to block

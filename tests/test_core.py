@@ -114,6 +114,11 @@ def test_compose_inner_identity():
             assert compose(f, pis) == f, (name, sym.name)
 
 
+def test_build_algebra_needs_a_sort():
+    with pytest.raises(ProfileError, match="at least one sort"):
+        build_algebra([], [])
+
+
 def test_compose_nullary_needs_explicit_inputs():
     alg = build_algebra([("s", 2)], [("c", [], "s", [1])])
     c = alg.table("c")

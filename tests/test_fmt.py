@@ -71,6 +71,10 @@ def test_error_positions():
         parse_algebra("msalg 1\nsorts 1\nsort s 2\nsymbols 0\n")
     assert "end of input" in str(e.value)
 
+    with pytest.raises(FormatError) as e:
+        parse_algebra("msalg 1\nsorts 0\nsymbols 0\nend\n")
+    assert (e.value.line, e.value.col) == (2, 7) and "sort count must be at least 1" in str(e.value)
+
 
 def test_tables_must_follow_symbol_order():
     text = ("msalg 1\nsorts 1\nsort s 2\nsymbols 2\n"

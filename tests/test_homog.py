@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from msalg.clone import generate_fragment
-from msalg.core import Profile, ProfileError, build_algebra, is_homomorphism
+from msalg.core import BudgetError, Profile, ProfileError, build_algebra, is_homomorphism
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.homog import (
     assemble,
@@ -96,6 +96,14 @@ def test_adequacy_fragments_match_assembled_terms():
 def test_assembled_fragment_needs_lam_at_least_1():
     with pytest.raises(ProfileError):
         assembled_fragment(homogenize(corpus_algebra("a_tiny")), 0)
+
+
+def test_assembled_fragment_budget_counts_choices():
+    # 3 terms into u times 5 into w at lam 1; each fragment fits 5 tables
+    h = homogenize(corpus_algebra("a_tiny"))
+    assert len(assembled_fragment(h, 1, budget=15)) == 15
+    with pytest.raises(BudgetError, match="^assembly would exceed the table budget$"):
+        assembled_fragment(h, 1, budget=14)
 
 
 def test_adequacy_counts_for_the_affine_pair():

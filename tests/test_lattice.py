@@ -372,6 +372,15 @@ def test_restrict_to_subuniverse():
     assert small.table("cu").outputs == (0,)
 
 
+def test_quotient_and_restriction_reject_a_family_of_the_wrong_shape():
+    # the input checks of is_congruence and is_closed_family, run first
+    alg = corpus_algebra("a_tiny")
+    with pytest.raises(ProfileError, match=r"^partition shape does not match carriers \(2, 3\)$"):
+        quotient(alg, Congruence(((0, 0), (0, 0))))
+    with pytest.raises(ProfileError, match="^family has 1 sets for 2 sorts$"):
+        restrict_to_subuniverse(alg, SubUniverse(((0, 1),)))
+
+
 # ---------------------------------------------------------------- transfer
 
 def test_transfer_passes_on_pure_corpus_algebras():

@@ -17,8 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 from test_equations import SETTINGS
 from msalg.clone import is_pure
 from msalg.core import build_algebra
+from msalg.diagonal import find_diagonal_pairs
 from msalg.fmt import emit_algebra, parse_algebra
-from msalg.hetero import verify_mu_roundtrip
+from msalg.hetero import verify_mu_roundtrip, verify_nu_roundtrip
+from msalg.homog import homogenize
 from msalg.lattice import verify_inv_iso, verify_sub_con_transfer
 
 SORTS = ("u", "w")
@@ -60,6 +62,15 @@ def test_emit_then_parse_is_the_identity(alg):
 @given(algebras())
 def test_mu_roundtrip_holds_exactly_when_pure(alg):
     assert verify_mu_roundtrip(alg, lam=2).ok == is_pure(alg).pure
+
+
+@SETTINGS
+@given(algebras())
+def test_nu_roundtrip_holds_for_every_pair_on_the_collapse(alg):
+    collapse = homogenize(alg).algebra
+    for pair in find_diagonal_pairs(collapse, alg.n_sorts):
+        ver, _bijection = verify_nu_roundtrip(collapse, pair, lam=2)
+        assert ver.ok, (pair, ver.failures())
 
 
 @SETTINGS

@@ -22,6 +22,7 @@ from msalg.core import (
     SortedAlgebra,
     build_algebra,
     compose,
+    encode_choices,
     grid_columns,
     is_homomorphism,
     projection,
@@ -36,7 +37,7 @@ from msalg.hetero import (
     heterogenize,
     mu_maps,
 )
-from msalg.homog import _diag_table, _lift, assemble, homogenize, morphism_lift
+from msalg.homog import _diag_table, _lift, assemble, assembled_fragment, homogenize, morphism_lift
 from msalg.lattice import (
     _formula_sample,
     _pp_grid,
@@ -182,6 +183,32 @@ def case_assemble():
                 yield name, assemble(h, gs), oracle.assemble(h, gs)
 
 
+def case_assembled_fragment():
+    for name, h in collapses():
+        for lam in (1, 2):
+            rho = tuple(range(len(h.radices))) * lam
+            frag = generate_fragment(h.source, [rho])
+            per_sort = [frag.tables.get(Profile(rho, s), ()) for s in range(len(h.radices))]
+            yield ("%s lam=%d" % (name, lam), list(assembled_fragment(h, lam).items()),
+                   list(oracle.assembled_fragment(h, per_sort).items()))
+
+
+def case_encode_choices():
+    rows = np.asarray([[0, 1, 1], [1, 0, 0]]), np.asarray([[2, 0, 1], [1, 1, 1], [0, 0, 2]])
+    cases = [
+        ("two stacks", rows, (2, 3)),
+        ("one stack", rows[1:], (3,)),
+        ("three stacks", (rows[1], np.zeros((2, 3), dtype=np.int64), rows[0]), (3, 1, 2)),
+        ("a stack of no rows", (rows[0], np.zeros((0, 3), dtype=np.int64)), (2, 3)),
+        ("zero points", (np.zeros((2, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)), (2, 3)),
+    ]
+    for label, stacks, radices in cases:
+        fast = encode_choices(stacks, radices)
+        slow = oracle.encode_choices(stacks, radices)
+        yield label, fast.shape, (len(slow), stacks[0].shape[1])
+        yield label, fast.tolist(), slow
+
+
 def case_morphism_lift():
     for name, h in collapses():
         maps = _shifted(h.source)
@@ -198,6 +225,8 @@ def case_class_assembly():
     for name, alg, pair in pairs():
         mp = matrix_product(alg, pair)
         yield name, _class_assembled_fragment(mp, 1), oracle.class_assembled_fragment(mp, 1)
+        if alg.carriers[0] <= 4:
+            yield name + " lam=2", _class_assembled_fragment(mp, 2), oracle.class_assembled_fragment(mp, 2)
 
 
 def case_heterogenize():
