@@ -21,13 +21,19 @@ row.  Only new rows reach Python, which builds their witness terms.
 Two facts read off each table before the rounds cut idle work.  A symbol
 whose profile and table repeat an earlier symbol's is skipped: it reads the
 same snapshot of the stores, so its rows are all stored by the time it
-runs.  An argument the table ignores (its outputs do not change along that
-axis) is read at stored index 0 only.  Every round has enumerated all
-argument tuples below the previous round's store sizes, so in
-itertools.product order a tuple's row first appears at the tuple with 0 at
-every ignored position; insertion order, witness terms and budget errors
-are therefore unchanged.  A projection yields only stored rows and a
-constant table one row.
+runs.  And each argument position has classes: class(a) is the least
+value whose slice of the table along that axis equals a's, so stored
+tables with the same pointwise class image give the same candidate rows
+there.  A round reads, at each position, only the first stored table of
+each class image (an ignored argument has one class, so it reads stored
+index 0 only; a unary symbol that is not constant reads every table, since
+its classes tell its rows apart no sooner than admission does).  A skipped
+tuple's row is that of the tuple with each argument replaced by its
+class's first table.  Being first depends only on the tables stored
+before, so that tuple comes earlier in itertools.product order in the same
+round or was read in an earlier one; insertion order, witness terms and
+budget errors are therefore unchanged.  A projection yields only stored
+rows and a constant table one row.
 
 The same engine closes generator vectors over an arbitrary point set (a
 subalgebra of a direct power), which other modules use to compute
@@ -71,6 +77,22 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     if not rows.shape[1]:
         return np.zeros(len(rows), dtype="V0")
     return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _classes(table: np.ndarray, axis: int) -> np.ndarray | None:
+    """class(a) for every value a along one axis of a table: the least value
+    whose slice along that axis equals a's; None when every value is its own
+    class."""
+    n = table.shape[axis]
+    slices = np.moveaxis(table, axis, 0).reshape(n, table.size // n if n else 0)
+    _, first, inverse = np.unique(_keys(slices), return_index=True, return_inverse=True)
+    return None if len(first) == n else first[inverse].astype(table.dtype)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Indexes of the keys that differ from every earlier key, ascending."""
+    _, first = np.unique(keys, return_index=True)
+    return np.sort(first)
 
 
 class _Store:
@@ -117,8 +139,7 @@ class _Store:
             rest = np.flatnonzero((rows != self.matrix.take(at, axis=0)).any(axis=1))
         if not len(rest):
             return 0
-        _, first = np.unique(keys[rest], return_index=True)
-        added = rest[np.sort(first)]
+        added = rest[_firsts(keys[rest])]
         self._append(rows[added], [term_of(int(r)) for r in added])
         return len(added)
 
@@ -136,11 +157,14 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
     already carry it.
 
     Symbols that repeat an earlier symbol's profile and table are skipped,
-    and arguments a table ignores are read at stored index 0 only (the
-    all-old test still reads the pinned index, so an argument sort that was
-    empty in the previous round counts as new); the first occurrence of
-    every row, and so every witness, stays where the full enumeration puts
-    it.
+    and at each argument position only the stored tables whose pointwise
+    class image (see _classes) is new are enumerated: a pruned table gives
+    the rows of its class's first table, which an earlier tuple in
+    itertools.product order, in this round or an earlier one, has already
+    read.  The all-old test reads the real store index, so an argument sort
+    that was empty in the previous round counts as new; the first
+    occurrence of every row, and so every witness, stays where the full
+    enumeration puts it.
     """
     dtype = np.min_scalar_type(max(alg.carriers, default=0))
     stores = {s: _Store(n_points, dtype) for s in range(alg.n_sorts)}
@@ -157,15 +181,19 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
             continue
         seen.add(key)
         table = flat.reshape([alg.carriers[s] for s in sym.profile.inputs])
-        symbols.append((sym, flat, [not table.size or (table == table.take([0], axis=i)).all()
-                                    for i in range(table.ndim)]))
+        classes = [_classes(table, i) for i in range(table.ndim)]
+        if table.ndim == 1 and (flat != flat[:1]).any():
+            # A unary symbol's classes would cost what admitting its rows
+            # does, so only a constant one is pruned.
+            classes = [None]
+        symbols.append((sym, flat, classes))
 
     before_prev = {s: 0 for s in stores}
     prev = {s: stores[s].count for s in stores}
     round_no = 1
     while True:
         added = False
-        for sym, flat, idle in symbols:
+        for sym, flat, classes in symbols:
             in_sorts, cod = sym.profile.inputs, sym.profile.cod
             target = stores[cod]
             prof = Profile(ambient_inputs, cod)
@@ -175,35 +203,43 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
                     if target.admit(vec, lambda r: App(prof, sym.name, ())):
                         added = True
                 continue
+            # The stored tables each position reads: the first of each class
+            # image, or all of them where the classes are the identity.
+            reps = [np.arange(prev[s]) if c is None
+                    else _firsts(_keys(c.take(stores[s].rows(prev[s]))))
+                    for s, c in zip(in_sorts, classes)]
             lead_sorts, last_sort = in_sorts[:-1], in_sorts[-1]
+            lead_reps, last_reps = reps[:-1], reps[-1]
             sizes = [alg.carriers[s] for s in in_sorts]
-            hi = min(prev[last_sort], 1) if idle[-1] else prev[last_sort]
+            hi = len(last_reps)
             if hi == 0:
                 continue
             # One row of the table per code of the lead arguments; a lead
             # tuple's slices (point, last value) are read at these columns.
             by_lead = flat.reshape(prod(sizes[:-1]), sizes[-1])
-            columns = np.arange(n_points) * sizes[-1] + stores[last_sort].rows(hi)
-            radices = [min(prev[s], 1) if ignored else prev[s] for s, ignored in zip(lead_sorts, idle)]
+            columns = np.arange(n_points) * sizes[-1] + stores[last_sort].matrix.take(last_reps, axis=0)
+            old_last = int(np.searchsorted(last_reps, before_prev[last_sort]))
+            radices = [len(r) for r in lead_reps]
             n_leads = prod(radices)
             step = max(1, _CHUNK // (max(hi, sizes[-1]) * max(n_points, 1)))
             for start in range(0, n_leads, step):
                 # A block of lead tuples in itertools.product order and its
-                # candidate rows: every stored last argument after a tuple
+                # candidate rows: every read last argument after a tuple
                 # with a new table, only the new ones after an all-old tuple;
                 # each run of alike tuples is read with one take.
                 n_block = min(step, n_leads - start)
                 digits = decode_digits(np.arange(start, start + n_block), radices)
+                picks = [r.take(d) for r, d in zip(lead_reps, digits)]
                 all_old = np.ones(n_block, dtype=bool)
-                for d, s in zip(digits, lead_sorts):
-                    all_old &= d < before_prev[s]
-                lo = np.minimum(np.where(all_old, before_prev[last_sort], 0), hi)
+                for p, s in zip(picks, lead_sorts):
+                    all_old &= p < before_prev[s]
+                lo = np.where(all_old, old_last, 0)
                 counts = hi - lo
                 if not counts.any():
                     continue
                 if lead_sorts:
-                    lead = encode_digits([stores[s].matrix.take(d, axis=0)
-                                          for d, s in zip(digits, lead_sorts)], sizes[:-1])
+                    lead = encode_digits([stores[s].matrix.take(p, axis=0)
+                                          for p, s in zip(picks, lead_sorts)], sizes[:-1])
                 else:
                     lead = np.zeros((1, n_points), dtype=np.int64)
                 slices = by_lead.take(lead, axis=0).reshape(n_block, n_points * sizes[-1])
@@ -215,8 +251,8 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
 
                 def term_of(r):
                     t = int(np.searchsorted(ends, r, side="right"))
-                    args = [stores[s].terms[d[t]] for d, s in zip(digits, lead_sorts)]
-                    last = lo[t] + r - (ends[t] - counts[t])
+                    args = [stores[s].terms[p[t]] for p, s in zip(picks, lead_sorts)]
+                    last = last_reps[lo[t] + r - (ends[t] - counts[t])]
                     return App(prof, sym.name, tuple(args) + (stores[last_sort].terms[last],))
 
                 if target.admit(rows, term_of):

@@ -129,9 +129,9 @@ def lift_table(h: HomogenizedAlgebra, f: OpTable) -> OpTable:
 def assemble(h: HomogenizedAlgebra, gs) -> OpTable:
     """Glue one table per sort into a single product-carrier table.
 
-    gs[s] must land in sort s and all share the input profile
-    (0, 1, ..., S-1) repeated: argument i of the result decodes to
-    argument block i of each g_s.
+    gs[s] must land in sort s, be over the source's carriers and all share
+    the input profile (0, 1, ..., S-1) repeated: argument i of the result
+    decodes to argument block i of each g_s.
     """
     S = len(h.radices)
     if len(gs) != S or S < 1:
@@ -143,6 +143,9 @@ def assemble(h: HomogenizedAlgebra, gs) -> OpTable:
     for s, g in enumerate(gs):
         if g.profile.cod != s:
             raise ProfileError("component %d lands in sort %d" % (s, g.profile.cod))
+        if g.carriers != h.source.carriers:
+            raise ProfileError("component %d is over carriers %r, not the source's %r"
+                               % (s, g.carriers, h.source.carriers))
 
     outputs = encode_choices([[g.outputs] for g in gs], h.radices)[0]
     return OpTable(Profile((0,) * lam, 0), (h.size,), tuple(outputs.tolist()))

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from msalg.clone import generate_fragment
-from msalg.core import BudgetError, Profile, ProfileError, build_algebra, is_homomorphism
+from msalg.core import BudgetError, Profile, ProfileError, build_algebra, constant_table, is_homomorphism
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.homog import (
     assemble,
@@ -126,6 +126,11 @@ def test_assemble_rejects_bad_components():
     bad = generate_fragment(alg, [(1, 0)]).tables[Profile((1, 0), 0)][0]
     with pytest.raises(ProfileError):
         assemble(h, (bad, g1))  # profile not (0, 1) repeated
+    # components over carriers (4, 1) for a collapse of carriers (1, 4): both
+    # have 4 points, and the outputs would all be 0
+    swapped = homogenize(build_algebra([("s", 1), ("t", 4)], []))
+    with pytest.raises(ProfileError, match="^component 0 is over carriers"):
+        assemble(swapped, (constant_table((4, 1), (0, 1), 0, 0), constant_table((4, 1), (0, 1), 1, 0)))
 
 
 def test_nullary_lift_stays_nullary_when_every_sort_has_closed_terms():

@@ -1,12 +1,8 @@
 """The differential equation, saturation and tabulation checks, the core,
-clone, collapse, split, diagonal, format, lattice, command-line and
-property tests, rerun in a python -O subprocess, where assert statements
-are compiled away: no verdict, witness, table, input check or exit status
-may depend on one.
-
-test_malcev.py stays out: its componentwise test builds the ternary
-fragment of the a_malcev collapse, which takes about 22 s when the
-closure cache of the main test run is not there to share it."""
+clone, collapse, split, diagonal, format, lattice, Mal'cev and Jonsson,
+command-line and property tests, rerun in a python -O subprocess, where
+assert statements are compiled away: no verdict, witness, table, input
+check or exit status may depend on one."""
 
 import os
 import subprocess
@@ -22,8 +18,8 @@ def test_equations_and_exit_codes_pass_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            *(os.path.join(HERE, "test_%s.py" % name)
                              for name in ("equations", "saturate", "tabulate", "lattice", "lattice_engine",
-                                          "homog", "hetero", "diagonal", "fmt", "core", "clone", "cli",
-                                          "properties"))],
+                                          "homog", "hetero", "diagonal", "fmt", "core", "clone", "malcev",
+                                          "cli", "properties"))],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
     assert "passed" in proc.stdout

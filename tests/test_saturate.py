@@ -4,15 +4,17 @@ oracle_clone.saturate evaluates one numpy gather per tuple of lead
 arguments and probes a bytes-key dict once per candidate row.  The kernel
 in msalg.clone gathers whole blocks of lead tuples at once, tells rows
 apart by exact keys, a batch at a time, skips symbols that repeat an
-earlier one and reads ignored arguments at stored index 0 only.  Each case
-below closes the same seeds with both and requires the same tables in the
-same insertion order, the same witness terms, and the same BudgetError at
-the same budgets: every corpus algebra, its collapse and its nu-collapses
-(split along a pair and collapsed again, where symbols repeat and ignore
-arguments) at every input profile of arity at most 2, the nullary-symbol
-and empty-carrier algebras of test_tabulate.py, a hand-built algebra with
-ignored arguments, a projection, a repeat and a constant, and the
-point-set closures behind diagonal._class_assembled_fragment.
+earlier one and, at each argument position, reads only the first stored
+table of each pointwise class image (an ignored argument has one class).
+Each case below closes the same seeds with both and requires the same
+tables in the same insertion order, the same witness terms, and the same
+BudgetError at the same budgets: every corpus algebra, its collapse and
+its nu-collapses (split along a pair and collapsed again, where symbols
+repeat and ignore arguments) at every input profile of arity at most 2,
+the nullary-symbol and empty-carrier algebras of test_tabulate.py, a
+hand-built algebra with ignored arguments, a projection, a repeat, a
+constant and binary and ternary symbols with coarser argument classes,
+and the point-set closures behind diagonal._class_assembled_fragment.
 
 The inputs that need fragments of their own (collapses with constants,
 diagonal pairs) are built on the oracle, so a kernel that never reaches
@@ -57,8 +59,13 @@ def _on_the_oracle():
 def _idle():
     """Ignored lead and last arguments, a projection and its repeat, and a
     constant; f is declared before a, so its ignored lead sort w is still
-    empty in round 1."""
-    return build_algebra([("u", 2), ("w", 3)], [
+    empty in round 1.  b and t read v through classes that are neither one
+    class nor the identity, at a lead and at the last position: b's are
+    {0, 1} {2} and {0} {1, 2}, t's {0, 2} {1} at both.  At the input
+    profile (u, u) each of these four positions meets, in round 3, a class
+    whose first table was new in round 2 and whose later tables are
+    pruned."""
+    return build_algebra([("u", 2), ("w", 3), ("v", 3)], [
         ("f", ("w", "u"), "u", (1, 0) * 3),
         ("a", ("u",), "w", (2, 0)),
         ("p", ("u", "u"), "u", (0, 0, 1, 1)),
@@ -66,6 +73,10 @@ def _idle():
         ("k", ("u", "w"), "u", (1,) * 6),
         ("g", ("w", "w"), "w", (1, 2, 0) * 3),
         ("h", ("w", "u"), "w", (0, 0, 2, 2, 1, 1)),
+        ("e", ("v",), "v", (1, 0, 1)),
+        ("c", ("u",), "v", (1, 2)),
+        ("b", ("v", "v"), "v", (0, 0, 0, 0, 0, 0, 0, 2, 2)),
+        ("t", ("v", "u", "v"), "u", (0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1)),
     ])
 
 
@@ -142,16 +153,14 @@ def case_point_sets(monkeypatch):
 
 
 def case_budgets(monkeypatch):
-    """Every budget up to one past the largest store on the bases, and 0-11
-    on _idle; on the collapses, nu-collapses and point sets, 0 and each
-    store size and the one below it."""
+    """Every budget up to one past the largest store on the bases and
+    _idle; on the collapses, nu-collapses and point sets, 0 and each store
+    size and the one below it."""
     closures = itertools.chain(_profile_closures(), _point_set_closures(monkeypatch))
     for label, alg, n_points, seeds, inputs in closures:
         sizes = _store_sizes(_outcome(oracle.saturate, alg, n_points, seeds, inputs))
         if label.startswith(("h_", "nu_")) or "lam=" in label:
             budgets = sorted({0} | {b for n in sizes for b in (n - 1, n) if b >= 0})
-        elif label.startswith("idle"):
-            budgets = range(12)
         else:
             budgets = range(max(sizes, default=0) + 2)
         for budget in budgets:
@@ -186,16 +195,9 @@ def test_kernel_matches_oracle(case, monkeypatch):
         assert 0 < raised < count
 
 
-def test_rows_admitted_for_the_a_malcev_nu_collapse(monkeypatch):
-    """Rows handed to _Store.admit while the (0, 0) fragment of the a_malcev
-    nu-collapse, along the first diagonal pair of its collapse, is built:
-    1504946 while every symbol read every argument tuple.  The count does
-    not depend on clone._CHUNK, so only an algorithmic change moves it.  The
-    budget is the fragment's 36 tables, so a kernel that stops reaching its
-    fixpoint raises instead of running on."""
-    with _on_the_oracle():
-        h = homogenize(corpus_algebra("a_malcev")).algebra
-        nu = homogenize(heterogenize(h, find_diagonal_pairs(h, 2)[0]).algebra).algebra
+def _rows_admitted(monkeypatch, alg, inputs, budget):
+    """The cod-sort-0 tables of the fragment at inputs, built with the
+    kernel, and the rows handed to _Store.admit meanwhile."""
     rows = []
     admit = clone._Store.admit
 
@@ -204,8 +206,33 @@ def test_rows_admitted_for_the_a_malcev_nu_collapse(monkeypatch):
         return admit(store, batch, term_of)
 
     monkeypatch.setattr(clone._Store, "admit", counting)
-    tables, _ = clone._closure_full.__wrapped__(nu, (0, 0), 36)[0]
-    assert len(tables) == 36 and sum(rows) == 102785
+    tables, _ = clone._closure_full.__wrapped__(alg, inputs, budget)[0]
+    return len(tables), sum(rows)
+
+
+def test_rows_admitted_for_the_a_malcev_nu_collapse(monkeypatch):
+    """Rows handed to _Store.admit while the (0, 0) fragment of the a_malcev
+    nu-collapse, along the first diagonal pair of its collapse, is built:
+    1504946 while every symbol read every argument tuple, 102785 while
+    ignored arguments were read at stored index 0 only, and 4785 since
+    each argument position reads the first stored table of each class
+    image.  The count does not depend on clone._CHUNK, so only an
+    algorithmic change moves it.  The budget is the fragment's 36 tables,
+    so a kernel that stops reaching its fixpoint raises instead of running
+    on."""
+    with _on_the_oracle():
+        h = homogenize(corpus_algebra("a_malcev")).algebra
+        nu = homogenize(heterogenize(h, find_diagonal_pairs(h, 2)[0]).algebra).algebra
+    assert _rows_admitted(monkeypatch, nu, (0, 0), 36) == (36, 4785)
+
+
+def test_rows_admitted_for_the_a_malcev_ternary_fragment(monkeypatch):
+    """The same count for the (0, 0, 0) fragment of the a_malcev collapse,
+    the one the Mal'cev and Jonsson searches read: 20202483 rows while
+    ignored arguments were read at stored index 0 only, 171939 with
+    argument classes.  The budget is the fragment's 216 tables."""
+    h = homogenize(corpus_algebra("a_malcev")).algebra
+    assert _rows_admitted(monkeypatch, h, (0, 0, 0), 216) == (216, 171939)
 
 
 def test_store_admits_each_row_once_at_its_first_occurrence():
