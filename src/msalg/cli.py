@@ -567,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjunct", action="append", required=True,
                    help="ARITY:INDEX:p0,p1,... naming an enumerated relation")
     cmd("inv-iso", _cmd_inv_iso,
-        help="verify the two invariant-relation routes agree up to --mu-max")
+        help="verify Inv of the collapse is the boxes of Sub(A^mu) up to --mu-max")
     p = cmd("malcev", _cmd_malcev, help="search for a Mal'cev witness")
     p.add_argument("--mode", choices=("per_sort", "homogenized", "both"),
                    default="both")

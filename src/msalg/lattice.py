@@ -13,25 +13,24 @@ principal closed sets, each join computed from an already closed set.  Sub
 and Inv are closed subsets of a power of an algebra, operations acting
 coordinatewise, closed by one kernel (_Power); a Con join reruns the
 union-find worklist of congruence_generate.  A power builds, once, one
-boolean reach tensor per operation profile, true at (x_1..x_k, z) when
-some table of that profile sends the power points x_1..x_k to z, and a
-closure round contracts the member mask with each tensor one input sort at
-a time.  A tensor has (n^mu)^(k+1) cells, so a power whose tensors would
-pass _REACH_CELLS in all (mu = 3 on a 6-element binary collapse already
-wants 216^3) closes by the semi-naive digit gather instead, the one path
-that runs on large powers.  Invariant relations take
-two independent routes: inv_enumerate closes the mu-th power of the
-homogenized algebra under its basic operations, and verify_inv_iso closes
-it under tuples of source term operations over a shared variable block,
-applied to matrices of source elements, then checks that regrouping matrix
-rows into product codes is a bijection between the two answers.  A matrix
-read row-major with per-sort radices is the flat code of its product-code
-tuple, so both answers are sets of the same point ids.  The pp-commutation
-check reads its formula sample off one table of (relation, position map)
-rows per span: a single conjunct is a row of that table, a pair of
-conjuncts one block per first slot, each reduced with any over the bound
-positions, and a row of free arity up to mu_max must be one of the
-enumerated invariant relations.  The membership checks
+boolean reach tensor per operation profile, true at (x_1..x_k, z) when some
+table of that profile sends the power points x_1..x_k to z, and a closure
+round contracts the member mask with each tensor one input sort at a time.
+A tensor has (n^mu)^(k+1) cells, so a power whose tensors would pass
+_REACH_CELLS in all (mu = 3 on a 6-element binary collapse already wants
+216^3) closes by the semi-naive digit gather instead, the one path that
+runs on large powers.  Invariant relations take two independent routes:
+inv_enumerate closes the mu-th power of the homogenized algebra under its
+basic operations, and verify_inv_iso's matrix route takes the boxes of the
+closed sets of the many-sorted power A^mu, the walk Sub runs at mu = 1,
+then checks that regrouping matrix rows into product codes is a bijection
+between the two answers.  A matrix read row-major with per-sort radices is
+the flat code of its product-code tuple, so both answers are sets of the
+same point ids.  The pp-commutation check reads its formula sample off one
+table of (relation, position map) rows per span: a single conjunct is a row
+of that table, a pair of conjuncts one block per first slot, each reduced
+with any over the bound positions, and a row of free arity up to mu_max
+must be one of the enumerated invariant relations.  The membership checks
 (closure, compatibility, invariance) gather each operation over an open
 grid at once and report core.first_failure's witness.
 """
@@ -64,7 +63,7 @@ from .core import (
     open_grid,
     tabulate,
 )
-from .homog import HomogenizedAlgebra, assembled_fragment, homogenize, morphism_lift
+from .homog import HomogenizedAlgebra, homogenize, morphism_lift
 
 
 # ---------------------------------------------------------- closed-set engine
@@ -137,7 +136,8 @@ class _Power:
             if t.arity:
                 stacks.setdefault(t.profile, []).append(t.outputs)
             else:
-                self.constants.append(self.diagonal(t.profile.cod, t.outputs[0]))
+                n = self.carriers[t.profile.cod]
+                self.constants.append(self.offsets[t.profile.cod] + encode_mixed(t.outputs * mu, (n,) * mu))
         self.stacks = [(p, np.asarray(outs, dtype=np.int64)) for p, outs in stacks.items()]
         cells = sum(math.prod(self.points(s) for s in p.inputs + (p.cod,)) for p, _ in self.stacks)
         self.reach = ([(p, self._reach(p, stack)) for p, stack in self.stacks]
@@ -145,10 +145,6 @@ class _Power:
 
     def points(self, s: int) -> int:
         return self.offsets[s + 1] - self.offsets[s]
-
-    def diagonal(self, s: int, v: int) -> int:
-        """The id of the point of sort s with every coordinate v."""
-        return self.offsets[s] + encode_mixed((v,) * self.mu, (self.carriers[s],) * self.mu)
 
     def _reach(self, profile, stack) -> np.ndarray:
         """The profile's reach tensor, shape (points of input 1, ..., of
@@ -242,7 +238,7 @@ class _Power:
         return _closed_sets(bottom, ((x,) for x in range(self.size)), self.join, budget)
 
     def subuniverse(self, closed: frozenset) -> SubUniverse:
-        """A closed set of the first power, as one sorted subset per sort."""
+        """A closed set, as one sorted subset of point codes per sort."""
         ids = sorted(closed)
         return SubUniverse(tuple(tuple(x - lo for x in ids if lo <= x < hi)
                                  for lo, hi in zip(self.offsets, self.offsets[1:])))
@@ -738,23 +734,22 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
     return sorted(out, key=_relation_key)
 
 
-def _matrix_route(alg: SortedAlgebra, h: HomogenizedAlgebra, mu: int, *, budget: int):
-    """Invariant sets computed on the many-sorted side.
-
-    Members are matrices, mu rows of one element per sort, flattened row
-    major.  Closure is under tuples of source term operations over a
-    shared block of lam variables per sort, the assembled fragment, with
-    lam large enough to express every basic operation and the recombining
-    operation itself.  Closed-term value rows seed every set, they are the
-    zero-variable tuples.  Returns each closed set as a frozenset of power
-    point ids, each the flat code of a matrix, smaller sets first, then by
-    their sorted members.
-    """
-    lam = max([alg.n_sorts, 1] + [t.arity for t in alg.tables])
-    power = _Power((h.size,), assembled_fragment(h, lam).values(), mu)
-    closed0 = subalgebra_generate(alg, [set() for _ in range(alg.n_sorts)])
-    base = [power.diagonal(0, h.encode(vals)) for vals in itertools.product(*closed0.sets)]
-    return sorted(power.lattice(base, budget), key=lambda c: (len(c), sorted(c)))
+def _matrix_route(alg: SortedAlgebra, mu: int, *, budget: int):
+    """Invariant sets computed on the many-sorted side: the distinct boxes
+    of the closed sets B of the many-sorted power A^mu (one with an empty
+    sort has the empty box), each box the set of mu-row matrices with
+    column s in B_s, read row major with radices alg.carriers * mu.  Smaller
+    sets first, then by their sorted members; budget bounds the closures
+    computed, see _closed_sets."""
+    power = _Power(alg.carriers, alg.tables, mu)
+    boxes = set()
+    for closed in power.lattice((), budget):
+        sets = power.subuniverse(closed).sets
+        columns = [decode_digits(np.asarray(xs, dtype=np.int64)[g], (n,) * mu)
+                   for xs, g, n in zip(sets, open_grid(map(len, sets)), alg.carriers)]
+        codes = encode_digits([c[r] for r in range(mu) for c in columns], alg.carriers * mu)
+        boxes.add(frozenset(np.ravel(codes).tolist()))
+    return sorted(boxes, key=lambda c: (len(c), sorted(c)))
 
 
 def _decoded(codes, radices) -> frozenset:
@@ -919,10 +914,15 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     Needs a pure unary fragment, the hypothesis under which the regrouping
     map is a bijection on members in the first place.
 
-    A matrix read row-major with per-sort radices is the flat code of its
-    product-code tuple, so the matrix route's closed id sets decode straight
-    into relations, which reshape-bijection-mu1.. compare with
-    inv_enumerate's.  Inv is closed under pp-definitions (Geiger, 1968), so
+    The matrix route reads Inv as Sub of a power (Geiger, 1968; Bodnarchuk,
+    Kaluzhnin, Kotov and Romov, 1969) on the many-sorted side: a set of
+    mu-row matrices closed under the collapse's terms holds the matrix diag
+    builds from column s of its s-th of any S members, so it is the box of
+    its column sets B_s, and B is a subuniverse of A^mu, each lift acting
+    on columns as its symbol does.  Purity makes the box map injective.
+    The boxes' codes are their product-code tuples' flat codes, so they
+    decode straight into relations, which reshape-bijection-mu1.. compare
+    with inv_enumerate's.  Inv is closed under pp-definitions, so
     pp-commutation counts the sampled formulas whose grid row, of a free
     arity from 1 to mu_max, is not one of the enumerated invariant
     relations; rows of free arity 0 or above mu_max count in the total
@@ -940,7 +940,7 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     invs = {}
     for mu in range(1, mu_max + 1):
         rels = inv_enumerate(alg, mu, budget=budget)
-        ids = _matrix_route(alg, h, mu, budget=budget)
+        ids = _matrix_route(alg, mu, budget=budget)
         reshaped = sorted((Relation(mu, _decoded(c, (h.size,) * mu)) for c in ids), key=_relation_key)
         checks.append(CheckResult(
             "reshape-bijection-mu%d" % mu, reshaped == rels,

@@ -171,6 +171,39 @@ def test_transfer_passes_on_a_pure_algebra_with_constants(tmp_path):
     assert "check quotient-compatible: pass (all 5 quotients match)" in out
 
 
+INV_ISO_BINARY = """msalg 1
+sorts 2
+sort u 3
+sort w 2
+symbols 3
+symbol cu 1 u -> w
+symbol cw 1 w -> u
+symbol f0 2 u u -> w
+table cu 3
+0 1 1
+table cw 2
+1 2
+table f0 9
+0 1 1
+0 1 0
+0 1 1
+end
+"""
+
+
+def test_inv_iso_passes_on_a_binary_symbol_over_a_carrier_of_3(tmp_path):
+    # the matrix route closes the many-sorted powers A and A^2 under cu, cw
+    # and f0, 3 + 2 and 9 + 4 points; the source's fragment over two
+    # variables per sort, which neither route builds, grows past 26000
+    # tables per sort here
+    path = tmp_path / "binary.alg"
+    path.write_text(INV_ISO_BINARY)
+    rc, out = run_cli(["inv-iso", str(path), "--deterministic-timing"])
+    assert rc == 0, out
+    assert "check reshape-bijection-mu1: pass (4 invariant sets as code tuples, 4 as matrices)" in out
+    assert "check reshape-bijection-mu2: pass (44 invariant sets as code tuples, 44 as matrices)" in out
+
+
 def test_the_parser_is_built_once_per_process(monkeypatch):
     builds = []
     build = cli._build_parser

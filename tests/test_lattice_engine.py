@@ -5,9 +5,15 @@ product of set partitions, or join singleton closures pairwise from
 scratch.  Each case below runs one engine entry point and its oracle on the
 same inputs: every corpus algebra and its collapse, and the nullary-symbol
 and empty-carrier algebras of test_tabulate.py.  Inv is compared for mu up
-to 2 and the matrix route for mu = 1, and for mu = 2 on a_group; the pairs
-that take seconds are left out (test_verify_inv_iso_a_tiny compares the two
-routes at mu = 2).
+to 2; the pairs that take seconds are left out (test_verify_inv_iso_a_tiny
+compares the two routes at mu = 2).  The matrix route reads the boxes of
+the closed sets of the many-sorted power A^mu; its oracle closes matrices
+under the assembled fragment of the collapse instead, whose size grows
+with the source's lam-ary terms.  They are compared for mu = 1 on the
+corpus and test_tabulate.py's algebras (mu = 2 on a_group), and on PURE:
+pure algebras with a constant, a binary symbol into a carrier of 3, empty
+carriers and one-element carriers, at the arities their oracle finishes
+within a second.
 
 _Power closes a set by one of two paths, picked by size: the reach tensors
 when they fit lattice._REACH_CELLS, which every case here does, and the
@@ -19,7 +25,8 @@ import pytest
 
 import oracle_lattice as oracle
 from msalg import lattice
-from msalg.core import SUBUNIVERSE_BUDGET, decode_mixed
+from msalg.core import SUBUNIVERSE_BUDGET, build_algebra, decode_mixed
+from msalg.homog import homogenize
 from msalg.lattice import (
     _matrix_route,
     enumerate_congruences,
@@ -65,13 +72,39 @@ def case_inv():
                 yield "%s mu=%d" % (name, mu), inv_enumerate(alg, mu), oracle.inv_enumerate(alg, mu)
 
 
+# Pure algebras off the corpus for the matrix route, each with the arities
+# at which its oracle finishes within a second.
+PURE = [
+    ("constant", build_algebra([("u", 3), ("w", 2)], [
+        ("k", (), "u", (2,)),
+        ("cu", ("u",), "w", (0, 1, 1)),
+        ("cw", ("w",), "u", (1, 0)),
+    ]), (1, 2)),
+    ("binary", build_algebra([("u", 2), ("w", 3)], [
+        ("cu", ("u",), "w", (0, 2)),
+        ("cw", ("w",), "u", (0, 1, 1)),
+        ("b", ("u", "u"), "w", (0, 1, 1, 2)),
+    ]), (1,)),
+    ("all_empty", build_algebra([("u", 0), ("w", 0)], [
+        ("cu", ("u",), "w", ()),
+        ("cw", ("w",), "u", ()),
+    ]), (1, 2)),
+    ("all_ones", build_algebra([("u", 1), ("w", 1)], [
+        ("cu", ("u",), "w", (0,)),
+        ("cw", ("w",), "u", (0,)),
+        ("b", ("u", "w"), "u", (0,)),
+    ]), (1, 2)),
+]
+
+
 def case_matrix_route():
     # the engine's point ids are the flat matrices' codes
-    for name, h in collapses():
-        for mu in (1, 2) if name == "a_group" else (1,):
+    corpus = [(name, h, (1, 2) if name == "a_group" else (1,)) for name, h in collapses()]
+    for name, h, mus in corpus + [(name, homogenize(alg), mus) for name, alg, mus in PURE]:
+        for mu in mus:
             yield ("%s mu=%d" % (name, mu),
                    [frozenset(decode_mixed(c, h.source.carriers * mu) for c in ids)
-                    for ids in _matrix_route(h.source, h, mu, budget=SUBUNIVERSE_BUDGET)],
+                    for ids in _matrix_route(h.source, mu, budget=SUBUNIVERSE_BUDGET)],
                    oracle.matrix_route(h.source, h, mu))
 
 
