@@ -18,6 +18,16 @@ verify_mu_roundtrip checks that collapsing and then splitting returns the
 original many-sorted algebra up to the per-sort codings; verify_nu_roundtrip
 checks that splitting and then collapsing returns the original single-sorted
 algebra up to one carrier bijection.
+
+The mu round trip compares clones by their generators first.  Two algebras
+on the same sorted carriers whose basic operations are each a term
+operation of the other have the same term operations at every profile: a
+term of one becomes a term of the other, with the same table, by replacing
+each basic symbol with its term.  Each recoded basic operation of the
+source is a basic operation of the split (the het_lift_ symbols), so once
+every split table, recoded back, lies in the source's fragment at its own
+profile, the fragments match at every profile and the split's fragments
+are never generated.
 """
 
 from __future__ import annotations
@@ -159,13 +169,41 @@ def _conjugate(f: OpTable, fwd, inv, carriers) -> OpTable:
     return OpTable(f.profile, tuple(carriers), tuple(_conjugated([f], f.profile, fwd, inv, carriers)[0]))
 
 
+def _in_source_clone(split: SortedAlgebra, alg: SortedAlgebra, fwd, inv, budget: int) -> bool:
+    """Is every basic table of the split, recoded back along the codings, a
+    term operation of the source at its own profile?  False also when a
+    source fragment at a split profile exceeds the budget."""
+    by_profile: dict[Profile, list] = {}
+    for g in split.tables:
+        by_profile.setdefault(g.profile, []).append(g)
+    try:
+        frag = generate_fragment(alg, list(by_profile), budget=budget)
+    except BudgetError:
+        return False
+    return all(set(map(tuple, _conjugated(gs, p, inv, fwd, alg.carriers))) <= {f.outputs for f in frag.tables[p]}
+               for p, gs in by_profile.items())
+
+
 def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
                         budget: int = TABLE_BUDGET) -> Verification:
     """Collapse, split along the canonical pair, compare with the original.
 
     The comparison runs through the per-sort codings mu_s: operation tables
     must transport symbol by symbol, and the generated fragments at every
-    input profile of length <= lam must transport as sets.
+    input profile of length 1..lam must transport as sets.
+
+    The fragments are compared through the clones' generators first.  Write
+    A' for the source recoded along the mu_s and B for the split.  When
+    ops-transport holds, every basic operation of A' is one of B, so every
+    term operation of A' is one of B.  When also every basic table of B is
+    a term operation of A' at its own profile, substituting those terms
+    turns every term of B into a term of A' with the same table.  The two
+    clones are then equal, so the fragments match at every profile and
+    B's fragments are not generated.  Otherwise, or when a source fragment
+    at a profile of B that is not compared exceeds the budget, both
+    fragments are generated and compared profile by profile.  The source
+    fragments at the compared profiles are generated either way, so budget
+    errors do not depend on which comparison runs.
     """
     checks = []
     family = cross_family_from_purity(alg, budget=budget)
@@ -207,20 +245,20 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
             break
     checks.append(CheckResult("ops-transport", bad is None,
                               "" if bad is None else "%s: %s" % bad))
+    transported = bad is None
 
-    profiles = [(s,) for s in range(S)]
-    if lam >= 2:
-        profiles += [(s1, s2) for s1 in range(S) for s2 in range(S)]
-    bad = None
+    profiles = [v for width in range(1, lam + 1) for v in itertools.product(range(S), repeat=width)]
     frag_a = generate_fragment(alg, profiles, budget=budget)
-    frag_b = generate_fragment(het.algebra, profiles, budget=budget)
-    for inputs, cod in itertools.product(profiles, range(S)):
-        p = Profile(inputs, cod)
-        want = set(map(tuple, _conjugated(frag_a.tables.get(p, ()), p, fwd, inv, alg.carriers)))
-        got = {f.outputs for f in frag_b.tables.get(p, ())}
-        if want != got:
-            bad = (p, len(want), len(got))
-            break
+    bad = None
+    if profiles and not (transported and _in_source_clone(het.algebra, alg, fwd, inv, budget)):
+        frag_b = generate_fragment(het.algebra, profiles, budget=budget)
+        for inputs, cod in itertools.product(profiles, range(S)):
+            p = Profile(inputs, cod)
+            want = set(map(tuple, _conjugated(frag_a.tables.get(p, ()), p, fwd, inv, alg.carriers)))
+            got = {f.outputs for f in frag_b.tables.get(p, ())}
+            if want != got:
+                bad = (p, len(want), len(got))
+                break
     checks.append(CheckResult("fragments-match", bad is None,
                               "" if bad is None else "profile %r: %d vs %d" % bad))
     return Verification(tuple(checks))

@@ -377,6 +377,43 @@ def test_cp_and_cd_on_the_collapsed_semilattices():
     assert "distributes: yes" in out
 
 
+ROUNDTRIP_MU_HEAD = """max-arity: 6
+table-budget: 2000000
+jonsson-max: 4
+mu-max: 2
+lam: %d
+"""
+ROUNDTRIP_MU_PASS = """check pure: pass
+check canonical-pair: pass
+check sort-sizes: pass (split carriers (2, 3) vs source (2, 3))
+check mu-bijective: pass
+check ops-transport: pass
+check fragments-match: pass
+verdict: pass
+elapsed-s: 0.000
+"""
+
+
+def test_roundtrip_mu_reports_byte_for_byte():
+    cases = [
+        (["@a_malcev"], 0, ROUNDTRIP_MU_HEAD % 2 + ROUNDTRIP_MU_PASS),
+        (["@nonpure"], 1, ROUNDTRIP_MU_HEAD % 2 + "check pure: FAIL (no canonical pair without purity)\n"
+                                                  "verdict: fail\nelapsed-s: 0.000\n"),
+        (["@a_tiny", "--lam", "3"], 0, ROUNDTRIP_MU_HEAD % 3 + ROUNDTRIP_MU_PASS),
+    ]
+    for args, code, body in cases:
+        args = ["roundtrip-mu", *args, "--deterministic-timing"]
+        rc, out = run_cli(args)
+        assert (rc, out) == (code, "command: msalg %s\n" % " ".join(args) + body), args
+
+
+def test_roundtrip_mu_compares_profiles_up_to_lam(capsys):
+    # lam 7 asks for profiles of 7 arguments, over the arity bound 6
+    rc = main(["roundtrip-mu", "@a_tiny", "--lam", "7"])
+    assert rc == 2
+    assert "arity 7, above the bound 6" in capsys.readouterr().err
+
+
 def test_sub_with_generators():
     rc, out = run_cli(["sub", "@a_tiny", "--gens", "u=1;w="])
     assert rc == 0

@@ -11,12 +11,14 @@ size 3, cross maps cu = [0, 1] and cw = [0, 1, 1]):
     contributes 2^3, each of the three unary lifts 2^2.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 
-from msalg.core import BudgetError, OpTable, Profile, ProfileError
-from msalg.corpus import corpus_algebra
+import msalg.hetero as hetero
+from msalg.core import BudgetError, OpTable, Profile, ProfileError, build_algebra
+from msalg.corpus import corpus_algebra, corpus_names
 from msalg.diagonal import DiagonalPair, find_diagonal_pairs, verify_diagonal_pair
 from msalg.hetero import (
     canonical_pair,
@@ -29,6 +31,7 @@ from msalg.hetero import (
 )
 from msalg.homog import homogenize
 
+import oracle_hetero
 from test_diagonal import diag_style_pair
 
 
@@ -96,24 +99,99 @@ def test_heterogenize_rejects_non_pairs_and_tiny_budgets():
         heterogenize(h.algebra, pair, budget=10)
 
 
-def test_nu_roundtrip_recovers_every_pure_corpus_algebra():
+def test_mu_roundtrip_recovers_every_pure_corpus_algebra():
     for name in ["a_tiny", "a_malcev", "a_semilat", "a_group", "a_lattice"]:
         ver = verify_mu_roundtrip(corpus_algebra(name))
         assert ver.ok, (name, ver.failures())
 
 
-def test_nu_roundtrip_reports_missing_purity():
+def test_mu_roundtrip_reports_missing_purity():
     ver = verify_mu_roundtrip(corpus_algebra("nonpure"))
     assert not ver.ok
     assert ver.checks[0].name == "pure" and not ver.checks[0].ok
 
 
-def test_mu_roundtrip_with_the_canonical_pair():
+def test_nu_roundtrip_with_the_canonical_pair():
     for name in ["a_tiny", "a_malcev"]:
         h = homogenize(corpus_algebra(name))
         ver, psi = verify_nu_roundtrip(h.algebra, canonical_pair(h))
         assert ver.ok, (name, ver.failures())
         assert sorted(psi) == list(range(h.size))
+
+
+def fragments_check(ver):
+    return next((c for c in ver.checks if c.name == "fragments-match"), None)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+@pytest.mark.parametrize("name", corpus_names())
+def test_mu_fragments_match_equals_the_full_comparison(name, lam):
+    alg = corpus_algebra(name)
+    assert fragments_check(verify_mu_roundtrip(alg, lam=lam)) == oracle_hetero.fragments_match(alg, lam=lam)
+
+
+def spy_fragments(monkeypatch):
+    """The algebras hetero.generate_fragment is called on, in call order."""
+    seen = []
+    real = hetero.generate_fragment
+
+    def spy(alg, profiles, **kw):
+        seen.append(alg)
+        return real(alg, profiles, **kw)
+    monkeypatch.setattr(hetero, "generate_fragment", spy)
+    return seen
+
+
+def splits(algebras):
+    return [a for a in algebras if any(sym.name.startswith("het_") for sym in a.signature.symbols)]
+
+
+def patch_split(monkeypatch, name, outputs):
+    """Make hetero.heterogenize return the split with one table replaced."""
+    real = hetero.heterogenize
+
+    def patched(source, pair, **kw):
+        het = real(source, pair, **kw)
+        tables = tuple(OpTable(t.profile, t.carriers, outputs) if sym.name == name else t
+                       for sym, t in zip(het.algebra.signature.symbols, het.algebra.tables))
+        return dataclasses.replace(het, algebra=dataclasses.replace(het.algebra, tables=tables))
+    monkeypatch.setattr(hetero, "heterogenize", patched)
+
+
+# a_tiny with cw = [1, 1, 0]: its w -> u terms are cw and the constant 1, so
+# mu_1 codes (cw(b), b) as (3, 4, 2), a 3-cycle of the retract's order
+CYCLED = build_algebra([("u", 2), ("w", 3)], [("cu", ["u"], "w", [0, 1]), ("cw", ["w"], "u", [1, 1, 0])])
+
+
+@pytest.mark.parametrize("alg", [corpus_algebra("a_tiny"), corpus_algebra("a_malcev"), CYCLED])
+def test_a_certified_mu_roundtrip_generates_no_split_fragment(monkeypatch, alg):
+    seen = spy_fragments(monkeypatch)
+    ver = verify_mu_roundtrip(alg)
+    assert ver.ok, ver.failures()
+    assert seen and not splits(seen)
+
+
+def test_a_split_table_outside_the_source_clone_falls_back_to_the_full_comparison(monkeypatch):
+    # diag on r0 x r0 into r0 is the first projection (0, 0, 1, 1); a_tiny has
+    # unary symbols only, so the join (0, 1, 1, 1) is no term of it
+    alg = corpus_algebra("a_tiny")
+    patch_split(monkeypatch, "het_diag_t0_v00", (0, 1, 1, 1))
+    seen = spy_fragments(monkeypatch)
+    ver = verify_mu_roundtrip(alg)
+    assert splits(seen)
+    assert {c.name: c.ok for c in ver.checks}["ops-transport"]
+    assert not ver.ok
+    assert fragments_check(ver) == oracle_hetero.fragments_match(alg)
+
+
+def test_a_broken_ops_transport_keeps_the_full_comparison(monkeypatch):
+    alg = corpus_algebra("a_tiny")
+    patch_split(monkeypatch, "het_lift_m_t1_v1", (2, 1, 2))
+    seen = spy_fragments(monkeypatch)
+    ver = verify_mu_roundtrip(alg)
+    assert splits(seen)
+    assert [c.name for c in ver.failures()] == ["ops-transport", "fragments-match"]
+    assert fragments_check(ver) == oracle_hetero.fragments_match(alg)
 
 
 def test_mu_roundtrip_with_a_non_canonical_pair():

@@ -13,7 +13,9 @@ only, under 20 ms a draw.  Two properties stop at 2 for their cost:
     one draw with carriers (3, 2).
 The parse, box-map, congruence, quotient and transfer properties keep the
 cap of 2 as well: no cost is known to stop them at 3, but raising it would
-change their derandomized draws.  The last two also draw two-sort algebras
+change their derandomized draws.  The quotient and transfer properties,
+and the comparison of the mu round trip's certified fragments-match check
+with the full comparison of oracle_hetero.py, also draw two-sort algebras
 with constants and only unary or nullary symbols, carriers up to 3.  The
 cases are derandomized with the settings of test_equations.py.
 """
@@ -22,6 +24,7 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+import oracle_hetero
 from test_equations import SETTINGS
 from msalg.clone import is_pure
 from msalg.core import build_algebra
@@ -135,3 +138,10 @@ def test_quotients_move_to_the_product_carrier(alg):
 def test_sub_con_transfer_holds(alg):
     ver = verify_sub_con_transfer(alg)
     assert ver.ok, ver.failures()
+
+
+@SETTINGS
+@given(st.one_of(algebras(), algebras_with_constants()))
+def test_mu_fragments_match_equals_the_full_comparison(alg):
+    check = next((c for c in verify_mu_roundtrip(alg, lam=2).checks if c.name == "fragments-match"), None)
+    assert check == oracle_hetero.fragments_match(alg, lam=2)
