@@ -1,11 +1,15 @@
-"""Slow reference for the fragments-match check of the mu round trip.
+"""Slow references for the fragments-match checks of the two round trips.
 
 fragments_match generates the fragments of both the source and its split
 at every input profile of length 1..lam and compares them as sets through
-the per-sort codings, with no clone certificate.  It reaches the split
-through hetero.heterogenize, so a test that patches the split sees the
-same patched split here.  test_hetero.py and test_properties.py compare
-msalg.hetero.verify_mu_roundtrip with it on verdict and detail.
+the per-sort codings, with no clone certificate.  nu_fragments_match
+generates the fragments of a single-sorted source and of its collapsed
+split at every arity 1..lam and compares them as sets through the element
+bijection, with no term certificate.  Both reach the split through
+hetero.heterogenize, so a test that patches the split sees the same
+patched split here.  test_hetero.py and test_properties.py compare
+msalg.hetero.verify_mu_roundtrip and verify_nu_roundtrip with them on
+verdict and detail.
 """
 
 from __future__ import annotations
@@ -47,6 +51,37 @@ def fragments_match(alg: SortedAlgebra, *, lam: int = 2, budget: int = TABLE_BUD
         got = {f.outputs for f in frag_b.tables.get(p, ())}
         if want != got:
             return CheckResult("fragments-match", False, "profile %r: %d vs %d" % (p, len(want), len(got)))
+    return CheckResult("fragments-match", True, "")
+
+
+def nu_fragments_match(source: SortedAlgebra, pair, *, lam: int = 2,
+                       budget: int = TABLE_BUDGET) -> CheckResult | None:
+    """The nu fragments-match check, every arity compared; None where the
+    round trip stops before it (no element bijection)."""
+    het = hetero.heterogenize(source, pair, budget=budget)
+    hb = homogenize(het.algebra).algebra
+    n = source.carriers[0]
+    # psi(c) codes (position of e_t(c) in retract t for each t), slot 0
+    # most significant
+    psi = []
+    for c in range(n):
+        code = 0
+        for e, r in zip(pair.es, het.retracts):
+            code = code * len(r) + r.index(e.outputs[c])
+        psi.append(code)
+    if sorted(psi) != list(range(hb.carriers[0])) or hb.carriers[0] != n:
+        return None
+    inv = [psi.index(x) for x in range(n)]
+
+    for width in range(1, lam + 1):
+        p = Profile((0,) * width, 0)
+        frag_c = generate_fragment(source, [p.inputs], budget=budget)
+        frag_h = generate_fragment(hb, [p.inputs], budget=budget)
+        points = _source_points(p, [inv], (n,))
+        want = {tuple(psi[f.outputs[a]] for a in points) for f in frag_c.tables[p]}
+        got = {f.outputs for f in frag_h.tables[p]}
+        if want != got:
+            return CheckResult("fragments-match", False, "arity %d: %d vs %d" % (width, len(want), len(got)))
     return CheckResult("fragments-match", True, "")
 
 

@@ -414,6 +414,36 @@ def test_roundtrip_mu_compares_profiles_up_to_lam(capsys):
     assert "arity 7, above the bound 6" in capsys.readouterr().err
 
 
+ROUNDTRIP_NU = ROUNDTRIP_MU_HEAD + """psi: %s
+check element-bijection: pass (source %d, collapsed %d, distinct %d)
+check fragments-match: pass
+check pair-transport: pass
+verdict: pass
+elapsed-s: 0.000
+"""
+
+
+def test_roundtrip_nu_reports_byte_for_byte():
+    six, four = "0 1 2 3 4 5", "0 1 2 3"
+    cases = [
+        (["@a_tiny"], ROUNDTRIP_NU % (2, six, 6, 6, 6)),
+        (["@a_malcev", "--lam", "2"], ROUNDTRIP_NU % (2, six, 6, 6, 6)),
+        (["@a_malcev", "--lam", "3"], ROUNDTRIP_NU % (3, six, 6, 6, 6)),
+        (["@a_lattice"], ROUNDTRIP_NU % (2, four, 4, 4, 4)),
+    ]
+    for args, body in cases:
+        args = ["roundtrip-nu", *args, "--deterministic-timing"]
+        rc, out = run_cli(args)
+        assert (rc, out) == (0, "command: msalg %s\n" % " ".join(args) + body), args
+
+
+def test_roundtrip_nu_compares_arities_up_to_lam(capsys):
+    # lam 7 asks for the 7-ary fragment, over the arity bound 6
+    rc = main(["roundtrip-nu", "@a_tiny", "--lam", "7"])
+    assert rc == 2
+    assert "arity 7, above the bound 6" in capsys.readouterr().err
+
+
 def test_sub_with_generators():
     rc, out = run_cli(["sub", "@a_tiny", "--gens", "u=1;w="])
     assert rc == 0

@@ -17,7 +17,7 @@ import itertools
 import pytest
 
 import msalg.hetero as hetero
-from msalg.core import BudgetError, OpTable, Profile, ProfileError, build_algebra
+from msalg.core import BudgetError, OpTable, Profile, ProfileError, Symbol, build_algebra
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.diagonal import DiagonalPair, find_diagonal_pairs, verify_diagonal_pair
 from msalg.hetero import (
@@ -194,7 +194,7 @@ def test_a_broken_ops_transport_keeps_the_full_comparison(monkeypatch):
     assert fragments_check(ver) == oracle_hetero.fragments_match(alg)
 
 
-def test_mu_roundtrip_with_a_non_canonical_pair():
+def test_nu_roundtrip_with_a_non_canonical_pair():
     h = homogenize(corpus_algebra("a_tiny"))
     diag = h.algebra.table("diag").outputs
     sharing = [p for p in find_diagonal_pairs(h.algebra, 2) if p.d.outputs == diag]
@@ -202,6 +202,128 @@ def test_mu_roundtrip_with_a_non_canonical_pair():
     other = next(p for p in sharing if p != canonical_pair(h))
     ver, _psi = verify_nu_roundtrip(h.algebra, other)
     assert ver.ok, ver.failures()
+
+
+def nu_cases():
+    """Every found pair of the a_tiny and a_malcev collapses, and the
+    canonical pair of every pure corpus algebra's collapse."""
+    cases = []
+    for name in ["a_tiny", "a_malcev"]:
+        collapse = homogenize(corpus_algebra(name)).algebra
+        cases += [pytest.param(collapse, pair, id="%s-pair%d" % (name, i))
+                  for i, pair in enumerate(find_diagonal_pairs(collapse, 2))]
+    for name in ["a_tiny", "a_malcev", "a_semilat", "a_group", "a_lattice"]:
+        h = homogenize(corpus_algebra(name))
+        cases.append(pytest.param(h.algebra, canonical_pair(h), id="%s-canonical" % name))
+    return cases
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+@pytest.mark.parametrize("source, pair", nu_cases())
+def test_nu_fragments_match_equals_the_full_comparison(source, pair, lam):
+    ver, _psi = verify_nu_roundtrip(source, pair, lam=lam)
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(source, pair, lam=lam)
+
+
+def collapsed_splits(algebras):
+    return [a for a in algebras if any(sym.name.startswith("lift_het_") for sym in a.signature.symbols)]
+
+
+@pytest.mark.parametrize("name", ["a_tiny", "a_malcev"])
+def test_a_certified_nu_roundtrip_generates_no_collapsed_split_fragment(monkeypatch, name):
+    h = homogenize(corpus_algebra(name))
+    seen = spy_fragments(monkeypatch)
+    ver, _psi = verify_nu_roundtrip(h.algebra, canonical_pair(h), lam=3)
+    assert ver.ok, ver.failures()
+    assert seen and not collapsed_splits(seen)
+
+
+# het_diag_t0_v00, diag on r0 x r0 into r0, is the first projection
+# (0, 0, 1, 1): a_tiny's collapse has no binary term whose slot-0 part is the
+# join, so the collapsed split is no longer inside the source's clone.
+# het_lift_m_t1_v1 is m = (1, 1, 2) on r1: replaced by the identity, the
+# split loses m, so the source is no longer inside the split's clone.
+@pytest.mark.parametrize("name, outputs", [("het_diag_t0_v00", (0, 1, 1, 1)),
+                                           ("het_lift_m_t1_v1", (0, 1, 2))])
+def test_a_patched_split_table_voids_the_nu_certificate(monkeypatch, name, outputs):
+    h = homogenize(corpus_algebra("a_tiny"))
+    pair = canonical_pair(h)
+    patch_split(monkeypatch, name, outputs)
+    seen = spy_fragments(monkeypatch)
+    ver, _psi = verify_nu_roundtrip(h.algebra, pair)
+    assert collapsed_splits(seen)
+    assert not fragments_check(ver).ok
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(h.algebra, pair)
+
+
+def reduct(alg, keep):
+    """alg with only the basic symbols at the positions in keep."""
+    sig = alg.signature
+    return dataclasses.replace(alg, signature=dataclasses.replace(sig, symbols=tuple(sig.symbols[i] for i in keep)),
+                               tables=tuple(alg.tables[i] for i in keep))
+
+
+# On a_tiny's collapse, diag alone has the identity as its only unary term,
+# so the e_s are no terms of it; the unary lifts alone have the e_s
+# (lift_cu and lift_cw) but no binary term d.  The canonical pair still
+# satisfies the pair equations on either reduct.
+@pytest.mark.parametrize("lam", [1, 2])
+@pytest.mark.parametrize("keep", [[0], [1, 2, 3]], ids=["diag-only", "lifts-only"])
+def test_a_pair_of_non_terms_voids_the_nu_certificate(keep, lam):
+    h = homogenize(corpus_algebra("a_tiny"))
+    source, pair = reduct(h.algebra, keep), canonical_pair(h)
+    ver, _psi = verify_nu_roundtrip(source, pair, lam=lam)
+    assert not fragments_check(ver).ok
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(source, pair, lam=lam)
+
+
+def test_an_operation_reading_two_slots_of_one_argument_fails_the_nu_certificate(monkeypatch):
+    # q(a, b) = (a xor [b = 2], b) on a_tiny's collapse, codes 3a + b: slot 0
+    # of q(x) reads both slots of x, so no lift of het_q_t0_v<v> gives it
+    # and the split's clone misses q
+    h = homogenize(corpus_algebra("a_tiny"))
+    q = OpTable(Profile((0,), 0), (6,), (0, 1, 5, 3, 4, 2))
+    source = dataclasses.replace(h.algebra, tables=h.algebra.tables + (q,), signature=dataclasses.replace(
+        h.algebra.signature, symbols=h.algebra.signature.symbols + (Symbol("q", q.profile),)))
+    pair = canonical_pair(h)
+    seen = spy_fragments(monkeypatch)
+    ver, _psi = verify_nu_roundtrip(source, pair)
+    assert collapsed_splits(seen)
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(source, pair)
+    assert fragments_check(ver).detail == "arity 1: 48 vs 35"
+
+
+def test_a_source_with_a_constant_falls_back_to_the_full_comparison(monkeypatch):
+    # every sort has a closed term, so the collapse keeps lift_k0 nullary
+    alg = build_algebra([("u", 2), ("w", 2)], [("k0", [], "u", [1]), ("cu", ["u"], "w", [0, 1]),
+                                               ("cw", ["w"], "u", [1, 0])])
+    h = homogenize(alg)
+    assert h.algebra.table("lift_k0").arity == 0
+    pair = canonical_pair(h)
+    seen = spy_fragments(monkeypatch)
+    ver, _psi = verify_nu_roundtrip(h.algebra, pair)
+    assert collapsed_splits(seen)
+    assert ver.ok, ver.failures()
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(h.algebra, pair)
+
+
+def test_a_budget_error_in_the_d_check_only_voids_the_nu_certificate(monkeypatch):
+    collapse = homogenize(corpus_algebra("a_tiny")).algebra
+    pair = next(p for p in find_diagonal_pairs(collapse, 2) if p.d not in collapse.tables)
+    seen = spy_fragments(monkeypatch)
+    spied = hetero.generate_fragment
+    raised = []
+
+    def over_budget_once(alg, profiles, **kw):
+        if alg is collapse and list(profiles) == [(0, 0)] and not raised:
+            raised.append(profiles)
+            raise BudgetError("fragment for cod sort 0 exceeds the table budget")
+        return spied(alg, profiles, **kw)
+    monkeypatch.setattr(hetero, "generate_fragment", over_budget_once)
+    ver, _psi = verify_nu_roundtrip(collapse, pair)
+    assert raised and collapsed_splits(seen)
+    assert ver.ok, ver.failures()
+    assert fragments_check(ver) == oracle_hetero.nu_fragments_match(collapse, pair)
 
 
 def test_pair_independence_for_pairs_sharing_d():

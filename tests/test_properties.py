@@ -10,7 +10,9 @@ only, under 20 ms a draw.  Two properties stop at 2 for their cost:
     its 3^9 tables, each saturation round reading pairs of them;
   - the nu round trip runs the diagonal-pair search, which enumerates the
     binary fragment of the collapse by definition, over 50000 tables on
-    one draw with carriers (3, 2).
+    one draw with carriers (3, 2).  Its fragments-match check is also
+    compared, on every found pair, with the full comparison of
+    oracle_hetero.py.
 The parse, box-map, congruence, quotient and transfer properties keep the
 cap of 2 as well: no cost is known to stop them at 3, but raising it would
 change their derandomized draws.  The quotient and transfer properties,
@@ -83,6 +85,16 @@ def test_nu_roundtrip_holds_for_every_pair_on_the_collapse(alg):
     for pair in find_diagonal_pairs(collapse, alg.n_sorts):
         ver, _bijection = verify_nu_roundtrip(collapse, pair, lam=2)
         assert ver.ok, (pair, ver.failures())
+
+
+@SETTINGS
+@given(algebras())
+def test_nu_fragments_match_equals_the_full_comparison(alg):
+    collapse = homogenize(alg).algebra
+    for pair in find_diagonal_pairs(collapse, alg.n_sorts):
+        ver, _bijection = verify_nu_roundtrip(collapse, pair, lam=2)
+        check = next((c for c in ver.checks if c.name == "fragments-match"), None)
+        assert check == oracle_hetero.nu_fragments_match(collapse, pair, lam=2)
 
 
 @SETTINGS
