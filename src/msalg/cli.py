@@ -17,7 +17,7 @@ import functools
 import sys
 import time
 
-from .clone import generate_fragment, is_pure
+from .clone import check_inputs, generate_fragment, is_pure
 from .core import (
     JONSSON_MAX,
     MAX_ARITY,
@@ -205,10 +205,9 @@ def _cmd_clone(args, rep):
                              budget=args.table_budget, max_arity=args.max_arity)
     rep.add("complete", "yes" if frag.complete else "no")
     for text, prof in zip(args.profile, profiles):
-        tables = frag.tables.get(prof, ())
-        rep.add("profile %s" % text, "%d tables" % len(tables))
+        rep.add("profile %s" % text, "%d tables" % len(frag.matrices.get(prof, ())))
         if args.tables:
-            for i, (t, term) in enumerate(zip(tables, frag.witnesses.get(prof, ()))):
+            for i, (t, term) in enumerate(zip(frag.tables.get(prof, ()), frag.witnesses.get(prof, ()))):
                 rep.add("table %s #%d" % (text, i), _fmt_outputs(t))
                 rep.add("term %s #%d" % (text, i), term_str(term))
     return 0
@@ -263,6 +262,8 @@ def _cmd_decompose(args, rep):
 
 def _cmd_roundtrip_nu(args, rep):
     alg = _load(args.algebra)
+    # before _resolve_pair, whose pair search or canonical pair generates fragments
+    check_inputs((0,) * min(args.lam, MAX_ARITY + 1))
     src, pair = _resolve_pair(alg, args)
     ver, psi = verify_nu_roundtrip(src, pair, lam=args.lam, budget=args.table_budget)
     rep.add("lam", args.lam)

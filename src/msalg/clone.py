@@ -35,6 +35,14 @@ round or was read in an earlier one; insertion order, witness terms and
 budget errors are therefore unchanged.  A projection yields only stored
 rows and a constant table one row.
 
+A fragment stays in the kernel's format: per profile one read-only matrix
+of the narrowest unsigned dtype, a row per table in insertion order, with
+the witness terms aligned.  Its consumers compare, gather and encode whole
+matrices, and fragment_contains compares rows.  OpTables are built from
+rows only at the API edges: CloneFragment.tables, which clone --tables and
+the Mal'cev and Jonsson searches read, the pairs find_diagonal_pairs
+returns and the maps cross_family_from_purity picks.
+
 The same engine closes generator vectors over an arbitrary point set (a
 subalgebra of a direct power), which other modules use to compute
 restrictions of high-arity fragments without materializing them.
@@ -43,7 +51,7 @@ restrictions of high-arity fragments without materializing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -268,31 +276,42 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
     return {s: (stores[s].rows().copy(), tuple(stores[s].terms)) for s in stores}
 
 
-@dataclass
+@dataclass(eq=False)
 class CloneFragment:
-    """Generated table sets keyed by Profile, with aligned witness terms."""
+    """Generated tables keyed by Profile.  matrices[p] holds one table per
+    row, in insertion order, and witnesses[p] the aligned terms; the
+    matrices are the closure cache's own, so they are read-only."""
 
     algebra: SortedAlgebra
-    tables: dict[Profile, tuple[OpTable, ...]]
+    matrices: dict[Profile, np.ndarray]
     witnesses: dict[Profile, tuple[Term, ...]]
     complete: frozenset[tuple[int, ...]]
+
+    @cached_property
+    def tables(self) -> dict[Profile, tuple[OpTable, ...]]:
+        """The rows of each matrix as OpTables, built on first use."""
+        return {p: tuple(OpTable(p, self.algebra.carriers, tuple(row)) for row in m.tolist())
+                for p, m in self.matrices.items()}
 
 
 @lru_cache(maxsize=256)
 def _closure_full(alg: SortedAlgebra, inputs: tuple[int, ...], budget: int):
-    """Fragment at one input profile, every cod sort, as tables and terms."""
+    """Fragment at one input profile, every cod sort, as saturate's
+    read-only matrices and terms."""
     n_points = prod(alg.carriers[s] for s in inputs)
     seeds = {s: [] for s in range(alg.n_sorts)}
     cols = grid_columns(alg.carriers[s] for s in inputs)
     for i, s in enumerate(inputs):
         seeds[s].append((cols[i], Var(Profile(inputs, s), i)))
     out = saturate(alg, n_points, seeds, budget, ambient_inputs=inputs)
-    result = {}
-    for s, (matrix, terms) in out.items():
-        tabs = tuple(OpTable(Profile(inputs, s), alg.carriers, tuple(row))
-                     for row in matrix.tolist())
-        result[s] = (tabs, terms)
-    return result
+    for matrix, _terms in out.values():
+        matrix.flags.writeable = False
+    return out
+
+
+def check_inputs(inputs: tuple[int, ...], max_arity: int = MAX_ARITY) -> None:
+    """Reject a requested input profile above the arity bound."""
+    check_arity(len(inputs), max_arity, "requested input profile %r" % (inputs,))
 
 
 def generate_fragment(alg: SortedAlgebra, profiles, *, budget: int = TABLE_BUDGET,
@@ -306,28 +325,25 @@ def generate_fragment(alg: SortedAlgebra, profiles, *, budget: int = TABLE_BUDGE
     wanted: list[tuple[int, ...]] = []
     for p in profiles:
         inputs = p.inputs if isinstance(p, Profile) else tuple(p)
-        check_arity(len(inputs), max_arity, "requested input profile %r" % (inputs,))
+        check_inputs(inputs, max_arity)
         if any(s >= alg.n_sorts for s in inputs):
             raise KeyError("input profile %r names a sort outside the algebra" % (inputs,))
         if inputs not in wanted:
             wanted.append(inputs)
-    tables: dict[Profile, tuple[OpTable, ...]] = {}
-    witnesses: dict[Profile, tuple[Term, ...]] = {}
-    for inputs in wanted:
-        for s, (tabs, terms) in _closure_full(alg, inputs, budget).items():
-            tables[Profile(inputs, s)] = tabs
-            witnesses[Profile(inputs, s)] = terms
-    return CloneFragment(alg, tables, witnesses, frozenset(wanted))
+    closures = {inputs: _closure_full(alg, inputs, budget) for inputs in wanted}
+    matrices = {Profile(i, s): m for i, out in closures.items() for s, (m, _terms) in out.items()}
+    witnesses = {Profile(i, s): terms for i, out in closures.items() for s, (_m, terms) in out.items()}
+    return CloneFragment(alg, matrices, witnesses, frozenset(wanted))
 
 
 def fragment_contains(frag: CloneFragment, table: OpTable):
     """Membership by exact table equality; returns (found, witness term)."""
     if table.profile.inputs not in frag.complete:
         raise KeyError("input profile %r was not generated" % (table.profile.inputs,))
-    for t, w in zip(frag.tables.get(table.profile, ()), frag.witnesses.get(table.profile, ())):
-        if t == table:
-            return True, w
-    return False, None
+    if table.carriers != frag.algebra.carriers:
+        return False, None
+    hits = np.flatnonzero((frag.matrices[table.profile] == table.outputs).all(axis=1))
+    return (True, frag.witnesses[table.profile][hits[0]]) if len(hits) else (False, None)
 
 
 @dataclass(frozen=True)

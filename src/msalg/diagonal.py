@@ -22,7 +22,8 @@ operation g transported along the decomposition map
 
 where recombine sends a product code to d of its retract components and
 split sends c to the code of (e_s(c) for each s).  Both are lookup arrays
-over one carrier, so a transported table is one gather.  The checks
+over one carrier, so a transported table is one gather, and so is a
+fragment matrix transported a table per row.  The checks
 compare three independently computed versions of the lam-ary tables of the
 product: the transported image phi(Clo_lam(C)), the fragment generated from
 the transported basics, and the assembly of e_s-image classes of the clone
@@ -103,9 +104,10 @@ def _shape_ok(alg: SortedAlgebra, pair: DiagonalPair) -> str:
     return ""
 
 
-def stack_unary(es, n: int) -> np.ndarray:
-    """The unary tables es as one (len(es), n) array, row s holding es[s]."""
-    return np.asarray([e.outputs for e in es], dtype=np.int64).reshape(len(es), n)
+def stack_tables(tables, size: int) -> np.ndarray:
+    """The tables as one (len(tables), size) array, row i holding the
+    outputs of tables[i]."""
+    return np.asarray([t.outputs for t in tables], dtype=np.int64).reshape(len(tables), size)
 
 
 def _collapse_failure(d: OpTable, es: np.ndarray, want) -> tuple | None:
@@ -129,7 +131,7 @@ def verify_diagonal_pair(alg: SortedAlgebra, pair: DiagonalPair) -> Verification
         return Verification((CheckResult("shape", False, shape),))
     n = alg.carriers[0]
     S = pair.width
-    es = stack_unary(pair.es, n)
+    es = stack_tables(pair.es, n)
     grid, points = open_grid((n,) * S), np.arange(n)
     folded = gather(pair.d, [es[s][c] for s, c in enumerate(grid)])
     found = [
@@ -151,7 +153,7 @@ def exact_projection_holds(alg: SortedAlgebra, pair: DiagonalPair):
     only holds for identity retractions on carriers of size 2 or more."""
     if _shape_ok(alg, pair):
         return False, None
-    bad = _collapse_failure(pair.d, stack_unary(pair.es, alg.carriers[0]), lambda s, grid: grid[s])
+    bad = _collapse_failure(pair.d, stack_tables(pair.es, alg.carriers[0]), lambda s, grid: grid[s])
     return bad is None, bad
 
 
@@ -190,24 +192,24 @@ def find_diagonal_pairs(alg: SortedAlgebra, width: int, *,
         raise ProfileError("diagonal pairs live on single-sorted algebras")
     check_arity(width, MAX_ARITY, "pair width")
     frag = generate_fragment(alg, [(0,) * width, (0,)], budget=budget)
-    ds = frag.tables[Profile((0,) * width, 0)]
-    es = frag.tables[Profile((0,), 0)]
     n = alg.carriers[0]
-    stacked = stack_unary(es, n)
+    ds = frag.matrices[Profile((0,) * width, 0)]
+    stacked = frag.matrices[Profile((0,), 0)].astype(np.int64)
     idempotent = (np.take_along_axis(stacked, stacked, axis=1) == stacked).all(axis=1)
     grid, points, axes = open_grid((n,) * width), np.arange(n), tuple(range(1, width + 1))
+    diagonal = np.broadcast_to(encode_digits([points] * width, (n,) * width), n)
     found = []
-    for d in ds:
-        if (gather(d, [points] * width) != points).any():
-            continue
-        y = gather(d, grid)
+    for d in ds[(ds[:, diagonal] == points).all(axis=1)]:
+        y = d.reshape((n,) * width)
         # slot s keeps the idempotent e with e(d(x)) = e(x_s) everywhere
         slots = [np.flatnonzero(idempotent & (stacked[:, y] == stacked[:, c]).all(axis=axes)) for c in grid]
         for combo in itertools.product(*slots):
-            if (gather(d, [stacked[i][c] for i, c in zip(combo, grid)]) == y).all():
-                found.append(DiagonalPair(d, tuple(es[i] for i in combo)))
-    found.sort(key=lambda p: (p.d.outputs, tuple(e.outputs for e in p.es)))
-    return tuple(found)
+            if (d[encode_digits([stacked[i][c] for i, c in zip(combo, grid)], (n,) * width)] == y).all():
+                found.append((tuple(d.tolist()), tuple(tuple(stacked[i].tolist()) for i in combo)))
+    found.sort()
+    return tuple(DiagonalPair(OpTable(Profile((0,) * width, 0), alg.carriers, d),
+                              tuple(OpTable(Profile((0,), 0), alg.carriers, e) for e in es))
+                 for d, es in found)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +292,9 @@ def matrix_product(source: SortedAlgebra, pair: DiagonalPair) -> MatrixProduct:
 
 
 def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
-                              budget: int = TABLE_BUDGET) -> set:
-    """Second route to the lam-ary tables of the product.
+                              budget: int = TABLE_BUDGET) -> np.ndarray:
+    """Second route to the lam-ary tables of the product, as the sorted
+    distinct rows of a matrix.
 
     Work over the retract-valued argument points: close the position
     projections under the source basics, push each closed vector through
@@ -315,68 +318,75 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
                for r, e in zip(retracts, mp.pair.es)]
     if prod(len(c) for c in classes) > budget:
         raise BudgetError("class assembly would exceed the table budget")
-    return set(map(tuple, encode_choices(classes, mp.sizes).tolist()))
+    return np.unique(encode_choices(classes, mp.sizes), axis=0)
 
 
-def _composition_failure(tables, unary, phi, phi_unary, recombine, split):
-    """First (f, gs), f in tables order and then gs in itertools.product
-    order, as table outputs, where phi of the composite f(g_1, ..., g_lam)
-    differs from phi(f) at the stacked phi(g_i).  Nullary tables compose
-    with no g, so they never fail.
+def _composition_failure(lam, F, P, G, phi_G, recombine, split):
+    """First (f, gs), f in the row order of F and then gs in
+    itertools.product order of the rows of G, as table outputs, where phi
+    of the composite f(g_1, ..., g_lam) differs from phi(f) at the phi(g_i).
+    F stacks lam-ary source tables and P their phi images, G unary source
+    tables and phi_G theirs.  At lam 0 f composes with no g, so it never
+    fails.
 
     The argument codes of every gs are built once, shape (U,) * lam plus
-    the product carrier: src into f's domain, dst into phi(f)'s.  The
-    lam-ary tables are stacked as F and their phi images as P, and blocks
-    of consecutive tables, about _CHUNK gathered values each, compare
-    split[F[block][:, src]] with P[block][:, dst].  Blocks run in table
-    order and core.first_failure reads each block's (table, g_1, ..., g_lam)
-    mask row-major, so the first failing block holds the witness."""
-    lam = tables[0].arity if tables else 0
-    if lam == 0 or not unary:
+    the product carrier: src into f's domain, dst into phi(f)'s.  Blocks
+    of consecutive rows, about _CHUNK gathered values each, compare
+    split[F[block][:, src]] with P[block][:, dst].  Blocks run in row order
+    and core.first_failure reads each block's (table, g_1, ..., g_lam) mask
+    row-major, so the first failing block holds the witness."""
+    if lam == 0 or not len(G):
         return None
-    grid = open_grid((len(unary),) * lam)
-    g_rec = stack_unary(unary, len(split))[:, recombine]
+    grid = open_grid((len(G),) * lam)
+    g_rec = G[:, recombine]
     src = encode_digits([g_rec[c] for c in grid], (len(split),) * lam)
-    dst = encode_digits([phi_unary[c] for c in grid], (len(recombine),) * lam)
-    F = np.asarray([f.outputs for f in tables], dtype=np.int64)
-    P = np.asarray([phi[f.outputs].outputs for f in tables], dtype=np.int64)
+    dst = encode_digits([phi_G[c] for c in grid], (len(recombine),) * lam)
     step = max(1, _CHUNK // max(src.size, 1))
-    for lo in range(0, len(tables), step):
+    for lo in range(0, len(F), step):
         bad = first_failure((split[F[lo:lo + step, src]] != P[lo:lo + step, dst]).any(axis=-1))
         if bad is not None:
-            return tables[lo + bad[0]].outputs, tuple(unary[i].outputs for i in bad[1:])
+            return tuple(F[lo + bad[0]].tolist()), tuple(tuple(G[i].tolist()) for i in bad[1:])
     return None
 
 
 def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
                          budget: int = TABLE_BUDGET) -> Verification:
-    """Cross-check the transport at arity lam from three directions."""
+    """Cross-check the transport at arity lam from three directions.
+
+    phi of the source's k-ary tables, stacked as rows of a matrix, is one
+    gather: split[F[:, codes]], codes reading f at the recombined
+    arguments of every product point.  The three routes' table sets are
+    compared as sorted distinct rows."""
     mp = matrix_product(source, pair)
     frag_src = generate_fragment(source, [(0,) * lam, (0,)], budget=budget)
-    src_tables = frag_src.tables[Profile((0,) * lam, 0)]
-    phi = {f.outputs: decompose_table(source, pair, f, mp.retracts) for f in src_tables}
+    recombine, split = _transport_maps(pair, mp.retracts)
+
+    def phi(F, k):
+        cols = grid_columns((len(recombine),) * k)
+        return split[F[:, np.ravel(encode_digits([recombine[c] for c in cols], (len(split),) * k))]]
+
+    F = frag_src.matrices[Profile((0,) * lam, 0)]
+    P = phi(F, lam)
     checks = []
 
-    images = {t.outputs for t in phi.values()}
+    images = np.unique(P, axis=0)
     checks.append(CheckResult(
-        "phi-injective", len(images) == len(src_tables),
-        "%d tables, %d images" % (len(src_tables), len(images))))
+        "phi-injective", len(images) == len(F),
+        "%d tables, %d images" % (len(F), len(images))))
 
     frag_mp = generate_fragment(mp.algebra, [(0,) * lam], budget=budget)
-    mp_tables = {t.outputs for t in frag_mp.tables[Profile((0,) * lam, 0)]}
+    mp_tables = np.unique(frag_mp.matrices[Profile((0,) * lam, 0)], axis=0)
     checks.append(CheckResult(
-        "phi-image-equals-generated", images == mp_tables,
+        "phi-image-equals-generated", np.array_equal(images, mp_tables),
         "image %d vs generated %d" % (len(images), len(mp_tables))))
 
     class_tables = _class_assembled_fragment(mp, lam, budget=budget)
     checks.append(CheckResult(
-        "phi-image-equals-classes", images == class_tables,
+        "phi-image-equals-classes", np.array_equal(images, class_tables),
         "image %d vs classes %d" % (len(images), len(class_tables))))
 
-    recombine, split = _transport_maps(pair, mp.retracts)
-    unary = frag_src.tables[Profile((0,), 0)]
-    phi_unary = stack_unary([decompose_table(source, pair, g, mp.retracts) for g in unary], len(recombine))
-    bad = _composition_failure(src_tables, unary, phi, phi_unary, recombine, split)
+    G = frag_src.matrices[Profile((0,), 0)].astype(np.int64)
+    bad = _composition_failure(lam, F, P, G, phi(G, 1), recombine, split)
     checks.append(CheckResult(
         "composition-compatible", bad is None,
         "" if bad is None else "breaks at %r" % (bad,)))

@@ -48,6 +48,7 @@ import numpy as np
 from .core import (
     BudgetError,
     CheckResult,
+    MAX_ARITY,
     OpTable,
     Profile,
     ProfileError,
@@ -63,8 +64,8 @@ from .core import (
     grid_columns,
     tabulate,
 )
-from .clone import generate_fragment
-from .diagonal import DiagonalPair, matrix_product, retract_maps, stack_unary, verify_diagonal_pair
+from .clone import check_inputs, fragment_contains, generate_fragment
+from .diagonal import DiagonalPair, matrix_product, retract_maps, stack_tables, verify_diagonal_pair
 from .homog import HomogenizedAlgebra, homogenize
 
 
@@ -90,10 +91,10 @@ def cross_family_from_purity(alg: SortedAlgebra, *,
                 row.append(OpTable(Profile((s,), s), alg.carriers,
                                    tuple(range(alg.carriers[s]))))
                 continue
-            candidates = frag.tables.get(Profile((s,), t), ())
+            candidates = frag.matrices[Profile((s,), t)].tolist()
             if not candidates:
                 return None
-            row.append(min(candidates, key=lambda c: c.outputs))
+            row.append(OpTable(Profile((s,), t), alg.carriers, tuple(min(candidates))))
         rows.append(tuple(row))
     return CrossSortFamily(alg, tuple(rows))
 
@@ -162,34 +163,30 @@ def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
         source=source, pair=pair, retracts=retracts)
 
 
-def _conjugated(tables, profile: Profile, fwd, inv, carriers) -> list:
-    """The outputs of tables of one profile relabeled along per-sort
-    bijections (fwd composed with inv), one list each, in one gather."""
+def _conjugated(matrix: np.ndarray, profile: Profile, fwd, inv, carriers) -> np.ndarray:
+    """The tables of one profile, one per row, relabeled along per-sort
+    bijections (fwd composed with inv) in one gather."""
     sizes = [carriers[s] for s in profile.inputs]
     args = np.ravel(encode_digits([np.asarray(inv[s], dtype=np.int64)[c]
                                    for s, c in zip(profile.inputs, grid_columns(sizes))], sizes))
-    stack = np.asarray([f.outputs for f in tables], dtype=np.int64).reshape(len(tables), args.size)
-    return np.asarray(fwd[profile.cod], dtype=np.int64)[stack[:, args]].tolist()
+    return np.asarray(fwd[profile.cod], dtype=np.int64)[matrix[:, args]]
 
 
 def _conjugate(f: OpTable, fwd, inv, carriers) -> OpTable:
     """Relabel one table along per-sort bijections (fwd composed with inv)."""
-    return OpTable(f.profile, tuple(carriers), tuple(_conjugated([f], f.profile, fwd, inv, carriers)[0]))
+    row = _conjugated(stack_tables([f], len(f.outputs)), f.profile, fwd, inv, carriers)[0]
+    return OpTable(f.profile, tuple(carriers), tuple(row.tolist()))
 
 
 def _in_source_clone(split: SortedAlgebra, alg: SortedAlgebra, fwd, inv, budget: int) -> bool:
     """Is every basic table of the split, recoded back along the codings, a
     term operation of the source at its own profile?  False also when a
     source fragment at a split profile exceeds the budget."""
-    by_profile: dict[Profile, list] = {}
-    for g in split.tables:
-        by_profile.setdefault(g.profile, []).append(g)
     try:
-        frag = generate_fragment(alg, list(by_profile), budget=budget)
+        frag = generate_fragment(alg, [g.profile for g in split.tables], budget=budget)
     except BudgetError:
         return False
-    return all(set(map(tuple, _conjugated(gs, p, inv, fwd, alg.carriers))) <= {f.outputs for f in frag.tables[p]}
-               for p, gs in by_profile.items())
+    return all(fragment_contains(frag, _conjugate(g, inv, fwd, alg.carriers))[0] for g in split.tables)
 
 
 def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
@@ -262,9 +259,9 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
         frag_b = generate_fragment(het.algebra, profiles, budget=budget)
         for inputs, cod in itertools.product(profiles, range(S)):
             p = Profile(inputs, cod)
-            want = set(map(tuple, _conjugated(frag_a.tables.get(p, ()), p, fwd, inv, alg.carriers)))
-            got = {f.outputs for f in frag_b.tables.get(p, ())}
-            if want != got:
+            want = np.unique(_conjugated(frag_a.matrices[p], p, fwd, inv, alg.carriers), axis=0)
+            got = np.unique(frag_b.matrices[p], axis=0)
+            if not np.array_equal(want, got):
                 bad = (p, len(want), len(got))
                 break
     checks.append(CheckResult("fragments-match", bad is None,
@@ -282,8 +279,8 @@ def _nu_certified(source: SortedAlgebra, pair: DiagonalPair, hb: HomogenizedAlge
     n, S = source.carriers[0], pair.width
     if lam < 1 or any(g.arity == 0 for g in source.tables):
         return False
-    unary = {f.outputs for f in generate_fragment(source, [(0,)], budget=budget).tables[Profile((0,), 0)]}
-    if any(e.outputs not in unary for e in pair.es):
+    unary = generate_fragment(source, [(0,)], budget=budget)
+    if not all(fragment_contains(unary, e)[0] for e in pair.es):
         return False
     if pair.d not in source.tables:
         if S > lam:
@@ -292,15 +289,15 @@ def _nu_certified(source: SortedAlgebra, pair: DiagonalPair, hb: HomogenizedAlge
             frag = generate_fragment(source, [pair.d.profile.inputs], budget=budget)
         except BudgetError:
             return False
-        if pair.d.outputs not in {f.outputs for f in frag.tables[pair.d.profile]}:
+        if not fragment_contains(frag, pair.d)[0]:
             return False
 
     # hb's symbols in heterogenize's order: diag, then per source symbol g,
     # per v in itertools.product order, per t, the lift of het_<g>_t<t>_v<v>
     diag, *lifts = hb.algebra.tables
-    if tuple(_conjugated([diag], diag.profile, (inv,), (psi,), (n,))[0]) != pair.d.outputs:
+    if _conjugate(diag, (inv,), (psi,), (n,)).outputs != pair.d.outputs:
         return False
-    es = stack_unary(pair.es, n)
+    es = stack_tables(pair.es, n)
     start = 0
     for g in source.tables:
         k = g.arity
@@ -312,14 +309,14 @@ def _nu_certified(source: SortedAlgebra, pair: DiagonalPair, hb: HomogenizedAlge
         inner = gather(g, [es[vs[:, i]][:, c] for i, c in enumerate(cols)])
         want = np.stack([gather(pair.d, [inner if s == t else cols[0] for s in range(S)])
                          for t in range(S)], axis=1)
-        pulled = np.asarray(_conjugated(mine, g.profile, (inv,), (psi,), (n,)), dtype=np.int64)
+        lifted = stack_tables(mine, n ** k)
+        pulled = _conjugated(lifted, g.profile, (inv,), (psi,), (n,))
         if not np.array_equal(pulled, want.reshape(pulled.shape)):
             return False
         # C in hb: digit t of psi g psi^-1 is digit t of some lift at slot t
-        lifted = np.asarray([f.outputs for f in mine], dtype=np.int64).reshape(len(vs), S, n ** k)
-        pushed = np.asarray(_conjugated([g], g.profile, (psi,), (inv,), (n,))[0], dtype=np.int64)
+        pushed = _conjugated(stack_tables([g], n ** k), g.profile, (psi,), (inv,), (n,))[0]
         digits = decode_digits(pushed, hb.radices)
-        if not all((decode_digits(lifted[:, t], hb.radices)[t] == digits[t]).all(axis=1).any()
+        if not all((decode_digits(lifted[t::S], hb.radices)[t] == digits[t]).all(axis=1).any()
                    for t in range(S)):
             return False
     return True
@@ -365,8 +362,11 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
     when d is not basic and S > lam, or when C's S-ary fragment exceeds
     the budget.  C's fragments at widths 1..lam are generated either way,
     and when the certificate holds hb's have the same sizes, so budget
-    errors do not depend on which comparison runs.
+    errors do not depend on which comparison runs.  A lam above the
+    arity bound is rejected before anything is generated, naming the
+    first width the comparison could not generate.
     """
+    check_inputs((0,) * min(lam, MAX_ARITY + 1))
     het = heterogenize(source, pair, budget=budget)
     hb = homogenize(het.algebra)
     n = source.carriers[0]
@@ -388,9 +388,9 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
         if certified:
             continue
         frag_h = generate_fragment(hb.algebra, [p.inputs], budget=budget)
-        want = set(map(tuple, _conjugated(frag_c.tables[p], p, (psi,), (inv,), (n,))))
-        got = {f.outputs for f in frag_h.tables[p]}
-        if want != got:
+        want = np.unique(_conjugated(frag_c.matrices[p], p, (psi,), (inv,), (n,)), axis=0)
+        got = np.unique(frag_h.matrices[p], axis=0)
+        if not np.array_equal(want, got):
             bad = (width, len(want), len(got))
             break
     checks.append(CheckResult("fragments-match", bad is None,
@@ -419,7 +419,7 @@ def verify_pair_independence(source: SortedAlgebra, pair1: DiagonalPair,
         return Verification(tuple(checks))
     n = source.carriers[0]
 
-    es1, es2 = stack_unary(pair1.es, n), stack_unary(pair2.es, n)
+    es1, es2 = stack_tables(pair1.es, n), stack_tables(pair2.es, n)
     bad = first_failure((np.take_along_axis(es1, es2, axis=1) != es1) |
                         (np.take_along_axis(es2, es1, axis=1) != es2))
     checks.append(CheckResult("mixed-idempotence", bad is None,

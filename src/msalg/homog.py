@@ -68,11 +68,7 @@ class HomogenizedAlgebra:
 def _closed_term_values(alg: SortedAlgebra):
     """Per sort, the sorted set of values closed terms can take."""
     frag = generate_fragment(alg, [()])
-    out = []
-    for s in range(alg.n_sorts):
-        vals = sorted({t.outputs[0] for t in frag.tables.get(Profile((), s), ())})
-        out.append(tuple(vals))
-    return out
+    return [tuple(np.unique(frag.matrices[Profile((), s)]).tolist()) for s in range(alg.n_sorts)]
 
 
 def _lift(radices, f: OpTable) -> OpTable:
@@ -165,10 +161,10 @@ def assembled_fragment(h: HomogenizedAlgebra, lam: int, *,
     S = len(h.radices)
     rho = tuple(range(S)) * lam
     frag = generate_fragment(h.source, [rho], budget=budget)
-    per_sort = [frag.tables[Profile(rho, s)] for s in range(S)]
-    if prod(len(ts) for ts in per_sort) > budget:
+    per_sort = [frag.matrices[Profile(rho, s)] for s in range(S)]
+    if prod(len(m) for m in per_sort) > budget:
         raise BudgetError("assembly would exceed the table budget")
-    codes = encode_choices([[t.outputs for t in ts] for ts in per_sort], h.radices)
+    codes = encode_choices(per_sort, h.radices)
     profile = Profile((0,) * lam, 0)
     return {outs: OpTable(profile, (h.size,), outs) for outs in dict.fromkeys(map(tuple, codes.tolist()))}
 

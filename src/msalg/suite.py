@@ -69,8 +69,7 @@ def criterion_adequacy():
         for lam in (1, 2):
             want = set(assembled_fragment(h, lam))
             prof = Profile((0,) * lam, 0)
-            got = {t.outputs for t in
-                   generate_fragment(h.algebra, [prof.inputs]).tables[prof]}
+            got = set(map(tuple, generate_fragment(h.algebra, [prof.inputs]).matrices[prof].tolist()))
             if want != got:
                 return False, "%s lam=%d: assembled %d vs generated %d" % (
                     name, lam, len(want), len(got))

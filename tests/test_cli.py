@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 from msalg.corpus import corpus_algebra, corpus_names
 import msalg.cli as cli
 from msalg.cli import main
+from msalg import clone
 from msalg.clone import fragment_contains, generate_fragment
 from msalg.fmt import parse_algebra
 from msalg.core import Profile, build_algebra, term_str
@@ -437,11 +438,22 @@ def test_roundtrip_nu_reports_byte_for_byte():
         assert (rc, out) == (0, "command: msalg %s\n" % " ".join(args) + body), args
 
 
-def test_roundtrip_nu_compares_arities_up_to_lam(capsys):
-    # lam 7 asks for the 7-ary fragment, over the arity bound 6
+def test_roundtrip_nu_compares_arities_up_to_lam(capsys, monkeypatch):
+    # lam 7 asks for the 7-ary fragment, over the arity bound 6; it is
+    # rejected before any fragment is generated
+    calls = []
+    real = clone._closure_full
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clone, "_closure_full", spy)
     rc = main(["roundtrip-nu", "@a_tiny", "--lam", "7"])
     assert rc == 2
-    assert "arity 7, above the bound 6" in capsys.readouterr().err
+    assert ("requested input profile (0, 0, 0, 0, 0, 0, 0) has arity 7, above the bound 6"
+            in capsys.readouterr().err)
+    assert calls == []
 
 
 def test_sub_with_generators():

@@ -8,6 +8,7 @@ were produced by the oracle and verified by hand where small enough.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from msalg import clone
@@ -26,6 +27,10 @@ from msalg.core import (
     validate_term,
 )
 from msalg.corpus import corpus_algebra, corpus_names
+from msalg.diagonal import find_diagonal_pairs, verify_decomposition
+from msalg.hetero import canonical_pair, verify_mu_roundtrip, verify_nu_roundtrip
+from msalg.homog import homogenize
+from msalg.suite import criterion_adequacy
 
 
 def oracle_fragment(alg, inputs):
@@ -147,7 +152,49 @@ def test_generation_is_deterministic_across_runs():
     and witness in order."""
     alg = corpus_algebra("a_malcev")
     fresh = clone._closure_full.__wrapped__
-    assert fresh(alg, (0, 1), TABLE_BUDGET) == fresh(alg, (0, 1), TABLE_BUDGET)
+    first, second = fresh(alg, (0, 1), TABLE_BUDGET), fresh(alg, (0, 1), TABLE_BUDGET)
+    assert first.keys() == second.keys()
+    for s, (matrix, terms) in first.items():
+        assert np.array_equal(matrix, second[s][0]), s
+        assert terms == second[s][1], s
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_tables_are_the_matrix_rows_in_order(name):
+    """tables[p] holds the rows of matrices[p] in order, witnesses[p] stays
+    aligned with them, and a matrix, shared through the closure cache,
+    refuses writes."""
+    alg = corpus_algebra(name)
+    profiles = [v for k in (1, 2) for v in itertools.product(range(alg.n_sorts), repeat=k)]
+    frag = generate_fragment(alg, profiles)
+    assert set(frag.matrices) == {Profile(v, s) for v in profiles for s in range(alg.n_sorts)}
+    for p, matrix in frag.matrices.items():
+        assert frag.tables[p] == tuple(OpTable(p, alg.carriers, tuple(row)) for row in matrix.tolist())
+        assert len(frag.witnesses[p]) == len(matrix), p
+        for tab, term in zip(frag.tables[p], frag.witnesses[p]):
+            assert table_of_term(alg, term) == tab, p
+        with pytest.raises(ValueError):
+            matrix[...] = 0
+
+
+@pytest.mark.parametrize("name", ["a_tiny", "a_malcev"])
+def test_the_checks_read_fragment_matrices_not_tables(monkeypatch, name):
+    """The pair search, the decomposition, both round trips and the
+    adequacy criterion read fragments as matrices: none builds the per-row
+    OpTables of CloneFragment.tables."""
+    def refuse(frag):
+        raise AssertionError("CloneFragment.tables read")
+
+    monkeypatch.setattr(clone.CloneFragment, "tables", property(refuse))
+    alg = corpus_algebra(name)
+    h = homogenize(alg)
+    pair = canonical_pair(h)
+    assert find_diagonal_pairs(h.algebra, alg.n_sorts)
+    for lam in (1, 2):
+        assert verify_decomposition(h.algebra, pair, lam).ok
+    assert verify_mu_roundtrip(alg).ok
+    assert verify_nu_roundtrip(h.algebra, pair)[0].ok
+    assert criterion_adequacy()[0]
 
 
 def test_nullary_symbols_enter_the_fragment():

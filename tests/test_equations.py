@@ -35,7 +35,7 @@ from msalg.diagonal import (
     find_diagonal_pairs,
     matrix_product,
     satisfies_diagonal_identity,
-    stack_unary,
+    stack_tables,
     verify_diagonal_pair,
 )
 from msalg.hetero import canonical_pair, cross_family_from_purity, verify_pair_independence
@@ -153,12 +153,15 @@ def case_composition():
             outs[mid:mid + 1] = [(v + 1) % len(recombine) for v in outs[mid:mid + 1]]
             patched[keys[-1]] = OpTable(last.profile, last.carriers, tuple(outs))
             by_image = sorted(unary, key=lambda g: len(set(g.outputs)))
+            F = stack_tables(tables, len(split) ** lam)
             for label, table, order in (("", phi, unary), (" rotated", wrong, unary),
                                         (" one value", patched, by_image)):
-                phi_unary = stack_unary([decompose_table(alg, pair, g, mp.retracts) for g in order], len(split))
-                yield (name + label, _composition_failure(tables, order, table, phi_unary, recombine, split),
+                P = stack_tables([table[f.outputs] for f in tables], len(recombine) ** lam)
+                G = stack_tables(order, len(split))
+                phi_G = stack_tables([decompose_table(alg, pair, g, mp.retracts) for g in order], len(recombine))
+                yield (name + label, _composition_failure(lam, F, P, G, phi_G, recombine, split),
                        oracle.composition_failure(alg, pair, mp.retracts, tables, order, table))
-            yield (name + " no tables", _composition_failure([], order, table, phi_unary, recombine, split),
+            yield (name + " no tables", _composition_failure(lam, F[:0], P[:0], G, phi_G, recombine, split),
                    oracle.composition_failure(alg, pair, mp.retracts, [], order, table))
 
 

@@ -238,6 +238,15 @@ def test_a_certified_nu_roundtrip_generates_no_collapsed_split_fragment(monkeypa
     assert seen and not collapsed_splits(seen)
 
 
+def test_a_nu_lam_above_the_arity_bound_is_rejected_before_any_fragment(monkeypatch):
+    h = homogenize(corpus_algebra("a_tiny"))
+    pair = canonical_pair(h)
+    seen = spy_fragments(monkeypatch)
+    with pytest.raises(ProfileError, match=r"\(0, 0, 0, 0, 0, 0, 0\) has arity 7, above the bound 6"):
+        verify_nu_roundtrip(h.algebra, pair, lam=7)
+    assert seen == []
+
+
 # het_diag_t0_v00, diag on r0 x r0 into r0, is the first projection
 # (0, 0, 1, 1): a_tiny's collapse has no binary term whose slot-0 part is the
 # join, so the collapsed split is no longer inside the source's clone.

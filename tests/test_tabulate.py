@@ -221,12 +221,18 @@ def case_decompose_table():
             yield name, decompose_table(alg, pair, f), oracle.decompose_table(alg, pair, f)
 
 
+def _rows(matrix):
+    """The rows of a table matrix as the set of outputs tuples the oracle
+    returns."""
+    return set(map(tuple, matrix.tolist()))
+
+
 def case_class_assembly():
     for name, alg, pair in pairs():
         mp = matrix_product(alg, pair)
-        yield name, _class_assembled_fragment(mp, 1), oracle.class_assembled_fragment(mp, 1)
+        yield name, _rows(_class_assembled_fragment(mp, 1)), oracle.class_assembled_fragment(mp, 1)
         if alg.carriers[0] <= 4:
-            yield name + " lam=2", _class_assembled_fragment(mp, 2), oracle.class_assembled_fragment(mp, 2)
+            yield name + " lam=2", _rows(_class_assembled_fragment(mp, 2)), oracle.class_assembled_fragment(mp, 2)
 
 
 def case_heterogenize():
@@ -242,7 +248,8 @@ def case_conjugate():
         # every table of one profile at once, as the fragment checks stack them
         for p in dict.fromkeys(f.profile for f in alg.tables):
             tables = [f for f in alg.tables if f.profile == p]
-            yield name, _conjugated(tables, p, fwd, fwd, alg.carriers), [
+            stack = np.asarray([f.outputs for f in tables], dtype=np.int64)
+            yield name, _conjugated(stack, p, fwd, fwd, alg.carriers), [
                 list(oracle.conjugate(f, fwd, fwd, alg.carriers).outputs) for f in tables]
 
 
