@@ -19,23 +19,19 @@ original many-sorted algebra up to the per-sort codings; verify_nu_roundtrip
 checks that splitting and then collapsing returns the original single-sorted
 algebra up to one carrier bijection.
 
-The mu round trip compares clones by their generators first.  Two algebras
-on the same sorted carriers whose basic operations are each a term
-operation of the other have the same term operations at every profile: a
-term of one becomes a term of the other, with the same table, by replacing
-each basic symbol with its term.  Each recoded basic operation of the
-source is a basic operation of the split (the het_lift_ symbols), so once
-every split table, recoded back, lies in the source's fragment at its own
-profile, the fragments match at every profile and the split's fragments
-are never generated.
-
-The nu round trip does the same with explicit terms.  Write C for the
-source, hb for the collapsed split and psi for the element bijection.  The
-diag of hb pulled back along psi is d, and its lift of het_<g>_t<t>_v<v>
-pulled back is the term d(x1, .., g(e_v1 x1, .., e_vk xk) at slot t, .., x1)
-of C; conversely psi g psi^-1 is diag applied to one such lift per slot.
-When every one of these tables matches, the two clones are equal and hb's
-fragments are never generated.
+Both compare fragments by one argument.  Two algebras on the same sorted
+carriers whose basic operations are each a term operation of the other have
+the same term operations at every profile: a term of one becomes a term of
+the other, with the same table, by replacing each basic symbol with its
+term.  Each round trip names an explicit term of the other side for every
+basic operation of each side and compares whole tables; the terms are built
+from the basic operations, projections and the maps of the cross family or
+the pair, which must themselves lie in the source's fragments.  When every
+table matches, the fragments match at every profile and none is generated
+beyond those the certificate reads.  When one differs, _fragment_mismatch
+generates both sides' fragments profile by profile and compares them as
+sets.  A certified run can therefore only hit the budget in the source's
+unary fragments and in the split's entry count.
 """
 
 from __future__ import annotations
@@ -178,15 +174,52 @@ def _conjugate(f: OpTable, fwd, inv, carriers) -> OpTable:
     return OpTable(f.profile, tuple(carriers), tuple(row.tolist()))
 
 
-def _in_source_clone(split: SortedAlgebra, alg: SortedAlgebra, fwd, inv, budget: int) -> bool:
-    """Is every basic table of the split, recoded back along the codings, a
-    term operation of the source at its own profile?  False also when a
-    source fragment at a split profile exceeds the budget."""
-    try:
-        frag = generate_fragment(alg, [g.profile for g in split.tables], budget=budget)
-    except BudgetError:
-        return False
-    return all(fragment_contains(frag, _conjugate(g, inv, fwd, alg.carriers))[0] for g in split.tables)
+def _mu_walk(alg: SortedAlgebra, h: HomogenizedAlgebra, family: CrossSortFamily,
+             split: SortedAlgebra, fwd, inv) -> dict:
+    """Whether each table of the split, pulled back along the codings,
+    equals its explicit term of the source, keyed (i, v, t) for
+    het_<g>_t<t>_v<v> with g the i-th symbol of the collapse (diag is 0).
+    The walk follows heterogenize's emit order; a padding component of a
+    nullary lift is matched against the closed-term values instead."""
+    S = alg.n_sorts
+    es = [[np.asarray(m.outputs, dtype=np.int64) for m in row] for row in family.maps]
+    rows = iter(split.tables)
+    matched = {}
+    for i, (f, g) in enumerate(zip((None,) + alg.tables, h.algebra.tables)):
+        for v in itertools.product(range(S), repeat=g.arity):
+            cols = grid_columns(alg.carriers[s] for s in v)
+            for t in range(S):
+                pulled = _conjugate(next(rows), inv, fwd, alg.carriers)
+                if f is None:
+                    want = es[v[t]][t][cols[t]]
+                elif t == f.profile.cod:
+                    want = gather(f, [es[r][s][c] for r, s, c in zip(v, f.profile.inputs, cols)])
+                elif v:
+                    want = es[v[0]][t][cols[0]]
+                else:
+                    # homogenize's own call, so a cache hit
+                    matched[i, v, t] = fragment_contains(generate_fragment(alg, [()]), pulled)[0]
+                    continue
+                matched[i, v, t] = np.array_equal(pulled.outputs, np.broadcast_to(want, len(pulled.outputs)))
+    return matched
+
+
+def _fragment_mismatch(source: SortedAlgebra, split: SortedAlgebra, inputs, fwd, inv, budget: int):
+    """The comparison a failed certificate falls back to.  Per input profile
+    in order, generate the fragments of both sides and compare them as sets
+    of tables, the source's moved along the per-sort bijections fwd (with
+    inverses inv).  Returns the first (profile, source count, split count)
+    that differs, or None."""
+    for ins in inputs:
+        frag_a = generate_fragment(source, [ins], budget=budget)
+        frag_b = generate_fragment(split, [ins], budget=budget)
+        for cod in range(split.n_sorts):
+            p = Profile(ins, cod)
+            want = np.unique(_conjugated(frag_a.matrices[p], p, fwd, inv, source.carriers), axis=0)
+            got = np.unique(frag_b.matrices[p], axis=0)
+            if not np.array_equal(want, got):
+                return p, len(want), len(got)
+    return None
 
 
 def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
@@ -197,18 +230,31 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
     must transport symbol by symbol, and the generated fragments at every
     input profile of length 1..lam must transport as sets.
 
-    The fragments are compared through the clones' generators first.  Write
-    A' for the source recoded along the mu_s and B for the split.  When
-    ops-transport holds, every basic operation of A' is one of B, so every
-    term operation of A' is one of B.  When also every basic table of B is
-    a term operation of A' at its own profile, substituting those terms
-    turns every term of B into a term of A' with the same table.  The two
-    clones are then equal, so the fragments match at every profile and
-    B's fragments are not generated.  Otherwise, or when a source fragment
-    at a profile of B that is not compared exceeds the budget, both
-    fragments are generated and compared profile by profile.  The source
-    fragments at the compared profiles are generated either way, so budget
-    errors do not depend on which comparison runs.
+    The fragments are compared through explicit terms both ways.  Write A'
+    for the source recoded along the mu_s, B for the split and e_{s,t} for
+    the cross family.  Pulled back along the codings, each table of B must
+    equal a term of A:
+
+      - het_diag_t<t>_v<v> is e_{v_t,t}(x_t);
+      - het_lift_<f>_t<t>_v<v> is f(e_{v_1,s_1} x_1, .., e_{v_k,s_k} x_k)
+        at t = cod f, for f: s_1 .. s_k -> cod f, and e_{v_1,t}(x_1) at
+        every other t;
+      - a padding component of a nullary lift is a closed-term value.
+
+    Every e_{s,t} must lie in A's unary fragment, so these are terms of A.
+    At v = inputs of f and t = cod f the lift is f itself (e_{s,s} is the
+    identity): that case is ops-transport, so every basic operation of A'
+    is one of B.  Substituting terms then carries every term of one side
+    onto a term of the other with the same table, the clones are equal,
+    and the fragments match at every profile without being generated.
+    When some table differs, or some e_{s,t} is no term, both fragments
+    are generated and compared profile by profile.  A certified run
+    generates only A's unary fragments, which the cross family already
+    needed, and its closed terms when it has a constant, so its budget
+    errors come from the unary fragments and the split's entry count.  A
+    lam above the arity bound is rejected once the codings are known to
+    be bijections, naming the first profile the comparison could not
+    generate.
     """
     checks = []
     family = cross_family_from_purity(alg, budget=budget)
@@ -235,35 +281,21 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
     if not bij:
         return Verification(tuple(checks))
     inv = [np.argsort(slot) for slot in fwd]
+    check_inputs((0,) * min(lam, MAX_ARITY + 1))
 
-    bad = None
-    for sym, f in zip(alg.signature.symbols, alg.tables):
-        name = "het_lift_%s_t%d_v%s" % (sym.name, sym.profile.cod,
-                                        "".join(str(s) for s in sym.profile.inputs))
-        try:
-            g = het.algebra.table(name)
-        except ProfileError:
-            bad = (sym.name, "missing %s" % name)
-            break
-        if _conjugate(f, fwd, inv, alg.carriers) != g:
-            bad = (sym.name, "table differs after recoding")
-            break
+    matched = _mu_walk(alg, h, family, het.algebra, fwd, inv)
+    # pure with a constant gives every sort a closed term, so every lift of
+    # a nullary symbol stays nullary and every f has its own profile here
+    bad = next((sym.name for i, (sym, f) in enumerate(zip(alg.signature.symbols, alg.tables), 1)
+                if not matched.get((i, f.profile.inputs, f.profile.cod))), None)
     checks.append(CheckResult("ops-transport", bad is None,
-                              "" if bad is None else "%s: %s" % bad))
-    transported = bad is None
+                              "" if bad is None else "%s: table differs after recoding" % bad))
 
+    certified = bad is None and all(matched.values()) and all(
+        fragment_contains(generate_fragment(alg, [(s,)], budget=budget), e)[0]
+        for s, row in enumerate(family.maps) for e in row)
     profiles = [v for width in range(1, lam + 1) for v in itertools.product(range(S), repeat=width)]
-    frag_a = generate_fragment(alg, profiles, budget=budget)
-    bad = None
-    if profiles and not (transported and _in_source_clone(het.algebra, alg, fwd, inv, budget)):
-        frag_b = generate_fragment(het.algebra, profiles, budget=budget)
-        for inputs, cod in itertools.product(profiles, range(S)):
-            p = Profile(inputs, cod)
-            want = np.unique(_conjugated(frag_a.matrices[p], p, fwd, inv, alg.carriers), axis=0)
-            got = np.unique(frag_b.matrices[p], axis=0)
-            if not np.array_equal(want, got):
-                bad = (p, len(want), len(got))
-                break
+    bad = None if certified else _fragment_mismatch(alg, het.algebra, profiles, fwd, inv, budget)
     checks.append(CheckResult("fragments-match", bad is None,
                               "" if bad is None else "profile %r: %d vs %d" % bad))
     return Verification(tuple(checks))
@@ -356,15 +388,15 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
     Then every basic operation of each side is a term operation of the
     other, substituting terms carries every term of one side onto a term
     of the other with the same table, and the clones are equal at every
-    arity: the fragments match at every width, and hb's fragments are not
-    generated.  The certificate is void, and both fragments are generated
-    and compared width by width as before, when C has a nullary symbol,
-    when d is not basic and S > lam, or when C's S-ary fragment exceeds
-    the budget.  C's fragments at widths 1..lam are generated either way,
-    and when the certificate holds hb's have the same sizes, so budget
-    errors do not depend on which comparison runs.  A lam above the
-    arity bound is rejected before anything is generated, naming the
-    first width the comparison could not generate.
+    arity: the fragments match at every width without being generated.
+    The certificate is void when C has a nullary symbol, when d is not
+    basic and S > lam, or when C's S-ary fragment exceeds the budget.
+    Then, or when a check fails, both fragments are generated and
+    compared width by width.  A certified run generates only C's unary
+    fragment, and its S-ary one when d is not basic, so its budget errors
+    come from the unary fragment and the split's entry count.  A lam
+    above the arity bound is rejected before anything is generated,
+    naming the first width the comparison could not generate.
     """
     check_inputs((0,) * min(lam, MAX_ARITY + 1))
     het = heterogenize(source, pair, budget=budget)
@@ -380,21 +412,10 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
         return Verification(tuple(checks)), psi
     inv = tuple(psi.index(x) for x in range(n))
 
-    certified = _nu_certified(source, pair, hb, psi, inv, lam, budget)
-    bad = None
-    for width in range(1, lam + 1):
-        p = Profile((0,) * width, 0)
-        frag_c = generate_fragment(source, [p.inputs], budget=budget)
-        if certified:
-            continue
-        frag_h = generate_fragment(hb.algebra, [p.inputs], budget=budget)
-        want = np.unique(_conjugated(frag_c.matrices[p], p, (psi,), (inv,), (n,)), axis=0)
-        got = np.unique(frag_h.matrices[p], axis=0)
-        if not np.array_equal(want, got):
-            bad = (width, len(want), len(got))
-            break
+    bad = None if _nu_certified(source, pair, hb, psi, inv, lam, budget) else _fragment_mismatch(
+        source, hb.algebra, [(0,) * width for width in range(1, lam + 1)], (psi,), (inv,), budget)
     checks.append(CheckResult("fragments-match", bad is None,
-                              "" if bad is None else "arity %d: %d vs %d" % bad))
+                              "" if bad is None else "arity %d: %d vs %d" % (bad[0].arity, *bad[1:])))
 
     d_moved = _conjugate(pair.d, (psi,), (inv,), (n,))
     diag_ok = d_moved == hb.algebra.table("diag")

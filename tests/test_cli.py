@@ -401,6 +401,9 @@ def test_roundtrip_mu_reports_byte_for_byte():
         (["@nonpure"], 1, ROUNDTRIP_MU_HEAD % 2 + "check pure: FAIL (no canonical pair without purity)\n"
                                                   "verdict: fail\nelapsed-s: 0.000\n"),
         (["@a_tiny", "--lam", "3"], 0, ROUNDTRIP_MU_HEAD % 3 + ROUNDTRIP_MU_PASS),
+        # lam is checked only after purity, so this still fails on it
+        (["@nonpure", "--lam", "7"], 1, ROUNDTRIP_MU_HEAD % 7 + "check pure: FAIL (no canonical pair without purity)\n"
+                                                             "verdict: fail\nelapsed-s: 0.000\n"),
     ]
     for args, code, body in cases:
         args = ["roundtrip-mu", *args, "--deterministic-timing"]
@@ -408,11 +411,49 @@ def test_roundtrip_mu_reports_byte_for_byte():
         assert (rc, out) == (code, "command: msalg %s\n" % " ".join(args) + body), args
 
 
-def test_roundtrip_mu_compares_profiles_up_to_lam(capsys):
-    # lam 7 asks for profiles of 7 arguments, over the arity bound 6
-    rc = main(["roundtrip-mu", "@a_tiny", "--lam", "7"])
-    assert rc == 2
-    assert "arity 7, above the bound 6" in capsys.readouterr().err
+def spy_closures(monkeypatch):
+    """The input profiles clone._closure_full is called with."""
+    calls = []
+    real = clone._closure_full
+
+    def spy(alg, inputs, budget):
+        calls.append(inputs)
+        return real(alg, inputs, budget)
+
+    monkeypatch.setattr(clone, "_closure_full", spy)
+    return calls
+
+
+def test_roundtrip_mu_compares_profiles_up_to_lam(capsys, monkeypatch):
+    # lam 7 asks for profiles of 7 arguments, over the arity bound 6; lam 40
+    # would list 2 + 2^2 + ... + 2^40 of them.  Either is rejected once the
+    # codings are known, after only the unary fragments
+    calls = spy_closures(monkeypatch)
+    for lam in ["7", "40"]:
+        rc = main(["roundtrip-mu", "@a_tiny", "--lam", lam])
+        assert rc == 2
+        assert ("requested input profile (0, 0, 0, 0, 0, 0, 0) has arity 7, above the bound 6"
+                in capsys.readouterr().err)
+    assert calls and all(len(inputs) <= 1 for inputs in calls)
+
+
+# sorts u = 3, w = 2: the collapse has 86048 binary term operations, so
+# generating the source's binary fragment trips a budget of 1000, while the
+# split's 170 table entries and the 6-element unary fragment fit
+SCALE = build_algebra([("u", 3), ("w", 2)], [
+    ("cu", ["u"], "w", [0, 1, 0]), ("cw", ["w"], "u", [1, 2]),
+    ("f0", ["u", "w"], "u", [0, 1, 1, 0, 2, 1]), ("f1", ["w", "w"], "u", [0, 0, 1, 1])])
+
+
+def test_a_certified_roundtrip_nu_needs_no_binary_source_fragment(tmp_path, monkeypatch):
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "scale.alg")
+    save_algebra(path, SCALE)
+    calls = spy_closures(monkeypatch)
+    rc, out = run_cli(["roundtrip-nu", path, "--table-budget", "1000", "--deterministic-timing"])
+    assert rc == 0, out
+    assert "check fragments-match: pass\n" in out
+    assert (0, 0) not in calls
 
 
 ROUNDTRIP_NU = ROUNDTRIP_MU_HEAD + """psi: %s
@@ -441,14 +482,7 @@ def test_roundtrip_nu_reports_byte_for_byte():
 def test_roundtrip_nu_compares_arities_up_to_lam(capsys, monkeypatch):
     # lam 7 asks for the 7-ary fragment, over the arity bound 6; it is
     # rejected before any fragment is generated
-    calls = []
-    real = clone._closure_full
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(clone, "_closure_full", spy)
+    calls = spy_closures(monkeypatch)
     rc = main(["roundtrip-nu", "@a_tiny", "--lam", "7"])
     assert rc == 2
     assert ("requested input profile (0, 0, 0, 0, 0, 0, 0) has arity 7, above the bound 6"

@@ -131,19 +131,20 @@ def test_mu_fragments_match_equals_the_full_comparison(name, lam):
 
 
 def spy_fragments(monkeypatch):
-    """The algebras hetero.generate_fragment is called on, in call order."""
+    """The (algebra, input profiles) hetero.generate_fragment is called
+    with, in call order."""
     seen = []
     real = hetero.generate_fragment
 
     def spy(alg, profiles, **kw):
-        seen.append(alg)
+        seen.append((alg, tuple(p.inputs if isinstance(p, Profile) else tuple(p) for p in profiles)))
         return real(alg, profiles, **kw)
     monkeypatch.setattr(hetero, "generate_fragment", spy)
     return seen
 
 
-def splits(algebras):
-    return [a for a in algebras if any(sym.name.startswith("het_") for sym in a.signature.symbols)]
+def splits(seen):
+    return [a for a, _ in seen if any(sym.name.startswith("het_") for sym in a.signature.symbols)]
 
 
 def patch_split(monkeypatch, name, outputs):
@@ -163,12 +164,43 @@ def patch_split(monkeypatch, name, outputs):
 CYCLED = build_algebra([("u", 2), ("w", 3)], [("cu", ["u"], "w", [0, 1]), ("cw", ["w"], "u", [1, 1, 0])])
 
 
-@pytest.mark.parametrize("alg", [corpus_algebra("a_tiny"), corpus_algebra("a_malcev"), CYCLED])
+# pure, with a constant k0 in u; through cu, w has closed terms too
+CONSTANT = build_algebra([("u", 2), ("w", 2)], [("k0", [], "u", [1]), ("cu", ["u"], "w", [0, 1]),
+                                                ("cw", ["w"], "u", [1, 0])])
+
+
+@pytest.mark.parametrize("alg", [corpus_algebra("a_tiny"), corpus_algebra("a_malcev"), CYCLED, CONSTANT])
 def test_a_certified_mu_roundtrip_generates_no_split_fragment(monkeypatch, alg):
+    # only the source's unary fragments, which the cross family reads, and
+    # its closed terms when it has a constant
+    seen = spy_fragments(monkeypatch)
+    for lam in [2, 3]:
+        ver = verify_mu_roundtrip(alg, lam=lam)
+        assert ver.ok, ver.failures()
+    unary = {((s,),) for s in range(alg.n_sorts)}
+    constant = any(f.arity == 0 for f in alg.tables)
+    assert {a for a, _ in seen} == {alg}
+    assert {ps for _, ps in seen} == unary | ({((),)} if constant else set())
+
+
+def test_a_cross_map_that_is_no_term_fails_the_mu_certificate(monkeypatch):
+    # a_tiny with the u -> w map (0, 0): the split still satisfies every
+    # table identity of the walk, but its diag then reaches the constant
+    # u -> w map, no term of a_tiny, and through cw the u -> u map (0, 0)
+    alg = corpus_algebra("a_tiny")
+    real = hetero.cross_family_from_purity
+
+    def patched(a, **kw):
+        fam = real(a, **kw)
+        row = (fam.maps[0][0], OpTable(Profile((0,), 1), a.carriers, (0, 0)))
+        return dataclasses.replace(fam, maps=(row,) + fam.maps[1:])
+    monkeypatch.setattr(hetero, "cross_family_from_purity", patched)
     seen = spy_fragments(monkeypatch)
     ver = verify_mu_roundtrip(alg)
-    assert ver.ok, ver.failures()
-    assert seen and not splits(seen)
+    assert splits(seen)
+    assert {c.name: c.ok for c in ver.checks}["ops-transport"]
+    assert fragments_check(ver) == oracle_hetero.fragments_match(alg)
+    assert fragments_check(ver).detail == "profile Profile(inputs=(0,), cod=0): 2 vs 3"
 
 
 def test_a_split_table_outside_the_source_clone_falls_back_to_the_full_comparison(monkeypatch):
@@ -225,17 +257,32 @@ def test_nu_fragments_match_equals_the_full_comparison(source, pair, lam):
     assert fragments_check(ver) == oracle_hetero.nu_fragments_match(source, pair, lam=lam)
 
 
-def collapsed_splits(algebras):
-    return [a for a in algebras if any(sym.name.startswith("lift_het_") for sym in a.signature.symbols)]
+def collapsed_splits(seen):
+    return [a for a, _ in seen if any(sym.name.startswith("lift_het_") for sym in a.signature.symbols)]
 
 
-@pytest.mark.parametrize("name", ["a_tiny", "a_malcev"])
-def test_a_certified_nu_roundtrip_generates_no_collapsed_split_fragment(monkeypatch, name):
-    h = homogenize(corpus_algebra(name))
+def certified_nu_cases():
+    """The canonical pairs of two collapses, whose d is the basic diag, and
+    a pair of a_tiny's collapse whose d is not basic."""
+    cases = []
+    for name in ["a_tiny", "a_malcev"]:
+        h = homogenize(corpus_algebra(name))
+        cases.append(pytest.param(h.algebra, canonical_pair(h), id=name))
+    collapse = homogenize(corpus_algebra("a_tiny")).algebra
+    pair = next(p for p in find_diagonal_pairs(collapse, 2) if p.d not in collapse.tables)
+    return cases + [pytest.param(collapse, pair, id="a_tiny-d-not-basic")]
+
+
+@pytest.mark.parametrize("source, pair", certified_nu_cases())
+def test_a_certified_nu_roundtrip_generates_no_collapsed_split_fragment(monkeypatch, source, pair):
+    # only the source's unary fragment, and its S-ary one when d is not basic
     seen = spy_fragments(monkeypatch)
-    ver, _psi = verify_nu_roundtrip(h.algebra, canonical_pair(h), lam=3)
-    assert ver.ok, ver.failures()
-    assert seen and not collapsed_splits(seen)
+    for lam in [2, 3]:
+        ver, _psi = verify_nu_roundtrip(source, pair, lam=lam)
+        assert ver.ok, ver.failures()
+    assert {a for a, _ in seen} == {source}
+    wide = set() if pair.d in source.tables else {((0,) * pair.width,)}
+    assert {ps for _, ps in seen} == {((0,),)} | wide
 
 
 def test_a_nu_lam_above_the_arity_bound_is_rejected_before_any_fragment(monkeypatch):
@@ -304,9 +351,7 @@ def test_an_operation_reading_two_slots_of_one_argument_fails_the_nu_certificate
 
 def test_a_source_with_a_constant_falls_back_to_the_full_comparison(monkeypatch):
     # every sort has a closed term, so the collapse keeps lift_k0 nullary
-    alg = build_algebra([("u", 2), ("w", 2)], [("k0", [], "u", [1]), ("cu", ["u"], "w", [0, 1]),
-                                               ("cw", ["w"], "u", [1, 0])])
-    h = homogenize(alg)
+    h = homogenize(CONSTANT)
     assert h.algebra.table("lift_k0").arity == 0
     pair = canonical_pair(h)
     seen = spy_fragments(monkeypatch)

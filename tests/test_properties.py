@@ -2,17 +2,19 @@
 
 Each hypothesis case is an algebra with one or two sorts, carriers of 0 to
 2 elements, and up to four symbols of arity 0 to 2, nullary symbols and
-empty carriers included.  The Inv property draws carriers up to 3: its
-matrix route closes the many-sorted power A under the basic operations
-only, under 20 ms a draw.  Two properties stop at 2 for their cost:
-  - the mu round trip compares whole source fragments at every profile of
-    length 2, and over a carrier of 3 a binary fragment can fill most of
-    its 3^9 tables, each saturation round reading pairs of them;
+empty carriers included.  Two properties draw carriers up to 3:
+  - Inv, whose matrix route closes the many-sorted power A under the
+    basic operations only, under 20 ms a draw;
+  - the mu round trip, which certifies its fragments by explicit terms and
+    so generates only the source's unary fragments and closed terms.
+Two stop at 2 for their cost:
   - the nu round trip runs the diagonal-pair search, which enumerates the
     binary fragment of the collapse by definition, over 50000 tables on
     one draw with carriers (3, 2).  Its fragments-match check is also
     compared, on every found pair, with the full comparison of
-    oracle_hetero.py.
+    oracle_hetero.py;
+  - the comparison of the mu round trip with oracle_hetero.py generates
+    the whole source and split fragments at every profile of length 2.
 The parse, box-map, congruence, quotient and transfer properties keep the
 cap of 2 as well: no cost is known to stop them at 3, but raising it would
 change their derandomized draws.  The quotient and transfer properties,
@@ -73,7 +75,7 @@ def test_emit_then_parse_is_the_identity(alg):
 
 
 @SETTINGS
-@given(algebras())
+@given(algebras(3))
 def test_mu_roundtrip_holds_exactly_when_pure(alg):
     assert verify_mu_roundtrip(alg, lam=2).ok == is_pure(alg).pure
 
