@@ -9,30 +9,36 @@ equal partitions are equal tuples.  Relations live on the single product
 carrier: a member of a relation of arity mu is a mu-tuple of product codes.
 
 Sub, Con and Inv come from one engine: _closed_sets walks the joins of
-principal closed sets, each join computed from an already closed set.  Sub
-and Inv are closed subsets of a power of an algebra, operations acting
-coordinatewise, closed by one kernel (_Power); a Con join reruns the
-union-find worklist of congruence_generate.  A power builds, once, one
-boolean reach tensor per operation profile, true at (x_1..x_k, z) when some
-table of that profile sends the power points x_1..x_k to z, and a closure
-round contracts the member mask with each tensor one input sort at a time.
-A tensor has (n^mu)^(k+1) cells, so a power whose tensors would pass
-_REACH_CELLS in all (mu = 3 on a 6-element binary collapse already wants
-216^3) closes by the semi-naive digit gather instead, the one path that
-runs on large powers.  Invariant relations take two independent routes:
-inv_enumerate closes the mu-th power of the homogenized algebra under its
-basic operations, and verify_inv_iso's matrix route takes the boxes of the
-closed sets of the many-sorted power A^mu, the walk Sub runs at mu = 1,
-then checks that regrouping matrix rows into product codes is a bijection
-between the two answers.  A matrix read row-major with per-sort radices is
-the flat code of its product-code tuple, so both answers are sets of the
-same point ids.  The pp-commutation check reads its formula sample off one
-table of (relation, position map) rows per span: a single conjunct is a row
-of that table, a pair of conjuncts one block per first slot, each reduced
-with any over the bound positions, and a row of free arity up to mu_max
-must be one of the enumerated invariant relations.  The membership checks
-(closure, compatibility, invariance) gather each operation over an open
-grid at once and report core.first_failure's witness.
+principal closed sets level by level, a closed set being a row of a bool
+mask array, and closes each level's joins from the already closed sets as
+batches of rows, no temporary much over _BATCH_BYTES.  Sub and Inv are
+closed subsets of a power of an algebra, operations acting coordinatewise,
+closed by one kernel (_Power); Con's closed sets are masks over the pairs
+a < b of each sort, and a Con join reruns the union-find worklist of
+congruence_generate once per row.  A power builds, once, one reach tensor
+per operation profile, its cod axis bit-packed into uint64 words: bit z of
+the words at (x_1..x_k) is set when some table of that profile sends the
+power points x_1..x_k to z.  Tensors with the same input sorts are
+concatenated along that axis.  A closure round contracts every mask of a
+batch with each tensor one input sort at a time, gathering the member rows
+and ORing them per mask.  A tensor has (n^mu)^(k+1) cells, so a power whose
+tensors would pass _REACH_CELLS in all (mu = 3 on a 6-element binary
+collapse already wants 216^3) closes each mask by the semi-naive digit
+gather instead, the one path that runs on large powers.  Invariant
+relations take two independent routes: inv_enumerate closes the mu-th power
+of the homogenized algebra under its basic operations, and verify_inv_iso's
+matrix route takes the boxes of the closed sets of the many-sorted power
+A^mu, the walk Sub runs at mu = 1, then checks that regrouping matrix rows
+into product codes is a bijection between the two answers.  A matrix read
+row-major with per-sort radices is the flat code of its product-code tuple,
+so both answers are sets of the same point ids.  The pp-commutation check
+reads its formula sample off one table of (relation, position map) rows per
+span: a single conjunct is a row of that table, a pair of conjuncts one
+block per first slot, each reduced with any over the bound positions, and a
+row of free arity up to mu_max must be one of the enumerated invariant
+relations.  The membership checks (closure, compatibility, invariance)
+gather each operation over an open grid at once and report
+core.first_failure's witness.
 """
 
 from __future__ import annotations
@@ -68,34 +74,90 @@ from .homog import HomogenizedAlgebra, homogenize, morphism_lift
 
 # ---------------------------------------------------------- closed-set engine
 
-def _closed_sets(bottom, generators, join, budget: int) -> list:
-    """Every closed set, bottom first, of a lattice of frozensets in which
-    each closed set is a join of principal ones.
+# Bytes one temporary of the walk or of a closure round aims to hold: the
+# below-test of a block of closed sets against every principal, a batch of
+# pair rows handed to join, the reach words gathered for a batch of masks.
+# A larger step is split along its rows, which keeps peak memory flat.
+_BATCH_BYTES = 1 << 18
 
-    join(C, X) computes the least closed set containing the closed C and
-    the set X from C.  The principals are the joins of the bottom with one
-    generator each, and every closed set found is joined with every
-    principal not below it.  Closures computed (the bottom, each principal
-    and each join) count against budget."""
-    spent = 1
 
-    def counted(c, x):
+def _spans(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of rows rows, each of about _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // max(row_bytes, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Bool rows along the last axis as uint64 words, bit j of word w the
+    entry 64w + j; the last word is padded with zeros."""
+    octets = np.packbits(rows, axis=-1, bitorder="little")
+    words = np.zeros(octets.shape[:-1] + (-(-octets.shape[-1] // 8),), dtype=np.uint64)
+    words.view(np.uint8)[..., :octets.shape[-1]] = octets
+    return words
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of words, as bools."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
+    """Every closed set, as the rows of a bool array over the points, of a
+    lattice in which each closed set is a join of principal ones.
+
+    join(closed, extra) closes a batch: row i of its result is the least
+    closed set containing the closed row i of closed and the points of row
+    i of extra.  The principals are the joins of the bottom with one point
+    each, and every closed set found is joined with every principal not
+    below it.  The walk goes level by level, from the bottom: a level's
+    joins are computed in batches of about _BATCH_BYTES of pair rows, and
+    those not seen before (keyed by their packed bytes) make the next
+    level.  Closures computed (the bottom, each principal and each join)
+    count against budget; each level is counted before it is computed, so
+    a walk raises, having computed no closure past budget, exactly when its
+    total passes budget."""
+    spent, size = 1, len(bottom)
+
+    def count(closures):
         nonlocal spent
-        spent += 1
-        if spent > budget:
+        if closures and spent + closures > budget:
             raise BudgetError("more than %d closures computed" % budget)
-        return join(c, x)
+        spent += closures
 
-    principals = dict.fromkeys(counted(bottom, g) for g in generators)
-    found, seen = [bottom], {bottom}
-    for c in found:
-        for p in principals:
-            if not p <= c:
-                j = counted(c, p)
-                if j not in seen:
-                    seen.add(j)
-                    found.append(j)
-    return found
+    def novel(rows, seen):
+        """The rows not in seen, each added to it."""
+        out = []
+        for row, key in zip(rows, _pack(rows)):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append(row)
+        return out
+
+    count(size)
+    principals, keys = [], set()
+    for part in _spans(size, 2 * size):
+        extra = np.arange(size)[part, None] == np.arange(size)
+        principals += novel(join(np.broadcast_to(bottom, extra.shape), extra), keys)
+    principals = np.array(principals, dtype=bool).reshape(len(principals), size)
+    words = _pack(principals)
+    level = bottom[None]
+    found, seen = [level], {_pack(bottom).tobytes()}
+    while len(level):
+        blocks = _spans(len(level), words.nbytes)
+
+        def outside(block):
+            return (words & ~_pack(level[block])[:, None]).any(axis=2)
+
+        count(sum(np.count_nonzero(outside(b)) for b in blocks))
+        rows = []
+        for b in blocks:
+            i, j = np.nonzero(outside(b))
+            for part in _spans(len(i), 2 * size):
+                rows += novel(join(level[b][i[part]], principals[j[part]]), seen)
+        level = np.array(rows, dtype=bool).reshape(len(rows), size)
+        found.append(level)
+    return np.concatenate(found)
 
 
 # Gathered values one closure step, or one block of a reach tensor's build,
@@ -103,11 +165,11 @@ def _closed_sets(bottom, generators, join, budget: int) -> list:
 # position and a build into blocks of argument rows, which keeps peak
 # memory flat.
 _CHUNK = 1 << 14
-# A closure step wanting more argument rows than this raises BudgetError
-# instead of running for hours.
+# A closure step of the digit path wanting more argument rows than this
+# raises BudgetError instead of running for hours.
 _STEP_ROWS = 20_000_000
-# A power holds reach tensors only when their cells (one byte each) number
-# fewer than this in all; a larger power closes by the digit path.
+# A power holds reach words only when its reach tensors have fewer than this
+# many cells in all; a larger power closes by the digit path.
 _REACH_CELLS = 1 << 21
 
 
@@ -116,17 +178,22 @@ class _Power:
 
     A point of sort s is a code of mu base-n_s digits, first coordinate most
     significant; the points of all sorts share one id space, sort by sort.
-    Tables of one profile are stacked.  When the power's reach tensors (see
-    _reach) have fewer than _REACH_CELLS cells in all, they are built once
-    and a closure round is k row selections and any-reductions per k-ary
-    profile (_close_reach).  The cap bounds their memory, which grows as
-    (n^mu)^(k+1): larger powers close by one gather of stacked digit codes
-    per profile and argument position instead (_close_digits).  Both paths
-    reach the same least fixpoint."""
+    Tables of one profile are stacked.  close takes a batch of masks, bool
+    rows over the point ids.  When the power's reach tensors (see _reach)
+    have fewer than _REACH_CELLS cells in all, they are built once, each
+    bit-packed along its cod axis into uint64 words, and those of one tuple
+    of input sorts are concatenated along that axis.  A closure round takes,
+    per tuple and input sort, one gather of the member rows of every mask
+    and one bitwise_or.reduceat (_close_words); no gather holds much more
+    than _BATCH_BYTES.  The cap bounds the tensors' memory, which grows as
+    (n^mu)^(k+1): larger powers close each mask by one gather of stacked
+    digit codes per profile and argument position instead (_close_digits).
+    Both paths reach the same least fixpoint."""
 
     def __init__(self, carriers, tables, mu: int):
         self.carriers, self.mu = tuple(carriers), mu
         self.offsets = [0] + list(itertools.accumulate(n ** mu for n in self.carriers))
+        self.sorts = [slice(lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
         self.size = self.offsets[-1]
         self.digits = np.zeros((mu, self.size), dtype=np.int64)
         for n, lo, hi in zip(self.carriers, self.offsets, self.offsets[1:]):
@@ -140,71 +207,109 @@ class _Power:
                 self.constants.append(self.offsets[t.profile.cod] + encode_mixed(t.outputs * mu, (n,) * mu))
         self.stacks = [(p, np.asarray(outs, dtype=np.int64)) for p, outs in stacks.items()]
         cells = sum(math.prod(self.points(s) for s in p.inputs + (p.cod,)) for p, _ in self.stacks)
-        self.reach = ([(p, self._reach(p, stack)) for p, stack in self.stacks]
-                      if cells < _REACH_CELLS else None)
+        self.reach = None
+        if cells < _REACH_CELLS:
+            groups = {}
+            for p, stack in self.stacks:
+                groups.setdefault(p.inputs, []).append((p.cod, self._reach(p, stack)))
+            self.reach = []
+            for inputs, group in groups.items():
+                ends = itertools.accumulate(words.shape[-1] for _, words in group)
+                cods = [(cod, slice(end - words.shape[-1], end)) for (cod, words), end in zip(group, ends)]
+                self.reach.append((inputs, cods, np.concatenate([words for _, words in group], axis=-1)))
 
     def points(self, s: int) -> int:
         return self.offsets[s + 1] - self.offsets[s]
 
     def _reach(self, profile, stack) -> np.ndarray:
         """The profile's reach tensor, shape (points of input 1, ..., of
-        input k, of the cod sort), True where some stacked table sends the
-        power points (x_1..x_k) to z: _images over every point of each
-        input sort, whose steps along position 0 are runs of rows."""
-        shape = [self.points(s) for s in profile.inputs] + [self.points(profile.cod)]
-        reach = np.zeros((math.prod(shape[:-1]), shape[-1]), dtype=bool)
+        input k, words of the cod sort): bit z is set at (x_1..x_k) when
+        some stacked table sends the power points x_1..x_k to z.  _images
+        over every point of each input sort, whose steps along position 0
+        are runs of rows."""
+        shape = [self.points(s) for s in profile.inputs]
+        words = np.zeros((math.prod(shape), -(-self.points(profile.cod) // 64)), dtype=np.uint64)
         pool = [np.arange(self.offsets[s], self.offsets[s + 1]) for s in profile.inputs]
         lo = 0
         for ids in self._images(profile, stack, pool, 0):
             ids = ids.reshape(len(stack), -1) - self.offsets[profile.cod]
-            reach[np.arange(lo, lo + ids.shape[1]), ids] = True
+            rows = np.arange(lo, lo + ids.shape[1])
+            for z in ids:  # one table sets one bit per row
+                words[rows, z >> 6] |= np.uint64(1) << z.astype(np.uint64) % 64
             lo += ids.shape[1]
-        return reach.reshape(shape)
+        return words.reshape(shape + [words.shape[1]])
 
-    def close(self, member: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-        """Grow member, one bool per point id, into its closure.  fresh holds
-        the ids added since member was last closed."""
+    def close(self, closed: np.ndarray, extra: np.ndarray) -> np.ndarray:
+        """The closures of a batch: row i is the least closed set containing
+        the closed row i of closed and the points of row i of extra."""
         if self.reach is None:
-            return self._close_digits(member, fresh)
-        return self._close_reach(member, fresh)
+            return self._close_digits(closed, extra)
+        return self._close_words(closed | extra)
 
-    def _close_reach(self, member, fresh):
-        """Rounds until one adds nothing.  A round contracts every reach
-        tensor with the member mask, one input sort at a time (an any over
-        the member rows of its leading axis), and ORs what is left into the
-        cod sort's mask.  Reading only the member rows of a bool tensor beat
-        a float32 matmul over all rows by 4-40x on 36-point powers."""
-        sorts = [slice(lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
-        grown = fresh.size > 0
-        while grown:
-            before = np.count_nonzero(member)
-            rows = [np.flatnonzero(member[s]) for s in sorts]
-            for profile, tensor in self.reach:
-                for s in profile.inputs:
-                    tensor = tensor[rows[s]].any(axis=0)
-                member[sorts[profile.cod]] |= tensor
-            grown = np.count_nonzero(member) > before
+    def _close_words(self, member):
+        """Rounds until no mask grows, a mask that stopped growing leaving
+        the batch.  A round ORs into each mask the points every reach
+        tensor gives on its members (_reached)."""
+        active = np.arange(len(member))
+        while active.size:
+            rows = member[active]
+            grown = rows.copy()
+            for inputs, cods, words in self.reach:
+                for hit, reached in self._reached(rows, inputs, words):
+                    for cod, part in cods:
+                        grown[hit, self.sorts[cod]] |= _unpack(reached[:, part], self.points(cod))
+            member[active] = grown
+            active = active[np.count_nonzero(grown, axis=1) > np.count_nonzero(rows, axis=1)]
         return member
 
-    def _close_digits(self, member, fresh):
-        """Semi-naive evaluation: only the argument rows that use a fresh id
-        are evaluated, and each round's new points are the next round's
+    def _reached(self, rows, inputs, words):
+        """(masks, words) pairs: the points the tables behind a reach
+        tensor send each mask's members to, for the masks with members in
+        every input sort.  One input sort at a time, the member rows of that
+        axis are gathered and ORed per mask with reduceat.  Masks go in
+        batches whose first gather holds about _BATCH_BYTES."""
+        batches = [np.arange(len(rows))]
+        if words.nbytes * len(rows) > _BATCH_BYTES:
+            members = np.count_nonzero(rows[:, self.sorts[inputs[0]]], axis=1).cumsum()
+            batch = members * (words.nbytes // len(words)) // _BATCH_BYTES
+            batches = np.split(batches[0], np.flatnonzero(np.diff(batch)) + 1)
+        for hit in batches:
+            acc = words
+            for axis, s in enumerate(inputs):
+                mask, x = np.nonzero(rows[hit, self.sorts[s]])
+                if not mask.size:
+                    break
+                first = np.ones(len(mask), dtype=bool)
+                np.not_equal(mask[1:], mask[:-1], out=first[1:])
+                starts = np.flatnonzero(first)
+                acc = np.bitwise_or.reduceat(acc[x] if axis == 0 else acc[mask, x], starts, axis=0)
+                hit = hit[mask[starts]]
+            else:
+                yield hit, acc
+
+    def _close_digits(self, closed, extra):
+        """Each mask by semi-naive evaluation: only the argument rows that
+        use a fresh id are evaluated, the fresh ids of a mask starting as
+        extra & ~closed, and each round's new points are the next round's
         fresh ones."""
-        while fresh.size:
-            is_fresh = np.zeros(self.size, dtype=bool)
-            is_fresh[fresh] = True
-            every = [lo + np.flatnonzero(member[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:])]
-            new = [ids[is_fresh[ids]] for ids in every]
-            old = [ids[~is_fresh[ids]] for ids in every]
-            reached = np.zeros(self.size, dtype=bool)
-            for profile, stack in self.stacks:
-                ins = profile.inputs
-                for i in range(len(ins)):
-                    pool = [old[s] for s in ins[:i]] + [new[ins[i]]] + [every[s] for s in ins[i + 1:]]
-                    for ids in self._images(profile, stack, pool, i):
-                        reached[ids] = True
-            fresh = np.flatnonzero(reached & ~member)
-            member[fresh] = True
+        member = closed | extra
+        for row, fresh in zip(member, extra & ~closed):
+            fresh = np.flatnonzero(fresh)
+            while fresh.size:
+                is_fresh = np.zeros(self.size, dtype=bool)
+                is_fresh[fresh] = True
+                every = [lo + np.flatnonzero(row[s]) for lo, s in zip(self.offsets, self.sorts)]
+                new = [ids[is_fresh[ids]] for ids in every]
+                old = [ids[~is_fresh[ids]] for ids in every]
+                reached = np.zeros(self.size, dtype=bool)
+                for profile, stack in self.stacks:
+                    ins = profile.inputs
+                    for i in range(len(ins)):
+                        pool = [old[s] for s in ins[:i]] + [new[ins[i]]] + [every[s] for s in ins[i + 1:]]
+                        for ids in self._images(profile, stack, pool, i):
+                            reached[ids] = True
+                fresh = np.flatnonzero(reached & ~row)
+                row[fresh] = True
         return member
 
     def _images(self, profile, stack, pool, i):
@@ -223,23 +328,19 @@ class _Power:
             yield self.offsets[profile.cod] + encode_digits(
                 list(values.swapaxes(0, 1)), (self.carriers[profile.cod],) * self.mu)
 
-    def join(self, closed: frozenset, points) -> frozenset:
-        """The closure of a closed set of ids and some more points."""
-        member = np.zeros(self.size, dtype=bool)
-        member[list(closed)] = True
-        fresh = np.fromiter(set(points) - closed, dtype=np.int64)
-        member[fresh] = True
-        return frozenset(np.flatnonzero(self.close(member, fresh)).tolist())
+    def generate(self, points) -> np.ndarray:
+        """The closure of some point ids and the constants, one mask."""
+        extra = np.zeros((1, self.size), dtype=bool)
+        extra[0, list(points) + self.constants] = True
+        return self.close(np.zeros_like(extra), extra)[0]
 
-    def lattice(self, seeds, budget: int) -> list[frozenset]:
-        """Every closed set containing the seed ids and the constants; the
-        principals are the closures of one more point each."""
-        bottom = self.join(frozenset(), list(seeds) + self.constants)
-        return _closed_sets(bottom, ((x,) for x in range(self.size)), self.join, budget)
+    def lattice(self, budget: int) -> np.ndarray:
+        """Every closed set containing the constants, as mask rows."""
+        return _closed_sets(self.generate(()), self.close, budget)
 
-    def subuniverse(self, closed: frozenset) -> SubUniverse:
-        """A closed set, as one sorted subset of point codes per sort."""
-        ids = sorted(closed)
+    def subuniverse(self, row: np.ndarray) -> SubUniverse:
+        """A mask, as one sorted subset of point codes per sort."""
+        ids = np.flatnonzero(row).tolist()
         return SubUniverse(tuple(tuple(x - lo for x in ids if lo <= x < hi)
                                  for lo, hi in zip(self.offsets, self.offsets[1:])))
 
@@ -304,8 +405,7 @@ def subalgebra_generate(alg: SortedAlgebra, gens) -> SubUniverse:
         if any(not 0 <= x < n for x in members[s]):
             raise ProfileError("generator outside carrier %d of size %d" % (s, n))
     power = _Power(alg.carriers, alg.tables, 1)
-    seeds = [power.offsets[s] + x for s, xs in enumerate(members) for x in xs]
-    return power.subuniverse(power.join(frozenset(), seeds + power.constants))
+    return power.subuniverse(power.generate(power.offsets[s] + x for s, xs in enumerate(members) for x in xs))
 
 
 def enumerate_subuniverses(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[SubUniverse]:
@@ -313,7 +413,7 @@ def enumerate_subuniverses(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDG
 
     budget bounds the closures computed, see _closed_sets."""
     power = _Power(alg.carriers, alg.tables, 1)
-    return sorted(power.subuniverse(c) for c in power.lattice((), budget))
+    return sorted(power.subuniverse(row) for row in power.lattice(budget))
 
 
 # -------------------------------------------------------------- congruences
@@ -389,11 +489,8 @@ def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
         for a, b in ps:
             if not (0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]):
                 raise ProfileError("pair (%d, %d) outside carrier %d" % (a, b, s))
-    return _merge(_identity(alg), [(s, a, b) for s, ps in enumerate(pairs) for a, b in ps], _positions(alg))
-
-
-def _identity(alg: SortedAlgebra) -> Congruence:
-    return Congruence(tuple(tuple(range(n)) for n in alg.carriers))
+    return _congruence(_merge([list(range(n)) for n in alg.carriers],
+                              [(s, a, b) for s, ps in enumerate(pairs) for a, b in ps], _positions(alg)))
 
 
 def _positions(alg: SortedAlgebra):
@@ -407,18 +504,31 @@ def _positions(alg: SortedAlgebra):
     return out
 
 
-def _merge(cong: Congruence, pairs, positions) -> Congruence:
-    """Least partition above cong that relates the (sort, a, b) pairs and is
-    compatible with the operation arguments in positions (see _positions).
-
-    Union-find plus a worklist started from cong's partition with only the
-    pairs queued: every merge is pushed through each position against all
-    choices of the other arguments, and the merges it causes are queued in
-    turn.  cong's own pairs are never pushed, so cong must be compatible."""
+def _forest(cong: Congruence) -> list[list[int]]:
+    """Union-find parents of a partition, one list per sort: each element
+    points to the least element of its block."""
     parent = []
     for labels in cong.classes:
         first = {}
         parent.append([first.setdefault(label, x) for x, label in enumerate(labels)])
+    return parent
+
+
+def _congruence(roots) -> Congruence:
+    """The partition of each sort into elements of one root."""
+    return Congruence(tuple(_relabel(r) for r in roots))
+
+
+def _merge(parent, pairs, positions) -> list[list[int]]:
+    """Least partition above the forest parent (one union-find parent list
+    per sort, see _forest, grown in place) that relates the (sort, a, b)
+    pairs and is compatible with the operation arguments in positions (see
+    _positions), as each element's root, per sort.
+
+    A worklist started from parent's partition with only the pairs queued:
+    every merge is pushed through each position against all choices of the
+    other arguments, and the merges it causes are queued in turn.  parent's
+    own pairs are never pushed, so its partition must be compatible."""
 
     def find(s, x):
         while parent[s][x] != x:
@@ -439,29 +549,41 @@ def _merge(cong: Congruence, pairs, positions) -> Congruence:
             for u, v in zip(left, right):
                 if union(cod, u, v):
                     queue.append((cod, u, v))
-    return Congruence(tuple(_relabel(find(s, x) for x in range(len(labels)))
-                            for s, labels in enumerate(cong.classes)))
+    return [[find(s, x) for x in range(len(p))] for s, p in enumerate(parent)]
 
 
 def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Congruence]:
     """Every congruence, in lexicographic order of their label tuples.
 
-    The lattice walk of _closed_sets, generated by single pairs (so the
-    principals are the congruences Cg(a, b)), with each congruence keyed by
-    its related (sort, a, b) pairs, a < b."""
+    The lattice walk of _closed_sets over the (sort, a, b) pairs, a < b: a
+    congruence is the mask of the pairs it relates, so the principals are
+    the congruences Cg(a, b), and a join runs _merge once per row, from the
+    row's partition with the pairs of extra it lacks queued."""
     positions = _positions(alg)
-    congruences = {}
+    pairs = [(s, a, b) for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2)]
+    # elements of all sorts numbered in one range, sort by sort
+    offsets = [0, *itertools.accumulate(alg.carriers)]
+    local = np.concatenate([np.arange(n) for n in alg.carriers])
+    sort, a, b = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    a_id, b_id = np.asarray(offsets)[sort] + a, np.asarray(offsets)[sort] + b
 
-    def closed(cong):
-        key = frozenset((s, a, b) for s in range(alg.n_sorts) for block in cong.blocks(s)
-                        for a, b in itertools.combinations(block, 2))
-        congruences[key] = cong
-        return key
+    def forests(rows):
+        """Each row's partition as in _forest."""
+        least = np.tile(local, (len(rows), 1))
+        r, t = np.nonzero(rows)
+        np.minimum.at(least, (r, b_id[t]), a[t])
+        return [[f[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for f in least.tolist()]
 
-    pairs = ([(s, a, b)] for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2))
-    found = _closed_sets(closed(_identity(alg)), pairs,
-                         lambda c, more: closed(_merge(congruences[c], more, positions)), budget)
-    return sorted(congruences[key] for key in found)
+    def join(closed, extra):
+        out = np.empty(closed.shape, dtype=bool)
+        for row, parent, more in zip(out, forests(closed), extra & ~closed):
+            roots = np.fromiter(itertools.chain.from_iterable(
+                _merge(parent, [pairs[i] for i in np.flatnonzero(more)], positions)), dtype=np.int64)
+            row[:] = roots[a_id] == roots[b_id]
+        return out
+
+    found = _closed_sets(np.zeros(len(pairs), dtype=bool), join, budget)
+    return sorted(_congruence(parent) for parent in forests(found))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -479,8 +601,8 @@ def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
     """
     if [len(c) for c in c1.classes] != [len(c) for c in c2.classes]:
         raise ProfileError("the two partitions cover different carriers")
-    return _merge(c1, [(s, block[0], x) for s in range(len(c2.classes))
-                       for block in c2.blocks(s) for x in block[1:]], [()] * len(c1.classes))
+    return _congruence(_merge(_forest(c1), [(s, block[0], x) for s in range(len(c2.classes))
+                                            for block in c2.blocks(s) for x in block[1:]], [()] * len(c1.classes)))
 
 
 # ------------------------------------------------- quotients and products
@@ -730,7 +852,7 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
     if n ** mu > budget:
         raise BudgetError("power carrier %d^%d exceeds budget %d" % (n, mu, budget))
     power = _Power((n,), h.algebra.tables, mu)
-    out = [Relation(mu, _decoded(c, (n,) * mu)) for c in power.lattice((), budget)]
+    out = [Relation(mu, _decoded(np.flatnonzero(row), (n,) * mu)) for row in power.lattice(budget)]
     return sorted(out, key=_relation_key)
 
 
@@ -743,8 +865,8 @@ def _matrix_route(alg: SortedAlgebra, mu: int, *, budget: int):
     computed, see _closed_sets."""
     power = _Power(alg.carriers, alg.tables, mu)
     boxes = set()
-    for closed in power.lattice((), budget):
-        sets = power.subuniverse(closed).sets
+    for row in power.lattice(budget):
+        sets = power.subuniverse(row).sets
         columns = [decode_digits(np.asarray(xs, dtype=np.int64)[g], (n,) * mu)
                    for xs, g, n in zip(sets, open_grid(map(len, sets)), alg.carriers)]
         codes = encode_digits([c[r] for r in range(mu) for c in columns], alg.carriers * mu)

@@ -591,31 +591,94 @@ def test_verify_inv_iso_a_tiny():
     assert ver.ok, ver.failures()
 
 
+def _join_counts(monkeypatch) -> list:
+    """The closures each lattice walk's join computes from the bottom (each
+    principal, then each join with a principal), one entry per walk in call
+    order: the rows of the batches it is handed."""
+    counts = []
+    walk = lattice._closed_sets
+
+    def counted(bottom, join, budget):
+        rows = []
+
+        def joined(closed, extra):
+            rows.append(len(closed))
+            return join(closed, extra)
+
+        found = walk(bottom, joined, budget)
+        counts.append(sum(rows))
+        return found
+
+    monkeypatch.setattr(lattice, "_closed_sets", counted)
+    return counts
+
+
 def test_verify_inv_iso_closure_counts(monkeypatch):
-    # the closures each lattice walk computes from its bottom (each
-    # principal, then each join with a principal), in call order:
     # inv_enumerate then the matrix route, for mu = 1 and 2; a faster
     # closure kernel must not move them.  The first and third walks are
     # over the mu-th power of the collapse, the second and fourth over the
     # many-sorted power A^mu, whose 2 + 3 and 4 + 9 points are fewer
     # principals than the collapse power's 6 and 36
-    counts = []
-    walk = lattice._closed_sets
-
-    def counted(bottom, generators, join, budget):
-        calls = []
-
-        def joined(c, x):
-            calls.append(1)
-            return join(c, x)
-
-        found = walk(bottom, generators, joined, budget)
-        counts.append(len(calls))
-        return found
-
-    monkeypatch.setattr(lattice, "_closed_sets", counted)
+    counts = _join_counts(monkeypatch)
     assert verify_inv_iso(corpus_algebra("a_tiny"), 2).ok
     assert counts == [17, 12, 1644, 442]
+
+
+# Joins of the congruence walk on each corpus algebra, then on its collapse.
+CON_JOINS = {"a_tiny": [11, 22], "a_malcev": [8, 22], "a_semilat": [22, 52],
+             "nonpure": [6, 13], "a_group": [4, 4], "a_lattice": [6, 13]}
+
+
+def test_congruence_walk_join_counts(monkeypatch):
+    counts = _join_counts(monkeypatch)
+    for name in CON_JOINS:
+        alg = corpus_algebra(name)
+        enumerate_congruences(alg)
+        enumerate_congruences(homogenize(alg).algebra)
+    assert dict(zip(CON_JOINS, zip(counts[::2], counts[1::2]))) == {
+        name: tuple(joins) for name, joins in CON_JOINS.items()}
+
+
+# Closures each walk computes in all, the bottom included: Sub, Con, Inv at
+# mu = 1 and Inv at mu = 2, on a_tiny and on its collapse.
+WALK_TOTALS = {"a_tiny": (13, 12, 18, 1645), "h_a_tiny": (18, 23, 18, 1645)}
+
+
+def test_a_walk_raises_exactly_when_its_total_passes_the_budget():
+    alg = corpus_algebra("a_tiny")
+    walks = (enumerate_subuniverses, enumerate_congruences,
+             lambda a, budget: inv_enumerate(a, 1, budget=budget),
+             lambda a, budget: inv_enumerate(a, 2, budget=budget))
+    for name, a in (("a_tiny", alg), ("h_a_tiny", homogenize(alg).algebra)):
+        for walk, total in zip(walks, WALK_TOTALS[name]):
+            full = walk(a, budget=total)
+            for budget in range(total - 2, total + 2):
+                if budget < total:
+                    with pytest.raises(BudgetError, match="^more than %d closures computed$" % budget):
+                        walk(a, budget=budget)
+                else:
+                    assert walk(a, budget=budget) == full, (name, budget)
+
+
+def test_the_digit_path_computes_no_closure_past_the_budget(monkeypatch):
+    # each level is counted before it is computed, so a walk that would
+    # pass the budget stops after the last level within it: the bottom,
+    # then 36 or 216 principals, then whole levels of joins.  A check per
+    # closure would compute budget closures before raising
+    real = lattice._Power._close_digits
+    closed = []
+
+    def spy(self, rows, extra):
+        closed.append(len(rows))
+        return real(self, rows, extra)
+
+    monkeypatch.setattr(lattice._Power, "_close_digits", spy)
+    monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
+    for (mu, budget), computed in {(2, 36): 1, (2, 100): 62, (2, 1000): 580, (3, 1000): 386}.items():
+        closed.clear()
+        with pytest.raises(BudgetError, match="^more than %d closures computed$" % budget):
+            inv_enumerate(corpus_algebra("a_tiny"), mu, budget=budget)
+        assert sum(closed) == computed, (mu, budget)
 
 
 def test_verify_inv_iso_a_malcev():

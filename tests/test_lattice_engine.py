@@ -15,17 +15,22 @@ pure algebras with a constant, a binary symbol into a carrier of 3, empty
 carriers and one-element carriers, at the arities their oracle finishes
 within a second.
 
-_Power closes a set by one of two paths, picked by size: the reach tensors
-when they fit lattice._REACH_CELLS, which every case here does, and the
-digit gather otherwise.  Each case that closes powers runs once on each
-path, the other path stubbed out so that it cannot run unseen.
+_Power closes a batch of sets by one of two paths, picked by size: the
+bit-packed reach words when the reach tensors fit lattice._REACH_CELLS,
+which every case here does, and the digit gather otherwise.  Each case that
+closes powers runs once on each path, the other path stubbed out so that it
+cannot run unseen.  The corpus powers have at most 64 points, one word per
+mask row; power_close also closes seeds on the cube of a 5-element algebra,
+125 points in two words, which case_inv walks at mu = 3.
 """
 
+import numpy as np
 import pytest
 
 import oracle_lattice as oracle
 from msalg import lattice
 from msalg.core import SUBUNIVERSE_BUDGET, build_algebra, decode_mixed
+from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
     _matrix_route,
@@ -35,6 +40,13 @@ from msalg.lattice import (
     subalgebra_generate,
 )
 from test_tabulate import bases, collapses
+
+# A 5-element algebra with one unary and one binary symbol: its cube has 125
+# points, two words per mask row, and reach tensors under the cap.
+FIVE = build_algebra([("s", 5)], [
+    ("f", ("s",), "s", tuple((x + 1) % 5 for x in range(5))),
+    ("g", ("s", "s"), "s", tuple(max(x, y) for x in range(5) for y in range(5))),
+])
 
 # (algebra, mu) pairs whose oracle takes seconds: the pairwise joins of
 # a_semilat's 1217 binary relations, and a_malcev's 31.
@@ -70,6 +82,24 @@ def case_inv():
         for mu in (1, 2):
             if (name, mu) not in SLOW_INV:
                 yield "%s mu=%d" % (name, mu), inv_enumerate(alg, mu), oracle.inv_enumerate(alg, mu)
+    yield "five mu=3", inv_enumerate(FIVE, 3), oracle.inv_enumerate(FIVE, 3)
+
+
+def case_power_close():
+    # one batch per power: every point alone, then every point with a
+    # second one, against a closure from scratch of each seed
+    for name, alg in (("a_lattice", corpus_algebra("a_lattice")), ("five", FIVE)):
+        h = homogenize(alg)
+        power = lattice._Power((h.size,), h.algebra.tables, 3)
+        ops = [(t.arity, np.asarray(t.outputs, dtype=np.int64)) for t in h.algebra.tables]
+        seeds = [{x} for x in range(power.size)] + [{x, (7 * x + 3) % power.size} for x in range(power.size)]
+        extra = np.zeros((len(seeds), power.size), dtype=bool)
+        for row, seed in zip(extra, seeds):
+            row[list(seed) + power.constants] = True
+        fast = power.close(np.zeros_like(extra), extra)
+        for seed, row in zip(seeds, fast):
+            yield ("%s^3 %r" % (name, sorted(seed)), frozenset(np.flatnonzero(row).tolist()),
+                   oracle.power_close(ops, h.size, 3, seed))
 
 
 # Pure algebras off the corpus for the matrix route, each with the arities
@@ -133,5 +163,5 @@ def test_engine_matches_oracle(case, monkeypatch):
 @pytest.mark.parametrize("case", sorted(set(CASES) - {"congruences"}))
 def test_digit_path_matches_oracle(case, monkeypatch):
     monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
-    monkeypatch.setattr(lattice._Power, "_close_reach", _unused)
+    monkeypatch.setattr(lattice._Power, "_close_words", _unused)
     _compare(case)
