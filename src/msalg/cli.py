@@ -27,6 +27,7 @@ from .core import (
     Profile,
     ProfileError,
     SortedAlgebra,
+    check_nonnegative,
     term_str,
 )
 from .corpus import corpus_algebra
@@ -81,8 +82,8 @@ def _load(spec: str) -> SortedAlgebra:
     return load_algebra(spec)
 
 
-def _fmt_outputs(table):
-    return " ".join(str(v) for v in table.outputs)
+def _fmt_values(values):
+    return " ".join(str(v) for v in values)
 
 
 def _fmt_family(alg, su):
@@ -205,10 +206,10 @@ def _cmd_clone(args, rep):
                              budget=args.table_budget, max_arity=args.max_arity)
     rep.add("complete", "yes" if frag.complete else "no")
     for text, prof in zip(args.profile, profiles):
-        rep.add("profile %s" % text, "%d tables" % len(frag.matrices.get(prof, ())))
+        rep.add("profile %s" % text, "%d tables" % len(frag.matrices[prof]))
         if args.tables:
-            for i, (t, term) in enumerate(zip(frag.tables.get(prof, ()), frag.witnesses.get(prof, ()))):
-                rep.add("table %s #%d" % (text, i), _fmt_outputs(t))
+            for i, (row, term) in enumerate(zip(frag.matrices[prof].tolist(), frag.witnesses[prof])):
+                rep.add("table %s #%d" % (text, i), _fmt_values(row))
                 rep.add("term %s #%d" % (text, i), term_str(term))
     return 0
 
@@ -221,9 +222,9 @@ def _cmd_diag_find(args, rep):
     rep.add("width", args.width)
     rep.add("pairs", len(pairs))
     for i, pair in enumerate(pairs):
-        rep.add("pair %d d" % i, _fmt_outputs(pair.d))
+        rep.add("pair %d d" % i, _fmt_values(pair.d.outputs))
         for s, e in enumerate(pair.es):
-            rep.add("pair %d e%d" % (i, s), _fmt_outputs(e))
+            rep.add("pair %d e%d" % (i, s), _fmt_values(e.outputs))
     rep.add("verdict", "pass" if pairs else "fail")
     return 0 if pairs else 1
 
@@ -254,6 +255,7 @@ def _cmd_matrix(args, rep):
 
 def _cmd_decompose(args, rep):
     alg = _load(args.algebra)
+    check_nonnegative(args.lam, "lam")  # before _resolve_pair, as in roundtrip-nu
     src, pair = _resolve_pair(alg, args)
     rep.add("lam", args.lam)
     return _add_checks(rep, verify_decomposition(src, pair, args.lam,
@@ -263,6 +265,7 @@ def _cmd_decompose(args, rep):
 def _cmd_roundtrip_nu(args, rep):
     alg = _load(args.algebra)
     # before _resolve_pair, whose pair search or canonical pair generates fragments
+    check_nonnegative(args.lam, "lam")
     check_inputs((0,) * min(args.lam, MAX_ARITY + 1))
     src, pair = _resolve_pair(alg, args)
     ver, psi = verify_nu_roundtrip(src, pair, lam=args.lam, budget=args.table_budget)
@@ -396,7 +399,7 @@ def _cmd_malcev(args, rep):
         rep.add("per-sort", "found" if wit else "absent")
         if wit:
             for s, (t, term) in enumerate(zip(wit.tables, wit.terms)):
-                rep.add("per-sort %s table" % alg.signature.sorts[s], _fmt_outputs(t))
+                rep.add("per-sort %s table" % alg.signature.sorts[s], _fmt_values(t.outputs))
                 rep.add("per-sort %s term" % alg.signature.sorts[s], term_str(term))
         else:
             found = False
@@ -404,7 +407,7 @@ def _cmd_malcev(args, rep):
         wit = find_malcev_homog(alg, budget=args.table_budget)
         rep.add("homogenized", "found" if wit else "absent")
         if wit:
-            rep.add("homogenized table", _fmt_outputs(wit.tables[0]))
+            rep.add("homogenized table", _fmt_values(wit.tables[0].outputs))
             rep.add("homogenized term", term_str(wit.terms[0]))
         else:
             found = False
@@ -427,7 +430,7 @@ def _cmd_jonsson(args, rep):
         for i, (step, terms) in enumerate(zip(chain.steps, chain.terms)):
             for s, (t, term) in enumerate(zip(step, terms)):
                 slot = "sort %s" % alg.signature.sorts[s] if mode == "per_sort" else "product"
-                rep.add("%s step %d %s table" % (label, i, slot), _fmt_outputs(t))
+                rep.add("%s step %d %s table" % (label, i, slot), _fmt_values(t.outputs))
                 rep.add("%s step %d %s term" % (label, i, slot), term_str(term))
     rep.add("verdict", "pass" if found else "fail")
     return 0 if found else 1
@@ -556,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", nargs=3, action="append", metavar=("SORT", "A", "B"))
     p.add_argument("--out")
     p = cmd("product", _cmd_product, algebra=False, help="direct product of factors")
-    p.add_argument("algebra", nargs="+", help="two or more operands")
+    p.add_argument("algebra", nargs="+", help="one or more operands")
     p.add_argument("--out")
     cmd("transfer", _cmd_transfer,
         help="verify closed families and congruences move to the collapse")

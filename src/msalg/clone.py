@@ -51,7 +51,7 @@ restrictions of high-arity fragments without materializing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -286,12 +286,6 @@ class CloneFragment:
     matrices: dict[Profile, np.ndarray]
     witnesses: dict[Profile, tuple[Term, ...]]
     complete: frozenset[tuple[int, ...]]
-
-    @cached_property
-    def tables(self) -> dict[Profile, tuple[OpTable, ...]]:
-        """The rows of each matrix as OpTables, built on first use."""
-        return {p: tuple(OpTable(p, self.algebra.carriers, tuple(row)) for row in m.tolist())
-                for p, m in self.matrices.items()}
 
 
 @lru_cache(maxsize=256)

@@ -57,6 +57,11 @@ def check_arity(n: int, max_arity: int, what: str) -> None:
         raise ProfileError("%s has arity %d, above the bound %d" % (what, n, max_arity))
 
 
+def check_nonnegative(n: int, what: str) -> None:
+    if n < 0:
+        raise ProfileError("%s must be at least 0, got %d" % (what, n))
+
+
 @dataclass(frozen=True)
 class OpTable:
     """A concrete finitary operation between carriers of one algebra.
@@ -347,11 +352,6 @@ def decode_mixed(code: int, radices) -> tuple[int, ...]:
     if not 0 <= code < prod(radices):
         raise ValueError("code %r outside radices %r" % (code, tuple(radices)))
     return tuple(int(d) for d in decode_digits(code, radices))
-
-
-def decode_all(radices) -> list[tuple[int, ...]]:
-    """decode_mixed for every code, in code order."""
-    return list(itertools.product(*(range(r) for r in radices)))
 
 
 def encode_digits(digits, radices) -> np.ndarray:

@@ -54,6 +54,7 @@ from .core import (
     Var,
     Verification,
     check_arity,
+    check_nonnegative,
     decode_digits,
     decode_mixed,
     encode_choices,
@@ -190,6 +191,7 @@ def find_diagonal_pairs(alg: SortedAlgebra, width: int, *,
     """
     if not alg.is_single_sorted:
         raise ProfileError("diagonal pairs live on single-sorted algebras")
+    check_nonnegative(width, "pair width")
     check_arity(width, MAX_ARITY, "pair width")
     frag = generate_fragment(alg, [(0,) * width, (0,)], budget=budget)
     n = alg.carriers[0]
@@ -357,6 +359,7 @@ def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
     gather: split[F[:, codes]], codes reading f at the recombined
     arguments of every product point.  The three routes' table sets are
     compared as sorted distinct rows."""
+    check_nonnegative(lam, "lam")
     mp = matrix_product(source, pair)
     frag_src = generate_fragment(source, [(0,) * lam, (0,)], budget=budget)
     recombine, split = _transport_maps(pair, mp.retracts)

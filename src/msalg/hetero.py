@@ -53,6 +53,7 @@ from .core import (
     Symbol,
     TABLE_BUDGET,
     Verification,
+    check_nonnegative,
     decode_digits,
     encode_digits,
     first_failure,
@@ -256,6 +257,7 @@ def verify_mu_roundtrip(alg: SortedAlgebra, *, lam: int = 2,
     be bijections, naming the first profile the comparison could not
     generate.
     """
+    check_nonnegative(lam, "lam")
     checks = []
     family = cross_family_from_purity(alg, budget=budget)
     checks.append(CheckResult("pure", family is not None,
@@ -398,6 +400,7 @@ def verify_nu_roundtrip(source: SortedAlgebra, pair: DiagonalPair, *, lam: int =
     above the arity bound is rejected before anything is generated,
     naming the first width the comparison could not generate.
     """
+    check_nonnegative(lam, "lam")
     check_inputs((0,) * min(lam, MAX_ARITY + 1))
     het = heterogenize(source, pair, budget=budget)
     hb = homogenize(het.algebra)

@@ -8,10 +8,12 @@ searched inside generated clone fragments, either one sort at a time or on
 the product carrier after homogenizing, and come back with the term that
 produced the table.
 
-Searches scan candidates in ascending table_search_key order.  Keys are
-injective on distinct tables, so there are no ties to break, and the term
-attached to a table is the one its fragment recorded.  The identities are
-checked by gathering a candidate at all (x, x, y), (x, y, y) or (x, y, x).
+The identities are checked on the fragment's stacked ternary matrix, one
+gather per argument pattern (x, x, y), (x, y, y) or (x, y, x) for every
+row at once.  Only the rows that pass become OpTables; the searches scan
+them in ascending table_search_key order.  Keys are injective on distinct
+tables, so there are no ties to break, and the term attached to a table
+is the one its fragment recorded.
 
 The brute-force checks at the bottom are single-algebra statements about
 the congruence lattice of their argument, a necessary condition for the
@@ -25,9 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .clone import generate_fragment
 import numpy as np
 
+from .clone import generate_fragment
 from .core import (
     JONSSON_MAX,
     SUBUNIVERSE_BUDGET,
@@ -37,8 +39,8 @@ from .core import (
     ProfileError,
     SortedAlgebra,
     Term,
+    encode_digits,
     first_failure,
-    gather,
     open_grid,
     projection,
     table_search_key,
@@ -68,79 +70,82 @@ class JonssonChain:
     terms: tuple[tuple[Term, ...], ...]
 
 
-def _is_malcev(table: OpTable, n: int) -> bool:
-    x, y = open_grid((n, n))
-    return not ((gather(table, [x, x, y]) != y) | (gather(table, [x, y, y]) != x)).any()
+# Identities as (argument pattern over x = 0 and y = 1, result variable).
+_MALCEV = (((0, 0, 1), 1), ((0, 1, 1), 0))  # p(x, x, y) = y, p(x, y, y) = x
+_FLANKS = (((0, 1, 0), 0),)  # d(x, y, x) = x
 
 
-def _ternary_candidates(alg: SortedAlgebra, s: int, budget: int):
-    """The ternary fragment of sort s as (table, term) pairs in search order."""
+def _at(matrix: np.ndarray, n: int, pattern) -> np.ndarray:
+    """Every row of a stack of ternary tables over n elements at an argument
+    pattern, one gather, as a (rows, x, y) array."""
+    xy = open_grid((n, n))
+    return matrix[:, encode_digits([xy[v] for v in pattern], (n, n, n))]
+
+
+def _passes(matrix: np.ndarray, n: int, identities) -> np.ndarray:
+    """Which rows of a stack of ternary tables over n elements satisfy every
+    identity."""
+    xy = open_grid((n, n))
+    return np.logical_and.reduce([(_at(matrix, n, p) == xy[v]).all(axis=(1, 2)) for p, v in identities])
+
+
+def _candidates(alg: SortedAlgebra, s: int, budget: int, identities):
+    """The ternary tables of sort s that satisfy identities, in search order,
+    as OpTables, their terms, and their rows stacked."""
     prof = Profile((s, s, s), s)
     frag = generate_fragment(alg, [prof], budget=budget)
-    return sorted(zip(frag.tables[prof], frag.witnesses[prof]), key=lambda tw: table_search_key(tw[0]))
+    rows = np.flatnonzero(_passes(frag.matrices[prof], alg.carriers[s], identities))
+    tables = [OpTable(prof, alg.carriers, tuple(row)) for row in frag.matrices[prof][rows].tolist()]
+    order = sorted(range(len(rows)), key=lambda i: table_search_key(tables[i]))
+    return [tables[i] for i in order], [frag.witnesses[prof][rows[i]] for i in order], frag.matrices[prof][rows[order]]
 
 
 def find_malcev_per_sort(alg: SortedAlgebra, *, budget: int = TABLE_BUDGET):
     """One Mal'cev table per sort, or None when any sort lacks one."""
     tables, terms = [], []
     for s in range(alg.n_sorts):
-        n = alg.carriers[s]
-        hit = next(((t, w) for t, w in _ternary_candidates(alg, s, budget) if _is_malcev(t, n)), None)
-        if hit is None:
+        hits, words, _ = _candidates(alg, s, budget, _MALCEV)
+        if not hits:
             return None
-        tables.append(hit[0])
-        terms.append(hit[1])
+        tables.append(hits[0])
+        terms.append(words[0])
     return MalcevWitness("per_sort", tuple(tables), tuple(terms))
 
 
 def find_malcev_homog(alg: SortedAlgebra, *, budget: int = TABLE_BUDGET):
     """A Mal'cev table in the ternary fragment of the product carrier."""
-    h = homogenize(alg)
-    hit = next(((t, w) for t, w in _ternary_candidates(h.algebra, 0, budget) if _is_malcev(t, h.size)), None)
-    if hit is None:
-        return None
-    return MalcevWitness("homogenized", (hit[0],), (hit[1],))
-
-
-def _chain_links(cands, n: int):
-    """The candidates fixing the flanks, d(x, y, x) = x, and per such table
-    its values at (x, x, y) and at (x, y, y), (x, y) row-major."""
-    x, y = open_grid((n, n))
-    dset = [t for t in cands if not (gather(t, [x, y, x]) != x).any()]
-    return (dset, *({t: tuple(gather(t, args).ravel().tolist()) for t in dset}
-                    for args in ([x, x, y], [x, y, y])))
+    hits, words, _ = _candidates(homogenize(alg).algebra, 0, budget, _MALCEV)
+    return MalcevWitness("homogenized", tuple(hits[:1]), tuple(words[:1])) if hits else None
 
 
 def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
     """Shortest chain over one sort as [(table, term), ...], or None.
 
-    Breadth-first search over (table, position parity): a state is reached
-    at its least position, and the target projection at an even position
-    2n gives the least n.  Neighbor order follows the sorted candidate
-    list, so the result is deterministic.
+    Breadth-first search over (candidate, position parity) among the tables
+    fixing the flanks: a state is reached at its least position, and the
+    target projection at an even position 2n gives the least n.  A table's
+    neighbors share its values at (x, x, y) from an even position and at
+    (x, y, y) from an odd one; they come in search order, so the result is
+    deterministic.
     """
-    cands = _ternary_candidates(alg, s, budget)
-    dset, sig_xxy, sig_xyy = _chain_links([t for t, _ in cands], alg.carriers[s])
-    by_xxy, by_xyy = {}, {}
-    for t in dset:
-        by_xxy.setdefault(sig_xxy[t], []).append(t)
-        by_xyy.setdefault(sig_xyy[t], []).append(t)
+    dset, terms, rows = _candidates(alg, s, budget, _FLANKS)
+    n = alg.carriers[s]
+    sigs = [list(map(tuple, _at(rows, n, p).reshape(len(rows), n * n).tolist())) for p in ((0, 0, 1), (0, 1, 1))]
+    buckets = [{}, {}]
+    for sig, bucket in zip(sigs, buckets):
+        for i, key in enumerate(sig):
+            bucket.setdefault(key, []).append(i)
 
-    pi0 = projection(alg.carriers, (s, s, s), 0)
-    pi2 = projection(alg.carriers, (s, s, s), 2)
-    assert pi0 in sig_xxy and pi2 in sig_xxy  # projections always qualify
-
-    start, goal = (pi0, 0), (pi2, 0)
+    start, goal = ((dset.index(projection(alg.carriers, (s, s, s), k)), 0) for k in (0, 2))
     parent = {start: None}
     frontier = [start]
     pos = 0
     while goal not in parent and frontier and pos < 2 * nmax:
         fresh = []
         for state in frontier:
-            t, parity = state
-            bucket = by_xxy[sig_xxy[t]] if parity == 0 else by_xyy[sig_xyy[t]]
-            for t2 in bucket:
-                nxt = (t2, 1 - parity)
+            i, parity = state
+            for j in buckets[parity][sigs[parity][i]]:
+                nxt = (j, 1 - parity)
                 if nxt not in parent:
                     parent[nxt] = state
                     fresh.append(nxt)
@@ -148,14 +153,11 @@ def _chain_single(alg: SortedAlgebra, s: int, nmax: int, budget: int):
         pos += 1
     if goal not in parent:
         return None
-    chain = []
-    state = goal
+    chain, state = [], goal
     while state is not None:
-        chain.append(state[0])
+        chain.insert(0, (dset[state[0]], terms[state[0]]))
         state = parent[state]
-    chain.reverse()
-    terms = dict(cands)
-    return [(t, terms[t]) for t in chain]
+    return chain
 
 
 def find_jonsson(alg: SortedAlgebra, *, nmax: int = JONSSON_MAX,
@@ -164,18 +166,13 @@ def find_jonsson(alg: SortedAlgebra, *, nmax: int = JONSSON_MAX,
 
     per_sort searches each sort separately and pads shorter chains by
     repeating their final projection, which keeps every link equality;
-    homogenized searches the ternary fragment of the product carrier.
+    homogenized searches the one sort of the product carrier the same way.
     """
     if mode not in ("per_sort", "homogenized") or nmax < 0:
         raise ProfileError("need mode per_sort or homogenized and a chain bound of at least 0, "
                            "got %r and %d" % (mode, nmax))
     if mode == "homogenized":
-        chain = _chain_single(homogenize(alg).algebra, 0, nmax, budget)
-        if chain is None:
-            return None
-        return JonssonChain(mode, (len(chain) - 1) // 2,
-                            tuple((t,) for t, _ in chain),
-                            tuple((w,) for _, w in chain))
+        alg = homogenize(alg).algebra
     per = []
     for s in range(alg.n_sorts):
         chain = _chain_single(alg, s, nmax, budget)
@@ -186,11 +183,8 @@ def find_jonsson(alg: SortedAlgebra, *, nmax: int = JONSSON_MAX,
     for chain in per:
         while len(chain) < 2 * n + 1:
             chain.append(chain[-1])
-    steps = tuple(tuple(per[s][i][0] for s in range(alg.n_sorts))
-                  for i in range(2 * n + 1))
-    terms = tuple(tuple(per[s][i][1] for s in range(alg.n_sorts))
-                  for i in range(2 * n + 1))
-    return JonssonChain("per_sort", n, steps, terms)
+    steps, terms = (tuple(tuple(c[i][k] for c in per) for i in range(2 * n + 1)) for k in (0, 1))
+    return JonssonChain(mode, n, steps, terms)
 
 
 # --------------------------------------------- congruence lattice checks

@@ -14,7 +14,13 @@ import itertools
 
 import numpy as np
 
-from msalg.core import App, BudgetError, Profile, TABLE_BUDGET, Term
+from msalg.core import App, BudgetError, OpTable, Profile, TABLE_BUDGET, Term
+
+
+def fragment_tables(frag, prof) -> tuple[OpTable, ...]:
+    """The rows of a fragment's matrix at prof as OpTables, in insertion
+    order."""
+    return tuple(OpTable(prof, frag.algebra.carriers, tuple(row)) for row in frag.matrices[prof].tolist())
 
 
 class _Store:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 import oracle_tabulate
+from oracle_clone import fragment_tables
 from msalg.core import CheckResult, Profile, Verification
 from msalg.clone import generate_fragment
 from msalg.diagonal import DiagonalPair, _shape_ok, matrix_product
@@ -92,8 +93,8 @@ def satisfies_diagonal_identity(alg, d):
 
 def find_diagonal_pairs(alg, width):
     frag = generate_fragment(alg, [(0,) * width, (0,)])
-    ds = frag.tables[Profile((0,) * width, 0)]
-    es = frag.tables[Profile((0,), 0)]
+    ds = fragment_tables(frag, Profile((0,) * width, 0))
+    es = fragment_tables(frag, Profile((0,), 0))
     n = alg.carriers[0]
     found = []
     for d in ds:

@@ -46,9 +46,9 @@ def fragments_match(alg: SortedAlgebra, *, lam: int = 2, budget: int = TABLE_BUD
     frag_b = generate_fragment(het.algebra, profiles, budget=budget)
     for inputs, cod in itertools.product(profiles, range(S)):
         p = Profile(inputs, cod)
-        want = {tuple(fwd[cod][f.outputs[a]] for a in _source_points(p, inv, alg.carriers))
-                for f in frag_a.tables.get(p, ())}
-        got = {f.outputs for f in frag_b.tables.get(p, ())}
+        want = {tuple(fwd[cod][row[a]] for a in _source_points(p, inv, alg.carriers))
+                for row in frag_a.matrices[p].tolist()}
+        got = set(map(tuple, frag_b.matrices[p].tolist()))
         if want != got:
             return CheckResult("fragments-match", False, "profile %r: %d vs %d" % (p, len(want), len(got)))
     return CheckResult("fragments-match", True, "")
@@ -78,8 +78,8 @@ def nu_fragments_match(source: SortedAlgebra, pair, *, lam: int = 2,
         frag_c = generate_fragment(source, [p.inputs], budget=budget)
         frag_h = generate_fragment(hb, [p.inputs], budget=budget)
         points = _source_points(p, [inv], (n,))
-        want = {tuple(psi[f.outputs[a]] for a in points) for f in frag_c.tables[p]}
-        got = {f.outputs for f in frag_h.tables[p]}
+        want = {tuple(psi[row[a]] for a in points) for row in frag_c.matrices[p].tolist()}
+        got = set(map(tuple, frag_h.matrices[p].tolist()))
         if want != got:
             return CheckResult("fragments-match", False, "arity %d: %d vs %d" % (width, len(want), len(got)))
     return CheckResult("fragments-match", True, "")

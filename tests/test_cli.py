@@ -16,6 +16,7 @@ from msalg.core import Profile, build_algebra, term_str
 from msalg.hetero import canonical_pair
 from msalg.homog import homogenize
 from msalg.lattice import PPFormula, inv_enumerate, pp_evaluate
+from oracle_clone import fragment_tables
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -354,7 +355,7 @@ def test_clone_tables_report_the_witness_of_each_table():
     alg = corpus_algebra("a_malcev")
     text = "u,w,w->w"
     frag = generate_fragment(alg, [(0, 1, 1)])
-    tables = frag.tables[Profile((0, 1, 1), 1)]
+    tables = fragment_tables(frag, Profile((0, 1, 1), 1))
     lines = ["profile %s: %d tables" % (text, len(tables))]
     for i, t in enumerate(tables):
         found, term = fragment_contains(frag, t)
@@ -503,6 +504,27 @@ def test_roundtrip_nu_compares_arities_up_to_lam(capsys, monkeypatch):
     assert ("requested input profile (0, 0, 0, 0, 0, 0, 0) has arity 7, above the bound 6"
             in capsys.readouterr().err)
     assert calls == []
+
+
+def test_negative_lam_and_width_are_usage_errors(capsys, monkeypatch):
+    """Each is rejected, naming the value, before any fragment is
+    generated; lam 0 and width 0 are still accepted."""
+    calls = spy_closures(monkeypatch)
+    for args, message in [
+        (["decompose", "@a_tiny", "--lam", "-1"], "lam must be at least 0, got -1"),
+        (["roundtrip-mu", "@a_tiny", "--lam", "-1"], "lam must be at least 0, got -1"),
+        (["roundtrip-nu", "@a_tiny", "--lam", "-1"], "lam must be at least 0, got -1"),
+        (["roundtrip-nu", "@a_group", "--width", "1", "--lam", "-2"], "lam must be at least 0, got -2"),
+        (["diag-find", "@a_group", "--width", "-1"], "pair width must be at least 0, got -1"),
+        (["decompose", "@a_group", "--width", "-3"], "pair width must be at least 0, got -3"),
+    ]:
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == "error: %s\n" % message, args
+        assert calls == [], args
+    for args in (["decompose", "@a_tiny", "--lam", "0"], ["roundtrip-mu", "@a_tiny", "--lam", "0"],
+                 ["roundtrip-nu", "@a_tiny", "--lam", "0"], ["diag-find", "@a_group", "--width", "0"]):
+        assert main(args) in (0, 1), args
+        assert capsys.readouterr().err == "", args
 
 
 def test_sub_with_generators():

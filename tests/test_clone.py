@@ -27,10 +27,7 @@ from msalg.core import (
     validate_term,
 )
 from msalg.corpus import corpus_algebra, corpus_names
-from msalg.diagonal import find_diagonal_pairs, verify_decomposition
-from msalg.hetero import canonical_pair, verify_mu_roundtrip, verify_nu_roundtrip
-from msalg.homog import homogenize
-from msalg.suite import criterion_adequacy
+from oracle_clone import fragment_tables
 
 
 def oracle_fragment(alg, inputs):
@@ -84,8 +81,8 @@ def oracle_fragment(alg, inputs):
 def as_table_set(frag, inputs, n_sorts):
     out = set()
     for cod in range(n_sorts):
-        for t in frag.tables.get(Profile(inputs, cod), ()):
-            out.add((cod, t.outputs))
+        for row in frag.matrices[Profile(inputs, cod)].tolist():
+            out.add((cod, tuple(row)))
     return out
 
 
@@ -94,7 +91,7 @@ def test_a_tiny_unary_w_fragment_is_frozen_four():
     collapse through sort u, and the constant 1."""
     alg = corpus_algebra("a_tiny")
     frag = generate_fragment(alg, [(1,)])
-    tables = {t.outputs for t in frag.tables[Profile((1,), 1)]}
+    tables = set(map(tuple, frag.matrices[Profile((1,), 1)].tolist()))
     assert tables == {(0, 1, 2), (1, 1, 2), (0, 1, 1), (1, 1, 1)}
     oracle = oracle_fragment(alg, (1,))
     assert {o for (cod, o) in oracle if cod == 1} == tables
@@ -119,7 +116,7 @@ def test_witnesses_retabulate_to_their_tables():
         alg = corpus_algebra(name)
         frag = generate_fragment(alg, [(0,), (1,), (1, 0)])
         for prof, terms in frag.witnesses.items():
-            for tab, term in zip(frag.tables[prof], terms):
+            for tab, term in zip(fragment_tables(frag, prof), terms):
                 validate_term(alg, term)
                 assert table_of_term(alg, term) == tab, (name, prof)
 
@@ -130,7 +127,7 @@ def test_witness_depths_are_minimal():
     oracle = oracle_fragment(alg, (1,))
     for cod in range(2):
         prof = Profile((1,), cod)
-        for tab, term in zip(frag.tables[prof], frag.witnesses[prof]):
+        for tab, term in zip(fragment_tables(frag, prof), frag.witnesses[prof]):
             assert term_depth(term) == oracle[(cod, tab.outputs)], tab.outputs
 
 
@@ -161,60 +158,38 @@ def test_generation_is_deterministic_across_runs():
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_tables_are_the_matrix_rows_in_order(name):
-    """tables[p] holds the rows of matrices[p] in order, witnesses[p] stays
-    aligned with them, and a matrix, shared through the closure cache,
-    refuses writes."""
+    """Each witness term tabulates to its row of matrices[p], in order,
+    and a matrix, shared through the closure cache, refuses writes."""
     alg = corpus_algebra(name)
     profiles = [v for k in (1, 2) for v in itertools.product(range(alg.n_sorts), repeat=k)]
     frag = generate_fragment(alg, profiles)
     assert set(frag.matrices) == {Profile(v, s) for v in profiles for s in range(alg.n_sorts)}
     for p, matrix in frag.matrices.items():
-        assert frag.tables[p] == tuple(OpTable(p, alg.carriers, tuple(row)) for row in matrix.tolist())
         assert len(frag.witnesses[p]) == len(matrix), p
-        for tab, term in zip(frag.tables[p], frag.witnesses[p]):
-            assert table_of_term(alg, term) == tab, p
+        for row, term in zip(matrix.tolist(), frag.witnesses[p]):
+            assert table_of_term(alg, term) == OpTable(p, alg.carriers, tuple(row)), p
         with pytest.raises(ValueError):
             matrix[...] = 0
-
-
-@pytest.mark.parametrize("name", ["a_tiny", "a_malcev"])
-def test_the_checks_read_fragment_matrices_not_tables(monkeypatch, name):
-    """The pair search, the decomposition, both round trips and the
-    adequacy criterion read fragments as matrices: none builds the per-row
-    OpTables of CloneFragment.tables."""
-    def refuse(frag):
-        raise AssertionError("CloneFragment.tables read")
-
-    monkeypatch.setattr(clone.CloneFragment, "tables", property(refuse))
-    alg = corpus_algebra(name)
-    h = homogenize(alg)
-    pair = canonical_pair(h)
-    assert find_diagonal_pairs(h.algebra, alg.n_sorts)
-    for lam in (1, 2):
-        assert verify_decomposition(h.algebra, pair, lam).ok
-    assert verify_mu_roundtrip(alg).ok
-    assert verify_nu_roundtrip(h.algebra, pair)[0].ok
-    assert criterion_adequacy()[0]
 
 
 def test_nullary_symbols_enter_the_fragment():
     alg = build_algebra([("s", 2)], [("c", [], "s", [1]), ("f", ["s"], "s", [1, 0])])
     frag = generate_fragment(alg, [(0,)])
-    tables = {t.outputs for t in frag.tables[Profile((0,), 0)]}
+    tables = set(map(tuple, frag.matrices[Profile((0,), 0)].tolist()))
     assert tables == {(0, 1), (1, 0), (1, 1), (0, 0)}
     for term in frag.witnesses[Profile((0,), 0)]:
         assert term.profile.inputs == (0,)
         validate_term(alg, term)
     # the empty input profile holds exactly the nullary-generated constants
     frag0 = generate_fragment(alg, [()])
-    assert {t.outputs for t in frag0.tables[Profile((), 0)]} == {(1,), (0,)}
+    assert set(map(tuple, frag0.matrices[Profile((), 0)].tolist())) == {(1,), (0,)}
 
 
 def test_empty_input_profile_without_nullaries_is_empty():
     alg = corpus_algebra("a_tiny")
     frag = generate_fragment(alg, [()])
-    assert frag.tables.get(Profile((), 0), ()) == ()
-    assert frag.tables.get(Profile((), 1), ()) == ()
+    assert len(frag.matrices[Profile((), 0)]) == 0
+    assert len(frag.matrices[Profile((), 1)]) == 0
 
 
 def test_fragment_contains_and_rejects():

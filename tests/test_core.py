@@ -19,7 +19,6 @@ from msalg.core import (
     build_algebra,
     compose,
     constant_table,
-    decode_all,
     decode_mixed,
     encode_mixed,
     eval_term,
@@ -203,7 +202,6 @@ def test_mixed_radix_round_trip():
             seen.append(code)
         # first component most significant: codes come out in order
         assert seen == list(range(len(seen)))
-        assert decode_all(radices) == [decode_mixed(c, radices) for c in seen]
 
 
 def test_table_search_key_distinguishes_tables():

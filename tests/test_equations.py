@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_equations as oracle
+from oracle_clone import fragment_tables
 from oracle_lattice import growth_strings
 from test_tabulate import _all_python_ints, bases, collapses
-from msalg import diagonal
+from msalg import diagonal, malcev
 from msalg.clone import generate_fragment
-from msalg.core import OpTable, Profile, ProfileError, build_algebra, eval_term, App, Var
+from msalg.core import OpTable, Profile, ProfileError, build_algebra, eval_term, table_search_key, term_str, App, Var
 from msalg.diagonal import (
     DiagonalPair,
     _composition_failure,
@@ -51,11 +52,12 @@ from msalg.lattice import (
     PPFormula,
 )
 from msalg.malcev import (
-    _chain_links,
+    _FLANKS,
+    _MALCEV,
+    _at,
     _compose_partitions,
     _first_split,
-    _is_malcev,
-    _ternary_candidates,
+    _passes,
     check_cd_bruteforce,
     check_cp_bruteforce,
 )
@@ -84,8 +86,8 @@ def pairs():
 def _candidates(alg, width, step):
     """Every step-th (d, es) candidate among the term operations."""
     frag = generate_fragment(alg, [(0,) * width, (0,)])
-    combos = itertools.product(frag.tables[Profile((0,) * width, 0)],
-                               itertools.product(frag.tables[Profile((0,), 0)], repeat=width))
+    combos = itertools.product(fragment_tables(frag, Profile((0,) * width, 0)),
+                               itertools.product(fragment_tables(frag, Profile((0,), 0)), repeat=width))
     return [DiagonalPair(d, es) for d, es in itertools.islice(combos, 0, None, step)]
 
 
@@ -130,7 +132,7 @@ def case_diagonal_pair_checks():
 def case_diagonal_identity():
     for name, alg, width in single_sorted():
         frag = generate_fragment(alg, [(0,) * width])
-        for d in frag.tables[Profile((0,) * width, 0)]:
+        for d in fragment_tables(frag, Profile((0,) * width, 0)):
             yield name, satisfies_diagonal_identity(alg, d), oracle.satisfies_diagonal_identity(alg, d)
 
 
@@ -141,7 +143,7 @@ def case_composition():
         lams = (1, 2) if alg.carriers[0] <= 4 else (1,)
         for lam in lams:
             frag = generate_fragment(alg, [(0,) * lam, (0,)])
-            tables, unary = frag.tables[Profile((0,) * lam, 0)], frag.tables[Profile((0,), 0)]
+            tables, unary = fragment_tables(frag, Profile((0,) * lam, 0)), fragment_tables(frag, Profile((0,), 0))
             phi = {f.outputs: decompose_table(alg, pair, f, mp.retracts) for f in tables}
             # rotating phi breaks the check at varied f; changing one value
             # of the last phi(f), with constants first, at varied gs too
@@ -167,7 +169,7 @@ def case_composition():
 
 def case_pair_independence():
     for name, alg, p1 in pairs():
-        unary = generate_fragment(alg, [(0,)]).tables[Profile((0,), 0)]
+        unary = fragment_tables(generate_fragment(alg, [(0,)]), Profile((0,), 0))
         others = [p for n, a, p in pairs() if a is alg and p.d == p1.d]
         others += [DiagonalPair(p1.d, (g,) * p1.width) for g in unary[:3]]
         for p2 in others:
@@ -175,13 +177,34 @@ def case_pair_independence():
                    _outcome(lambda: _checks(oracle.verify_pair_independence(alg, p1, p2))))
 
 
+def _filters(tables, n):
+    """The matrix filters on stacked ternary tables, in the oracle's shapes:
+    the Mal'cev verdicts, then chain_links (the tables fixing the flanks,
+    and their values at (x, x, y) and at (x, y, y))."""
+    m = stack_tables(tables, n ** 3)
+    keep = _passes(m, n, _FLANKS)
+    dset = [t for t, ok in zip(tables, keep) if ok]
+    sigs = ({t: tuple(v) for t, v in zip(dset, _at(m[keep], n, p).reshape(len(dset), n * n).tolist())}
+            for p in ((0, 0, 1), (0, 1, 1)))
+    return _passes(m, n, _MALCEV).tolist(), (dset, *sigs)
+
+
 def case_malcev_candidates():
+    """The survivors of each search against every fragment table filtered
+    by the oracle and sorted by search key, with their terms."""
     algs = list(bases()) + [("h_" + name, h.algebra) for name, h in collapses() if h.size <= 4]
     for name, alg in algs:
         for s, n in enumerate(alg.carriers):
-            cands = [t for t, _ in _ternary_candidates(alg, s, 2_000_000)]
-            yield name, [_is_malcev(t, n) for t in cands], [oracle.is_malcev(t, n) for t in cands]
-            yield name, _chain_links(cands, n), oracle.chain_links(cands, n)
+            prof = Profile((s, s, s), s)
+            frag = generate_fragment(alg, [prof], budget=2_000_000)
+            tables = fragment_tables(frag, prof)
+            term = dict(zip(tables, map(term_str, frag.witnesses[prof])))
+            dset = oracle.chain_links(tables, n)[0]
+            for identities, want in ((_MALCEV, [t for t in tables if oracle.is_malcev(t, n)]), (_FLANKS, dset)):
+                got, terms, _ = malcev._candidates(alg, s, 2_000_000, identities)
+                want = sorted(want, key=table_search_key)
+                yield name, (got, list(map(term_str, terms))), (want, [term[t] for t in want])
+            yield name, _filters(tables, n), ([oracle.is_malcev(t, n) for t in tables], oracle.chain_links(tables, n))
 
 
 def _report(r):
@@ -297,8 +320,7 @@ def ternary_tables(draw):
 @given(ternary_tables())
 def test_random_malcev_candidates(case):
     n, tables = case
-    assert [_is_malcev(t, n) for t in tables] == [oracle.is_malcev(t, n) for t in tables]
-    assert _chain_links(tables, n) == oracle.chain_links(tables, n)
+    assert _filters(tables, n) == ([oracle.is_malcev(t, n) for t in tables], oracle.chain_links(tables, n))
 
 
 @st.composite

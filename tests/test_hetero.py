@@ -19,7 +19,7 @@ import pytest
 import msalg.hetero as hetero
 from msalg.core import BudgetError, OpTable, Profile, ProfileError, Symbol, build_algebra
 from msalg.corpus import corpus_algebra, corpus_names
-from msalg.diagonal import DiagonalPair, find_diagonal_pairs, verify_diagonal_pair
+from msalg.diagonal import DiagonalPair, find_diagonal_pairs, verify_decomposition, verify_diagonal_pair
 from msalg.hetero import (
     canonical_pair,
     cross_family_from_purity,
@@ -32,6 +32,7 @@ from msalg.hetero import (
 from msalg.homog import homogenize
 
 import oracle_hetero
+from test_cli import spy_closures
 from test_diagonal import diag_style_pair
 
 
@@ -283,6 +284,22 @@ def test_a_certified_nu_roundtrip_generates_no_collapsed_split_fragment(monkeypa
     assert {a for a, _ in seen} == {source}
     wide = set() if pair.d in source.tables else {((0,) * pair.width,)}
     assert {ps for _, ps in seen} == {((0,),)} | wide
+
+
+def test_a_negative_lam_or_width_is_rejected_before_any_fragment(monkeypatch):
+    alg = corpus_algebra("a_tiny")
+    h = homogenize(alg)
+    pair = canonical_pair(h)
+    calls = spy_closures(monkeypatch)
+    for check, message in [
+        (lambda: verify_decomposition(h.algebra, pair, -1), "lam must be at least 0, got -1"),
+        (lambda: verify_mu_roundtrip(alg, lam=-1), "lam must be at least 0, got -1"),
+        (lambda: verify_nu_roundtrip(h.algebra, pair, lam=-2), "lam must be at least 0, got -2"),
+        (lambda: find_diagonal_pairs(h.algebra, -1), "pair width must be at least 0, got -1"),
+    ]:
+        with pytest.raises(ProfileError, match="^%s$" % message):
+            check()
+    assert calls == []
 
 
 def test_a_nu_lam_above_the_arity_bound_is_rejected_before_any_fragment(monkeypatch):

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from msalg.clone import generate_fragment
+from oracle_clone import fragment_tables
 from msalg.core import BudgetError, Profile, ProfileError, build_algebra, constant_table, is_homomorphism
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.homog import (
@@ -87,8 +88,8 @@ def test_adequacy_fragments_match_assembled_terms():
         alg = corpus_algebra(name)
         h = homogenize(alg)
         for lam in (1, 2):
-            inside = {t.outputs for t in
-                      generate_fragment(h.algebra, [(0,) * lam]).tables[Profile((0,) * lam, 0)]}
+            frag = generate_fragment(h.algebra, [(0,) * lam])
+            inside = set(map(tuple, frag.matrices[Profile((0,) * lam, 0)].tolist()))
             assembled = set(assembled_fragment(h, lam))
             assert inside == assembled, (name, lam, len(inside), len(assembled))
 
@@ -109,21 +110,21 @@ def test_assembled_fragment_budget_counts_choices():
 def test_adequacy_counts_for_the_affine_pair():
     h = homogenize(corpus_algebra("a_malcev"))
     frag = generate_fragment(h.algebra, [(0,), (0, 0)])
-    assert len(frag.tables[Profile((0,), 0)]) == 6
-    assert len(frag.tables[Profile((0, 0), 0)]) == 36
+    assert len(frag.matrices[Profile((0,), 0)]) == 6
+    assert len(frag.matrices[Profile((0, 0), 0)]) == 36
 
 
 def test_assemble_rejects_bad_components():
     alg = corpus_algebra("a_tiny")
     h = homogenize(alg)
     frag = generate_fragment(alg, [(0, 1)])
-    g0 = frag.tables[Profile((0, 1), 0)][0]
-    g1 = frag.tables[Profile((0, 1), 1)][0]
+    g0 = fragment_tables(frag, Profile((0, 1), 0))[0]
+    g1 = fragment_tables(frag, Profile((0, 1), 1))[0]
     t = assemble(h, (g0, g1))
     assert t.profile.arity == 1
     with pytest.raises(ProfileError):
         assemble(h, (g1, g0))  # components land in the wrong sorts
-    bad = generate_fragment(alg, [(1, 0)]).tables[Profile((1, 0), 0)][0]
+    bad = fragment_tables(generate_fragment(alg, [(1, 0)]), Profile((1, 0), 0))[0]
     with pytest.raises(ProfileError):
         assemble(h, (bad, g1))  # profile not (0, 1) repeated
     # components over carriers (4, 1) for a collapse of carriers (1, 4): both

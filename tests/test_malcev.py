@@ -20,7 +20,8 @@ import itertools
 
 import pytest
 
-from msalg.core import BudgetError, Profile, projection, table_of_term
+from msalg import clone, malcev
+from msalg.core import BudgetError, Profile, projection, table_of_term, table_search_key
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.homog import homogenize
 from msalg.malcev import (
@@ -33,6 +34,7 @@ from msalg.malcev import (
     find_malcev_per_sort,
 )
 from msalg.core import build_algebra
+from oracle_clone import fragment_tables
 
 
 def affine_outputs(n):
@@ -85,7 +87,7 @@ def test_malcev_per_sort_candidates_are_unique():
         prof = Profile((s, s, s), s)
         frag = generate_fragment(alg, [prof])
         n = alg.carriers[s]
-        hits = [t for t in frag.tables[prof]
+        hits = [t for t in fragment_tables(frag, prof)
                 if all(t.apply((x, x, y)) == y and t.apply((x, y, y)) == x
                        for x in range(n) for y in range(n))]
         assert len(hits) == 1
@@ -147,6 +149,42 @@ def test_malcev_success_implies_permutability():
         assert find_malcev_homog(alg) is not None
         rep = check_cp_bruteforce(homogenize(alg).algebra)
         assert rep.ok, (name, rep.witness)
+
+
+@pytest.mark.parametrize("name, per_sort, homogenized", [("a_semilat", 0, 0), ("a_malcev", 2, 1)])
+def test_only_malcev_tables_get_a_search_key(monkeypatch, name, per_sort, homogenized):
+    """The identities are read off the fragment matrix, so table_search_key
+    hashes the Mal'cev tables only: none on a_semilat, and on a_malcev one
+    per sort and one on the product carrier."""
+    keyed = []
+
+    def spy(table):
+        keyed.append(table)
+        return table_search_key(table)
+
+    monkeypatch.setattr(malcev, "table_search_key", spy)
+    alg = corpus_algebra(name)
+    find_malcev_per_sort(alg)
+    assert len(keyed) == per_sort
+    find_malcev_homog(alg)
+    assert len(keyed) == per_sort + homogenized
+    for t in keyed:
+        assert_malcev_identities(t, t.carriers[t.profile.cod])
+
+
+def test_per_sort_search_stops_at_the_first_sort_without_one(monkeypatch):
+    """a_semilat's first sort has no Mal'cev table, so the ternary fragment
+    of its second sort is never generated."""
+    generated = []
+    closure = clone._closure_full.__wrapped__
+
+    def spy(alg, inputs, budget):
+        generated.append(inputs)
+        return closure(alg, inputs, budget)
+
+    monkeypatch.setattr(clone, "_closure_full", spy)
+    assert find_malcev_per_sort(corpus_algebra("a_semilat")) is None
+    assert generated == [(0, 0, 0)]
 
 
 def test_malcev_budget_is_enforced():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracle_tabulate as oracle
+from oracle_clone import fragment_tables
 from msalg.clone import generate_fragment
 from msalg.core import (
     OpTable,
@@ -176,7 +177,7 @@ def case_assemble():
         S = len(h.radices)
         rho = tuple(range(S))
         frag = generate_fragment(h.source, [rho])
-        per_sort = [frag.tables.get(Profile(rho, s), ()) for s in range(S)]
+        per_sort = [fragment_tables(frag, Profile(rho, s)) for s in range(S)]
         if all(per_sort):
             for k in range(3):
                 gs = tuple(ts[k % len(ts)] for ts in per_sort)
@@ -188,7 +189,7 @@ def case_assembled_fragment():
         for lam in (1, 2):
             rho = tuple(range(len(h.radices))) * lam
             frag = generate_fragment(h.source, [rho])
-            per_sort = [frag.tables.get(Profile(rho, s), ()) for s in range(len(h.radices))]
+            per_sort = [fragment_tables(frag, Profile(rho, s)) for s in range(len(h.radices))]
             yield ("%s lam=%d" % (name, lam), list(assembled_fragment(h, lam).items()),
                    list(oracle.assembled_fragment(h, per_sort).items()))
 
