@@ -13,31 +13,22 @@ principal closed sets level by level, a closed set being a row of a bool
 mask array, and closes each level's joins from the already closed sets as
 batches of rows, no temporary much over _BATCH_BYTES.  Sub and Inv are
 closed subsets of a power of an algebra, operations acting coordinatewise,
-closed by one kernel (_Power); Con's closed sets are masks over the pairs
-a < b of each sort, and a Con join reruns the union-find worklist of
-congruence_generate once per row.  A power builds, once, one reach tensor
-per operation profile, its cod axis bit-packed into uint64 words: bit z of
-the words at (x_1..x_k) is set when some table of that profile sends the
-power points x_1..x_k to z.  Tensors with the same input sorts are
-concatenated along that axis.  A closure round contracts every mask of a
-batch with each tensor one input sort at a time, gathering the member rows
-and ORing them per mask.  A tensor has (n^mu)^(k+1) cells, so a power whose
-tensors would pass _REACH_CELLS in all (mu = 3 on a 6-element binary
-collapse already wants 216^3) closes each mask by the semi-naive digit
-gather instead, the one path that runs on large powers.  Invariant
-relations take two independent routes: inv_enumerate closes the mu-th power
-of the homogenized algebra under its basic operations, and verify_inv_iso's
-matrix route takes the boxes of the closed sets of the many-sorted power
-A^mu, the walk Sub runs at mu = 1, then checks that regrouping matrix rows
-into product codes is a bijection between the two answers.  A matrix read
-row-major with per-sort radices is the flat code of its product-code tuple,
-so both answers are sets of the same point ids.  The pp-commutation check
-reads its formula sample off one table of (relation, position map) rows per
-span: a single conjunct is a row of that table, a pair of conjuncts one
-block per first slot, each reduced with any over the bound positions, and a
-row of free arity up to mu_max must be one of the enumerated invariant
-relations.  The membership checks (closure, compatibility, invariance)
-gather each operation over an open grid at once and report
+closed by one kernel (_Power: bit-packed reach tensors, or past
+_REACH_CELLS a semi-naive digit gather).  Con's closed sets are masks over
+the pairs a < b of each sort: a principal pushes its merges through the
+operations with the union-find worklist of congruence_generate, and any
+other join is a join of two congruences, their join as partitions.
+Invariant relations take two independent routes: inv_enumerate closes the
+mu-th power of the homogenized algebra under its basic operations, and
+verify_inv_iso's matrix route takes the boxes of the closed sets of the
+many-sorted power A^mu, the walk Sub runs at mu = 1, then checks that
+regrouping matrix rows into product codes is a bijection between the two
+answers.  pp-commutation reads its formula sample off one table of
+(relation, position map) rows per span: each unordered pair of rows is
+ANDed once, its bound positions ORed away one at a time, and its rows of
+free arity up to mu_max looked up at once among the sorted, packed
+invariant relations.  The membership checks (closure, compatibility,
+invariance) gather each operation over an open grid at once and report
 core.first_failure's witness.
 """
 
@@ -64,7 +55,6 @@ from .core import (
     encode_mixed,
     first_failure,
     gather,
-    grid_columns,
     is_isomorphism,
     open_grid,
     tabulate,
@@ -108,10 +98,10 @@ def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
     join(closed, extra) closes a batch: row i of its result is the least
     closed set containing the closed row i of closed and the points of row
     i of extra.  The principals are the joins of the bottom with one point
-    each, and every closed set found is joined with every principal not
-    below it.  The walk goes level by level, from the bottom: a level's
-    joins are computed in batches of about _BATCH_BYTES of pair rows, and
-    those not seen before (keyed by their packed bytes) make the next
+    each; every closed set found is then joined with every principal not
+    below it (so extra's rows are closed principals), level by level from
+    the bottom: a level's joins in batches of about _BATCH_BYTES of pair
+    rows, those not seen before (keyed by their packed bytes) the next
     level.  Closures computed (the bottom, each principal and each join)
     count against budget; each level is counted before it is computed, so
     a walk raises, having computed no closure past budget, exactly when its
@@ -179,13 +169,12 @@ class _Power:
     A point of sort s is a code of mu base-n_s digits, first coordinate most
     significant; the points of all sorts share one id space, sort by sort.
     Tables of one profile are stacked.  close takes a batch of masks, bool
-    rows over the point ids.  When the power's reach tensors (see _reach)
-    have fewer than _REACH_CELLS cells in all, they are built once, each
-    bit-packed along its cod axis into uint64 words, and those of one tuple
-    of input sorts are concatenated along that axis.  A closure round takes,
-    per tuple and input sort, one gather of the member rows of every mask
-    and one bitwise_or.reduceat (_close_words); no gather holds much more
-    than _BATCH_BYTES.  The cap bounds the tensors' memory, which grows as
+    rows over the point ids.  When the power's reach tensors (_reach) have
+    fewer than _REACH_CELLS cells in all, they are built once, those of one
+    tuple of input sorts concatenated along the word axis.  A closure round
+    takes, per tuple and input sort, one gather of the member rows of every
+    mask and one bitwise_or.reduceat (_close_words), no gather much over
+    _BATCH_BYTES.  The cap bounds the tensors' memory, which grows as
     (n^mu)^(k+1): larger powers close each mask by one gather of stacked
     digit codes per profile and argument position instead (_close_digits).
     Both paths reach the same least fixpoint."""
@@ -225,19 +214,18 @@ class _Power:
         """The profile's reach tensor, shape (points of input 1, ..., of
         input k, words of the cod sort): bit z is set at (x_1..x_k) when
         some stacked table sends the power points x_1..x_k to z.  _images
-        over every point of each input sort, whose steps along position 0
-        are runs of rows."""
-        shape = [self.points(s) for s in profile.inputs]
-        words = np.zeros((math.prod(shape), -(-self.points(profile.cod) // 64)), dtype=np.uint64)
+        over every point of each input sort gives runs of rows, each set
+        from all tables at once as bool blocks of about _BATCH_BYTES."""
+        shape, points = [self.points(s) for s in profile.inputs], self.points(profile.cod)
         pool = [np.arange(self.offsets[s], self.offsets[s + 1]) for s in profile.inputs]
-        lo = 0
+        words = [np.zeros((0, -(-points // 64)), dtype=np.uint64)]
         for ids in self._images(profile, stack, pool, 0):
             ids = ids.reshape(len(stack), -1) - self.offsets[profile.cod]
-            rows = np.arange(lo, lo + ids.shape[1])
-            for z in ids:  # one table sets one bit per row
-                words[rows, z >> 6] |= np.uint64(1) << z.astype(np.uint64) % 64
-            lo += ids.shape[1]
-        return words.reshape(shape + [words.shape[1]])
+            for part in _spans(ids.shape[1], points):
+                block = np.zeros((len(ids[0, part]), points), dtype=bool)
+                block[np.arange(len(block)), ids[:, part]] = True
+                words.append(_pack(block))
+        return np.concatenate(words).reshape(shape + [words[0].shape[1]])
 
     def close(self, closed: np.ndarray, extra: np.ndarray) -> np.ndarray:
         """The closures of a batch: row i is the least closed set containing
@@ -557,9 +545,10 @@ def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGE
 
     The lattice walk of _closed_sets over the (sort, a, b) pairs, a < b: a
     congruence is the mask of the pairs it relates, so the principals are
-    the congruences Cg(a, b), and a join runs _merge once per row, from the
-    row's partition with the pairs of extra it lacks queued."""
-    positions = _positions(alg)
+    the congruences Cg(a, b).  A join runs _merge once per row, from the
+    row's partition with the pairs of extra it lacks queued, through the
+    operations only from the bottom: congruences join as partitions."""
+    positions, unpushed = _positions(alg), [()] * alg.n_sorts
     pairs = [(s, a, b) for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2)]
     # elements of all sorts numbered in one range, sort by sort
     offsets = [0, *itertools.accumulate(alg.carriers)]
@@ -576,9 +565,9 @@ def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGE
 
     def join(closed, extra):
         out = np.empty(closed.shape, dtype=bool)
-        for row, parent, more in zip(out, forests(closed), extra & ~closed):
-            roots = np.fromiter(itertools.chain.from_iterable(
-                _merge(parent, [pairs[i] for i in np.flatnonzero(more)], positions)), dtype=np.int64)
+        for row, parent, bottom, more in zip(out, forests(closed), ~closed.any(axis=1), extra & ~closed):
+            roots = np.fromiter(itertools.chain.from_iterable(_merge(
+                parent, [pairs[i] for i in np.flatnonzero(more)], positions if bottom else unpushed)), dtype=np.int64)
             row[:] = roots[a_id] == roots[b_id]
         return out
 
@@ -840,11 +829,9 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
     """Every subset of the mu-th power of the product carrier closed under
     its basic operations acting coordinatewise.
 
-    These are exactly the subuniverses of the mu-th direct power.  Note a
-    nullary operation forces its constant row into every member, so the
-    empty relation only appears when no sort family of closed terms exists.
-    budget bounds the power carrier and the closures computed.
-    """
+    These are exactly the subuniverses of the mu-th direct power, each
+    holding every nullary operation's constant row (see invariance_witness);
+    budget bounds the power carrier and the closures computed."""
     if mu < 1:
         raise ProfileError("relation arity must be at least 1, got %d" % mu)
     h = homogenize(alg)
@@ -887,9 +874,7 @@ class PPFormula:
     """Existentially quantified conjunction of relation atoms.
 
     Positions 0..mu-1 are free, mu..mu+nu-1 are bound.  Each conjunct is
-    (relation index, position map), the map as long as that relation's
-    arity.
-    """
+    (relation index, position map), the map as long as the relation's arity."""
 
     mu: int
     nu: int
@@ -941,17 +926,13 @@ def _require_invariant(halg: SortedAlgebra, rels, *results) -> None:
             raise ProfileError("%s is not invariant: %s leaves it at %r" % ((what,) + witness))
 
 
-def _slots(rels, m):
-    """Every (relation index, position map) over m positions, in the order
-    the formula sample and its grid share."""
-    return [(k, cmap) for k, r in enumerate(rels) for cmap in itertools.product(range(m), repeat=r.arity)]
-
-
 def _formula_sample(rels, span):
     """Every formula with at most two conjuncts over the sample relations,
-    free plus bound positions adding up to 1..span, generated lazily."""
+    lazily: per span m = 1..span of free plus bound positions and free
+    arity m down to 0, each slot (relation index, position map into the m
+    positions) alone, then each ordered pair of slots."""
     for m in range(1, span + 1):
-        slots = _slots(rels, m)
+        slots = [(k, cmap) for k, r in enumerate(rels) for cmap in itertools.product(range(m), repeat=r.arity)]
         for mu in range(m, -1, -1):
             for conjuncts in itertools.chain(zip(slots), itertools.product(slots, repeat=2)):
                 yield PPFormula(mu, m - mu, conjuncts)
@@ -966,45 +947,69 @@ def _pp_members(rows, radices) -> np.ndarray:
     return member
 
 
+def _pp_rows(n, rels, m, first, second):
+    """The free parts of the span-m formulas with conjuncts the slots
+    first[i] and second[i] (in _formula_sample order), per block of pairs
+    the list of their rows at free arity mu = 0..m, n^mu bools by flat
+    free-position code: the AND of two slot table rows (a slot's membership
+    at each assignment), then the row at mu + 1 with position mu bound, the
+    OR of n slices.  A block's temporaries hold about _BATCH_BYTES at most."""
+    grid, table = open_grid((n,) * m), []
+    for r in rels:
+        member = _pp_members(r.tuples, (n,) * r.arity).reshape((n,) * r.arity)
+        table += [np.broadcast_to(member[tuple(grid[p] for p in cmap)], (n,) * m).ravel()
+                  for cmap in itertools.product(range(m), repeat=r.arity)]
+    table = np.array(table, dtype=bool).reshape(len(table), n ** m)
+    for part in _spans(len(first), 4 * n ** m):
+        rows = [table[first[part]]]
+        rows[0] &= table[second[part]]
+        for mu in range(m, 0, -1):
+            bound = rows[-1].reshape(len(rows[-1]), n ** (mu - 1), n)
+            rows.append(np.zeros(bound.shape[:2], dtype=bool))
+            for j in range(n):
+                rows[-1] |= bound[..., j]
+        yield rows[::-1]
+
+
 def _pp_grid(n, rels, span):
     """The free parts of every formula's satisfying assignments, in
     _formula_sample(rels, span) order, as (mu, block) pairs, the block of
-    shape (formulas, n^mu) indexed by flat free-position code.  Span m's
-    slot table holds each slot's membership at each assignment; single
-    conjuncts read its rows, pairs one block per first slot (no block
-    larger than the table), each reduced with any over the bound axis."""
-    members = [_pp_members(r.tuples, (n,) * r.arity) for r in rels]
+    shape (formulas, n^mu): per span, the _pp_rows of each slot alone, then
+    of each ordered pair of slots."""
     for m in range(1, span + 1):
-        slots = _slots(rels, m)
-        cols = grid_columns((n,) * m)
-        table = np.empty((len(slots), n ** m), dtype=bool)
-        for s, (k, cmap) in enumerate(slots):
-            codes = encode_digits([cols[p] for p in cmap], (n,) * len(cmap))
-            table[s] = members[k][np.broadcast_to(codes, (n ** m,))]
+        c = np.arange(sum(m ** r.arity for r in rels))
+        blocks = list(_pp_rows(n, rels, m, np.r_[c, c.repeat(len(c))], np.r_[c, np.tile(c, len(c))]))
         for mu in range(m, -1, -1):
-            split = (len(slots), n ** mu, n ** (m - mu))
-            yield mu, table.reshape(split).any(axis=2)
-            for c1 in range(len(slots)):
-                yield mu, (table[c1] & table).reshape(split).any(axis=2)
+            yield mu, np.concatenate([np.empty((0, n ** mu), dtype=bool)] + [b[mu] for b in blocks])
 
 
 def _pp_outside_inv(h, rels, invs, span, spot_checks):
     """Count the formulas of _formula_sample(rels, span) whose _pp_grid row
     has a free arity mu in invs (arity -> its invariant relations) and is
-    not one of invs[mu].  The first spot_checks rows are compared with
-    pp_evaluate, each result verified invariant and the input relations
-    verified once.  Returns (#formulas, #rows outside Inv, spot ok)."""
+    not one of invs[mu].  Slot c alone defines what (c, c) does and (c1,
+    c2) what (c2, c1) does, so a _pp_rows row of a pair c1 <= c2 counts as
+    two formulas; a block's rows are looked up at once in invs[mu]'s sorted
+    keys.  The first spot_checks rows are compared with pp_evaluate, each
+    result and, once, each input verified invariant.  Returns (#formulas,
+    #rows outside Inv, spot ok)."""
+
+    def keys(rows):  # a row as one void scalar, 8 zero bits appended so empty rows have keys
+        octets = np.packbits(np.concatenate([rows, np.zeros((len(rows), 8), dtype=bool)], axis=1), axis=1)
+        return octets.view(np.dtype((np.void, octets.shape[1]))).ravel()
+
     n = h.size
-    masks = {mu: {_pp_members(r.tuples, (n,) * mu).tobytes() for r in rs} for mu, rs in invs.items()}
+    inv = {mu: np.sort(keys(np.array([_pp_members(r.tuples, (n,) * mu) for r in rs], dtype=bool)
+                            .reshape(len(rs), n ** mu))) for mu, rs in invs.items()}
     total = bad = 0
-    spots = []
-    for mu, rows in _pp_grid(n, rels, span):
-        total += len(rows)
-        if mu in masks:
-            bad += sum(row.tobytes() not in masks[mu] for row in rows)
-        spots.extend(rows[:spot_checks - len(spots)])
+    for m in range(1, span + 1):
+        for rows in _pp_rows(n, rels, m, *np.triu_indices(sum(m ** r.arity for r in rels))):
+            total += 2 * (m + 1) * len(rows[0])
+            for mu in [mu for mu in inv if mu <= m]:
+                lo, hi = (np.searchsorted(inv[mu], keys(rows[mu]), side) for side in ("left", "right"))
+                bad += 2 * int(np.count_nonzero(lo == hi))
 
     spot_ok = True
+    spots = (row for _, rows in _pp_grid(n, rels, span) for row in rows)
     spot = list(zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots))
     if spot:
         _require_invariant(h.algebra, rels)
@@ -1045,21 +1050,16 @@ def verify_inv_iso(alg: SortedAlgebra, mu_max: int, *, budget: int = SUBUNIVERSE
     The boxes' codes are their product-code tuples' flat codes, so they
     decode straight into relations, which reshape-bijection-mu1.. compare
     with inv_enumerate's.  Inv is closed under pp-definitions, so
-    pp-commutation counts the sampled formulas whose grid row, of a free
-    arity from 1 to mu_max, is not one of the enumerated invariant
-    relations; rows of free arity 0 or above mu_max count in the total
-    only.  The first 25 formulas' grid rows are also compared with
-    pp_evaluate, which verifies that each result is invariant.
-    """
+    pp-commutation counts the sampled formulas of free arity 1..mu_max
+    that define no enumerated invariant relation, and compares the first
+    25 with pp_evaluate (_pp_outside_inv)."""
     if mu_max < 1:
         raise ProfileError("relation arity bound must be at least 1, got %d" % mu_max)
     report = is_pure(alg)
     if not report.pure:
         raise ProfileError("needs a pure unary fragment, no cross maps for sort pairs %r"
                            % (report.missing(),))
-    h = homogenize(alg)
-    checks = []
-    invs = {}
+    h, checks, invs = homogenize(alg), [], {}
     for mu in range(1, mu_max + 1):
         rels = inv_enumerate(alg, mu, budget=budget)
         ids = _matrix_route(alg, mu, budget=budget)

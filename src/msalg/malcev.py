@@ -239,13 +239,21 @@ def check_cp_bruteforce(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET)
 
 
 def check_cd_bruteforce(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> DistributivityReport:
-    """Does meet distribute over join across all congruence triples."""
+    """Does meet distribute over join across all congruence triples.
+
+    Con is closed under both, so each pair's join and meet is computed once,
+    as an index into the enumeration; the triples (theta, eta, delta) are
+    then compared in itertools.product order, one theta at a time."""
     cons = enumerate_congruences(alg, budget=budget)
-    for theta, eta, delta in itertools.product(cons, repeat=3):
-        left = congruence_meet(theta, congruence_join(eta, delta))
-        right = congruence_join(congruence_meet(theta, eta),
-                                congruence_meet(theta, delta))
-        if left != right:
-            return DistributivityReport(False, len(cons), (theta.classes, eta.classes, delta.classes)
-                                        + _first_split(left, right))
+    index = {c: i for i, c in enumerate(cons)}
+    join, meet = (np.zeros((len(cons),) * 2, dtype=np.int64) for _ in range(2))
+    for i, j in itertools.combinations_with_replacement(range(len(cons)), 2):
+        join[i, j] = join[j, i] = index[congruence_join(cons[i], cons[j])]
+        meet[i, j] = meet[j, i] = index[congruence_meet(cons[i], cons[j])]
+    for theta, row in zip(cons, meet):
+        left, right = row[join], join[np.ix_(row, row)]
+        bad = first_failure(left != right)
+        if bad is not None:
+            return DistributivityReport(False, len(cons), (theta.classes, cons[bad[0]].classes, cons[bad[1]].classes)
+                                        + _first_split(cons[left[bad]], cons[right[bad]]))
     return DistributivityReport(True, len(cons), None)

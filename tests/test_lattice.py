@@ -761,6 +761,18 @@ def test_pp_batches_match_the_per_formula_oracle_on_the_corpus():
         assert 0 < bad < total, name
 
 
+def test_pp_counts_outside_inv_match_the_oracle_on_a_pure_3_2_algebra():
+    # span 4, as verify_inv_iso samples, with rows outside Inv, on an
+    # algebra shaped like perfbench's generated inputs: cross maps cu, cw
+    # and endomaps mu, mw (the corpus test above covers a_tiny at span 4)
+    pure = build_algebra([("u", 3), ("w", 2)], [
+        ("cu", ("u",), "w", [1, 0, 1]), ("cw", ("w",), "u", [2, 0]),
+        ("mu", ("u",), "u", [1, 2, 0]), ("mw", ("w",), "w", [1, 0])])
+    invs = {mu: inv_enumerate(pure, mu) for mu in (1, 2)}
+    total, bad, _ = _same_as_oracle(homogenize(pure), _changed(tuple(_pp_sample(invs)), invs), invs, 4, 0)
+    assert 0 < bad < total == 11108
+
+
 def test_pp_batches_match_the_oracle_at_every_spot_check_count():
     h, rels, invs = _pp_relations("a_group")
     for spot_checks in (0, 25):

@@ -35,6 +35,7 @@ from msalg.malcev import (
 )
 from msalg.core import build_algebra
 from oracle_clone import fragment_tables
+import oracle_equations as oracle
 
 
 def affine_outputs(n):
@@ -294,6 +295,16 @@ def test_cd_fails_on_a_bare_three_element_set():
     assert rep.congruences == 5
     rep = check_cp_bruteforce(bare)
     assert not rep.ok
+
+
+def test_cd_matches_the_oracle_on_the_bare_set_and_every_collapse():
+    # each pair's join and meet once, against the oracle's 2K^3 of them:
+    # the same verdict, congruence count and first failing triple
+    algebras = [build_algebra([("x", 3)], [])] + [homogenize(corpus_algebra(name)).algebra
+                                                  for name in corpus_names()]
+    for alg in algebras:
+        rep = check_cd_bruteforce(alg)
+        assert (rep.ok, rep.congruences, rep.witness) == oracle.check_cd_bruteforce(alg)
 
 
 def test_trivial_carrier_reports():
