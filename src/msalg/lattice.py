@@ -15,9 +15,10 @@ batches of rows, no temporary much over _BATCH_BYTES.  Sub and Inv are
 closed subsets of a power of an algebra, operations acting coordinatewise,
 closed by one kernel (_Power: bit-packed reach tensors, or past
 _REACH_CELLS a semi-naive digit gather).  Con's closed sets are masks over
-the pairs a < b of each sort: a principal pushes its merges through the
-operations with the union-find worklist of congruence_generate, and any
-other join is a join of two congruences, their join as partitions.
+the pairs a < b of each sort (_Pairs), joined by Mal'cev's lemma: a join
+is the equivalence closure of the congruence and the images of the added
+pairs under composites of basic translations, read off one pair reach
+matrix per algebra, each row of a batch closed by squaring its relation.
 Invariant relations take two independent routes: inv_enumerate closes the
 mu-th power of the homogenized algebra under its basic operations, and
 verify_inv_iso's matrix route takes the boxes of the closed sets of the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,15 +98,15 @@ def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
     join(closed, extra) closes a batch: row i of its result is the least
     closed set containing the closed row i of closed and the points of row
     i of extra.  The principals are the joins of the bottom with one point
-    each; every closed set found is then joined with every principal not
-    below it (so extra's rows are closed principals), level by level from
-    the bottom: a level's joins in batches of about _BATCH_BYTES of pair
-    rows, those not seen before (keyed by their packed bytes) the next
-    level.  Closures computed (the bottom, each principal and each join)
-    count against budget; each level is counted before it is computed, so
-    a walk raises, having computed no closure past budget, exactly when its
-    total passes budget."""
-    spent, size = 1, len(bottom)
+    each, and the distinct ones other than the bottom are the first level;
+    every closed set of a level is then joined with every principal not
+    below it (so extra's rows are closed principals): a level's joins in
+    batches of about _BATCH_BYTES of pair rows, those not seen before
+    (keyed by their packed bytes) the next level.  Closures computed (the
+    bottom, each principal and each join) count against budget; each level
+    is counted before it is computed, so a walk raises, having computed no
+    closure past budget, exactly when its total passes budget."""
+    spent, size = 0, len(bottom)
 
     def count(closures):
         nonlocal spent
@@ -124,15 +124,14 @@ def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
                 out.append(row)
         return out
 
-    count(size)
-    principals, keys = [], set()
+    count(1 + size)
+    principals, seen = [], {_pack(bottom).tobytes()}
     for part in _spans(size, 2 * size):
         extra = np.arange(size)[part, None] == np.arange(size)
-        principals += novel(join(np.broadcast_to(bottom, extra.shape), extra), keys)
-    principals = np.array(principals, dtype=bool).reshape(len(principals), size)
+        principals += novel(join(np.broadcast_to(bottom, extra.shape), extra), seen)
+    principals = level = np.array(principals, dtype=bool).reshape(len(principals), size)
     words = _pack(principals)
-    level = bottom[None]
-    found, seen = [level], {_pack(bottom).tobytes()}
+    found = [bottom[None], level]
     while len(level):
         blocks = _spans(len(level), words.nbytes)
 
@@ -469,110 +468,110 @@ def make_congruence(alg: SortedAlgebra, classes) -> Congruence:
     return Congruence(tuple(tuple(c) for c in classes))
 
 
+def _transitive(rel: np.ndarray) -> np.ndarray:
+    """Reflexive relations, bool matrices on the last two axes, closed
+    transitively by squaring until they stop changing: k squarings join
+    the chains of up to 2^k steps.  A square is a float32 product, which
+    BLAS computes, and a sum of 0s and 1s is positive exactly when one of
+    its terms is 1."""
+    while True:
+        weights = rel.astype(np.float32)
+        square = weights @ weights > 0
+        if np.array_equal(square, rel):
+            return rel
+        rel = square
+
+
+class _Pairs:
+    """Congruences as bool masks over the pairs a < b of every sort, the
+    elements of all sorts numbered in one range, sort by sort, and the
+    pairs in lexicographic order of their ids, so sort by sort too.  Con's
+    kernel is two array operations on these masks: reach, a pair matrix
+    built once per algebra, and close, the equivalence closure of a batch
+    of masks."""
+
+    def __init__(self, carriers):
+        self.offsets = [0, *itertools.accumulate(carriers)]
+        self.n = self.offsets[-1]
+        self.sort = np.repeat(np.arange(len(carriers)), carriers)
+        self.a, self.b = np.nonzero(np.triu(self.sort[:, None] == self.sort, 1))
+        self.size = len(self.a)
+
+    def reach(self, alg: SortedAlgebra) -> np.ndarray:
+        """The size x size bools: pair q is an image of pair p under some
+        composite of basic translations x -> f(c_1, .., x, .., c_k), p
+        itself included.  Each table is taken along each argument position
+        at both ends of every pair of that sort at once; an image whose two
+        ends coincide is no pair.  The one-step matrix is then closed by
+        _transitive."""
+        index = np.zeros((self.n, self.n), dtype=np.int64)
+        index[self.a, self.b] = index[self.b, self.a] = np.arange(self.size)
+        step = np.eye(self.size, dtype=bool)
+        for tab in alg.tables:
+            outputs = self.offsets[tab.profile.cod] + np.asarray(tab.outputs, dtype=np.int64).reshape(tab.domain_sizes)
+            for pos, s in enumerate(tab.profile.inputs):
+                p = np.flatnonzero(self.sort[self.a] == s)
+                left, right = (np.take(outputs, x[p] - self.offsets[s], axis=pos) for x in (self.a, self.b))
+                moved = left != right
+                step[p[np.nonzero(moved)[pos]], index[left[moved], right[moved]]] = True
+        return _transitive(step)
+
+    def close(self, rows: np.ndarray) -> np.ndarray:
+        """The least equivalence containing each row's pairs, as a mask:
+        the rows' n x n relations, made reflexive and symmetric, closed by
+        _transitive all at once."""
+        rel = np.zeros((len(rows), self.n, self.n), dtype=bool)
+        r, t = np.nonzero(rows)
+        rel[r, self.a[t], self.b[t]] = True
+        rel |= rel.swapaxes(1, 2) | np.eye(self.n, dtype=bool)
+        return _transitive(rel)[:, self.a, self.b]
+
+    def congruences(self, rows: np.ndarray) -> list[Congruence]:
+        """Each equivalence mask as a Congruence: every element keyed by the
+        least element it is related to, relabelled per sort."""
+        least = np.tile(np.arange(self.n), (len(rows), 1))
+        r, t = np.nonzero(rows)
+        np.minimum.at(least, (r, self.b[t]), self.a[t])
+        return [Congruence(tuple(_relabel(row[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:])))
+                for row in least.tolist()]
+
+
 def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
-    """Least congruence relating the given pairs, one pair set per sort."""
+    """Least congruence relating the given pairs, one pair set per sort.
+
+    By Mal'cev's lemma Cg(X) is the equivalence closure of the images of X
+    under the composites of basic translations: the join of the bottom
+    with X in enumerate_congruences' walk, on one row."""
     if len(pairs) != alg.n_sorts:
         raise ProfileError("need %d pair sets, got %d" % (alg.n_sorts, len(pairs)))
     for s, ps in enumerate(pairs):
         for a, b in ps:
             if not (0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]):
                 raise ProfileError("pair (%d, %d) outside carrier %d" % (a, b, s))
-    return _congruence(_merge([list(range(n)) for n in alg.carriers],
-                              [(s, a, b) for s, ps in enumerate(pairs) for a, b in ps], _positions(alg)))
-
-
-def _positions(alg: SortedAlgebra):
-    """Per sort, (cod, outputs shaped like the domain, position) for every
-    operation argument of that sort."""
-    out = [[] for _ in alg.carriers]
-    for tab in alg.tables:
-        outputs = np.asarray(tab.outputs, dtype=np.int64).reshape(tab.domain_sizes)
-        for pos, s in enumerate(tab.profile.inputs):
-            out[s].append((tab.profile.cod, outputs, pos))
-    return out
-
-
-def _forest(cong: Congruence) -> list[list[int]]:
-    """Union-find parents of a partition, one list per sort: each element
-    points to the least element of its block."""
-    parent = []
-    for labels in cong.classes:
-        first = {}
-        parent.append([first.setdefault(label, x) for x, label in enumerate(labels)])
-    return parent
-
-
-def _congruence(roots) -> Congruence:
-    """The partition of each sort into elements of one root."""
-    return Congruence(tuple(_relabel(r) for r in roots))
-
-
-def _merge(parent, pairs, positions) -> list[list[int]]:
-    """Least partition above the forest parent (one union-find parent list
-    per sort, see _forest, grown in place) that relates the (sort, a, b)
-    pairs and is compatible with the operation arguments in positions (see
-    _positions), as each element's root, per sort.
-
-    A worklist started from parent's partition with only the pairs queued:
-    every merge is pushed through each position against all choices of the
-    other arguments, and the merges it causes are queued in turn.  parent's
-    own pairs are never pushed, so its partition must be compatible."""
-
-    def find(s, x):
-        while parent[s][x] != x:
-            parent[s][x] = x = parent[s][parent[s][x]]
-        return x
-
-    def union(s, a, b):
-        ra, rb = sorted((find(s, a), find(s, b)))
-        parent[s][rb] = ra
-        return ra != rb
-
-    queue = deque(p for p in pairs if union(*p))
-    while queue:
-        s, a, b = queue.popleft()
-        for cod, outputs, pos in positions[s]:
-            left = np.take(outputs, a, axis=pos).ravel().tolist()
-            right = np.take(outputs, b, axis=pos).ravel().tolist()
-            for u, v in zip(left, right):
-                if union(cod, u, v):
-                    queue.append((cod, u, v))
-    return [[find(s, x) for x in range(len(p))] for s, p in enumerate(parent)]
+    con = _Pairs(alg.carriers)
+    ends = np.array([(con.offsets[s] + x, con.offsets[s] + y) for s, ps in enumerate(pairs) for x, y in ps],
+                    dtype=np.int64).reshape(-1, 2)
+    extra = np.isin(con.a * con.n + con.b, ends.min(axis=1) * con.n + ends.max(axis=1))[None]
+    return con.congruences(con.close(extra @ con.reach(alg)))[0]
 
 
 def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Congruence]:
     """Every congruence, in lexicographic order of their label tuples.
 
-    The lattice walk of _closed_sets over the (sort, a, b) pairs, a < b: a
-    congruence is the mask of the pairs it relates, so the principals are
-    the congruences Cg(a, b).  A join runs _merge once per row, from the
-    row's partition with the pairs of extra it lacks queued, through the
-    operations only from the bottom: congruences join as partitions."""
-    positions, unpushed = _positions(alg), [()] * alg.n_sorts
-    pairs = [(s, a, b) for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2)]
-    # elements of all sorts numbered in one range, sort by sort
-    offsets = [0, *itertools.accumulate(alg.carriers)]
-    local = np.concatenate([np.arange(n) for n in alg.carriers])
-    sort, a, b = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
-    a_id, b_id = np.asarray(offsets)[sort] + a, np.asarray(offsets)[sort] + b
-
-    def forests(rows):
-        """Each row's partition as in _forest."""
-        least = np.tile(local, (len(rows), 1))
-        r, t = np.nonzero(rows)
-        np.minimum.at(least, (r, b_id[t]), a[t])
-        return [[f[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for f in least.tolist()]
-
-    def join(closed, extra):
-        out = np.empty(closed.shape, dtype=bool)
-        for row, parent, bottom, more in zip(out, forests(closed), ~closed.any(axis=1), extra & ~closed):
-            roots = np.fromiter(itertools.chain.from_iterable(_merge(
-                parent, [pairs[i] for i in np.flatnonzero(more)], positions if bottom else unpushed)), dtype=np.int64)
-            row[:] = roots[a_id] == roots[b_id]
-        return out
-
-    found = _closed_sets(np.zeros(len(pairs), dtype=bool), join, budget)
-    return sorted(_congruence(parent) for parent in forests(found))
+    The lattice walk of _closed_sets over the pairs a < b of every sort
+    (see _Pairs): a congruence is the mask of the pairs it relates, so the
+    principals are the congruences Cg(a, b).  By Mal'cev's lemma (Mal'cev
+    1954; Bergman, Universal Algebra, 2012, ch. 4) Cg(X) is the
+    equivalence closure of the images of X under unary polynomials, the
+    composites of basic translations, which may change sort.  A congruence
+    theta is already closed under them, so Cg(theta | X) is the
+    equivalence closure of theta and the images of X alone: every join is
+    close(closed | extra @ reach), reach built once (cf. Freese, Algebra
+    Universalis 59, 2008)."""
+    con = _Pairs(alg.carriers)
+    reach = con.reach(alg)
+    found = _closed_sets(np.zeros(con.size, dtype=bool), lambda closed, extra: con.close(closed | extra @ reach), budget)
+    return sorted(con.congruences(found))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -585,13 +584,15 @@ def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
 def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
     """Transitive closure of the union, taken per sort.
 
-    The result is again compatible: a chain alternating between the two
-    congruences maps, position by position, to a chain of the same shape.
+    The result is again compatible: it is Cg(c1 | c2), and by Mal'cev's
+    lemma that is the equivalence closure of c1, c2 and their images under
+    translations, which c1 and c2 already hold.
     """
     if [len(c) for c in c1.classes] != [len(c) for c in c2.classes]:
         raise ProfileError("the two partitions cover different carriers")
-    return _congruence(_merge(_forest(c1), [(s, block[0], x) for s in range(len(c2.classes))
-                                            for block in c2.blocks(s) for x in block[1:]], [()] * len(c1.classes)))
+    con = _Pairs([len(c) for c in c1.classes])
+    labels = np.array([list(itertools.chain.from_iterable(c.classes)) for c in (c1, c2)], dtype=np.int64).reshape(2, con.n)
+    return con.congruences(con.close((labels[:, con.a] == labels[:, con.b]).any(axis=0, keepdims=True)))[0]
 
 
 # ------------------------------------------------- quotients and products

@@ -227,7 +227,7 @@ def test_closure_and_compatibility_witnesses():
 
 def test_enumerate_subuniverses_budget():
     with pytest.raises(BudgetError):
-        enumerate_subuniverses(corpus_algebra("a_tiny"), budget=10)
+        enumerate_subuniverses(corpus_algebra("a_tiny"), budget=7)
 
 
 # ------------------------------------------------------------- congruences
@@ -621,12 +621,12 @@ def test_verify_inv_iso_closure_counts(monkeypatch):
     # principals than the collapse power's 6 and 36
     counts = _join_counts(monkeypatch)
     assert verify_inv_iso(corpus_algebra("a_tiny"), 2).ok
-    assert counts == [17, 12, 1644, 442]
+    assert counts == [13, 9, 1619, 433]
 
 
 # Joins of the congruence walk on each corpus algebra, then on its collapse.
-CON_JOINS = {"a_tiny": [11, 22], "a_malcev": [8, 22], "a_semilat": [22, 52],
-             "nonpure": [6, 13], "a_group": [4, 4], "a_lattice": [6, 13]}
+CON_JOINS = {"a_tiny": [8, 19], "a_malcev": [6, 19], "a_semilat": [18, 45],
+             "nonpure": [4, 10], "a_group": [3, 3], "a_lattice": [4, 10]}
 
 
 def test_congruence_walk_join_counts(monkeypatch):
@@ -641,7 +641,7 @@ def test_congruence_walk_join_counts(monkeypatch):
 
 # Closures each walk computes in all, the bottom included: Sub, Con, Inv at
 # mu = 1 and Inv at mu = 2, on a_tiny and on its collapse.
-WALK_TOTALS = {"a_tiny": (13, 12, 18, 1645), "h_a_tiny": (18, 23, 18, 1645)}
+WALK_TOTALS = {"a_tiny": (10, 9, 14, 1620), "h_a_tiny": (14, 20, 14, 1620)}
 
 
 def test_a_walk_raises_exactly_when_its_total_passes_the_budget():
@@ -660,6 +660,18 @@ def test_a_walk_raises_exactly_when_its_total_passes_the_budget():
                     assert walk(a, budget=budget) == full, (name, budget)
 
 
+def test_a_walk_counts_the_bottom_against_the_budget():
+    # a one-element algebra has one closed set and no pairs: Sub computes
+    # the bottom and one principal, Con the bottom alone, and neither fits
+    # a budget below one closure
+    point = build_algebra([("s", 1)], [])
+    for walk in (enumerate_subuniverses, enumerate_congruences):
+        for budget in (0, -1):
+            with pytest.raises(BudgetError, match="^more than %d closures computed$" % budget):
+                walk(point, budget=budget)
+    assert enumerate_congruences(point, budget=1) == [Congruence(((0,),))]
+
+
 def test_the_digit_path_computes_no_closure_past_the_budget(monkeypatch):
     # each level is counted before it is computed, so a walk that would
     # pass the budget stops after the last level within it: the bottom,
@@ -674,7 +686,7 @@ def test_the_digit_path_computes_no_closure_past_the_budget(monkeypatch):
 
     monkeypatch.setattr(lattice._Power, "_close_digits", spy)
     monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
-    for (mu, budget), computed in {(2, 36): 1, (2, 100): 62, (2, 1000): 580, (3, 1000): 386}.items():
+    for (mu, budget), computed in {(2, 36): 1, (2, 100): 37, (2, 1000): 555, (3, 1000): 217}.items():
         closed.clear()
         with pytest.raises(BudgetError, match="^more than %d closures computed$" % budget):
             inv_enumerate(corpus_algebra("a_tiny"), mu, budget=budget)

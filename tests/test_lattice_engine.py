@@ -4,16 +4,18 @@ The oracles in oracle_lattice.py filter every candidate family, test every
 product of set partitions, or join singleton closures pairwise from
 scratch.  Each case below runs one engine entry point and its oracle on the
 same inputs: every corpus algebra and its collapse, and the nullary-symbol
-and empty-carrier algebras of test_tabulate.py.  Inv is compared for mu up
-to 2; the pairs that take seconds are left out (test_verify_inv_iso_a_tiny
-compares the two routes at mu = 2).  The matrix route reads the boxes of
-the closed sets of the many-sorted power A^mu; its oracle closes matrices
-under the assembled fragment of the collapse instead, whose size grows
-with the source's lam-ary terms.  They are compared for mu = 1 on the
-corpus and test_tabulate.py's algebras (mu = 2 on a_group), and on PURE:
-pure algebras with a constant, a binary symbol into a carrier of 3, empty
-carriers and one-element carriers, at the arities their oracle finishes
-within a second.
+and empty-carrier algebras of test_tabulate.py.  congruence_generate and
+congruence_join are compared with the least of the oracle's congruences
+that relates the given pairs, or the pairs of both congruences.  Inv is
+compared for mu up to 2; the pairs that take seconds are left out
+(test_verify_inv_iso_a_tiny compares the two routes at mu = 2).  The
+matrix route reads the boxes of the closed sets of the many-sorted power
+A^mu; its oracle closes matrices under the assembled fragment of the
+collapse instead, whose size grows with the source's lam-ary terms.  They
+are compared for mu = 1 on the corpus and test_tabulate.py's algebras
+(mu = 2 on a_group), and on PURE: pure algebras with a constant, a binary
+symbol into a carrier of 3, empty carriers and one-element carriers, at
+the arities their oracle finishes within a second.
 
 _Power closes a batch of sets by one of two paths, picked by size: the
 bit-packed reach words when the reach tensors fit lattice._REACH_CELLS,
@@ -23,6 +25,8 @@ cannot run unseen.  The corpus powers have at most 64 points, one word per
 mask row; power_close also closes seeds on the cube of a 5-element algebra,
 125 points in two words, which case_inv walks at mu = 3.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -34,6 +38,8 @@ from msalg.corpus import corpus_algebra
 from msalg.homog import homogenize
 from msalg.lattice import (
     _matrix_route,
+    congruence_generate,
+    congruence_join,
     enumerate_congruences,
     enumerate_subuniverses,
     inv_enumerate,
@@ -75,6 +81,36 @@ def case_generate():
 def case_congruences():
     for name, alg in _algebras():
         yield name, enumerate_congruences(alg), oracle.enumerate_congruences(alg)
+
+
+def _least(cons, related):
+    """The least of the oracle's congruences cons that relates every
+    (sort, a, b) in related: the one relating the fewest pairs."""
+    above = [c for c in cons if all(c.related(*p) for p in related)]
+    return min(above, key=lambda c: sum(len(b) ** 2 for s in range(len(c.classes)) for b in c.blocks(s)))
+
+
+def case_congruence_generate():
+    # each pair alone, either way round or reflexive, each two pairs a < b,
+    # and all of them
+    for name, alg in _algebras():
+        cons = oracle.enumerate_congruences(alg)
+        pairs = [(s, a, b) for s, n in enumerate(alg.carriers) for a, b in itertools.combinations(range(n), 2)]
+        inputs = [[p] for p in pairs] + [[(s, b, a)] for s, a, b in pairs]
+        inputs += [[(s, a, a)] for s, n in enumerate(alg.carriers) for a in range(n)]
+        inputs += [list(two) for two in itertools.combinations(pairs, 2)] + [pairs]
+        for related in inputs:
+            by_sort = [[(a, b) for t, a, b in related if t == s] for s in range(alg.n_sorts)]
+            yield "%s %r" % (name, related), congruence_generate(alg, by_sort), _least(cons, related)
+
+
+def case_congruence_join():
+    for name, alg in _algebras():
+        cons = oracle.enumerate_congruences(alg)
+        for c1, c2 in itertools.product(cons, repeat=2):
+            related = [(s, a, b) for c in (c1, c2) for s in range(len(c.classes))
+                       for block in c.blocks(s) for a, b in itertools.combinations(block, 2)]
+            yield "%s %r %r" % (name, c1.classes, c2.classes), congruence_join(c1, c2), _least(cons, related)
 
 
 def case_inv():
@@ -160,7 +196,11 @@ def test_engine_matches_oracle(case, monkeypatch):
     _compare(case)
 
 
-@pytest.mark.parametrize("case", sorted(set(CASES) - {"congruences"}))
+# The cases that close no power.
+CON_CASES = {"congruences", "congruence_generate", "congruence_join"}
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - CON_CASES))
 def test_digit_path_matches_oracle(case, monkeypatch):
     monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
     monkeypatch.setattr(lattice._Power, "_close_words", _unused)
