@@ -15,10 +15,10 @@ batches of rows, no temporary much over _BATCH_BYTES.  Sub and Inv are
 closed subsets of a power of an algebra, operations acting coordinatewise,
 closed by one kernel (_Power: bit-packed reach tensors, or past
 _REACH_CELLS a semi-naive digit gather).  Con's closed sets are masks over
-the pairs a < b of each sort (_Pairs), joined by Mal'cev's lemma: a join
-is the equivalence closure of the congruence and the images of the added
-pairs under composites of basic translations, read off one pair reach
-matrix per algebra, each row of a batch closed by squaring its relation.
+the pairs a < b of each sort, joined by Mal'cev's lemma (_Con.join): a
+batch of congruences, as least-member labels, takes the added pairs and
+then, round by round, the images of its new merges under the basic
+translations, merged by one union-find over all rows at once.
 Invariant relations take two independent routes: inv_enumerate closes the
 mu-th power of the homogenized algebra under its basic operations, and
 verify_inv_iso's matrix route takes the boxes of the closed sets of the
@@ -66,7 +66,8 @@ from .homog import HomogenizedAlgebra, homogenize, morphism_lift
 
 # Bytes one temporary of the walk or of a closure round aims to hold: the
 # below-test of a block of closed sets against every principal, a batch of
-# pair rows handed to join, the reach words gathered for a batch of masks.
+# pair rows handed to join, the reach words gathered for a batch of masks,
+# the labels of a span of Con joins, the images of a span of their pushes.
 # A larger step is split along its rows, which keeps peak memory flat.
 _BATCH_BYTES = 1 << 18
 
@@ -468,110 +469,127 @@ def make_congruence(alg: SortedAlgebra, classes) -> Congruence:
     return Congruence(tuple(tuple(c) for c in classes))
 
 
-def _transitive(rel: np.ndarray) -> np.ndarray:
-    """Reflexive relations, bool matrices on the last two axes, closed
-    transitively by squaring until they stop changing: k squarings join
-    the chains of up to 2^k steps.  A square is a float32 product, which
-    BLAS computes, and a sum of 0s and 1s is positive exactly when one of
-    its terms is 1."""
-    while True:
-        weights = rel.astype(np.float32)
-        square = weights @ weights > 0
-        if np.array_equal(square, rel):
-            return rel
-        rel = square
+def _union(labels: np.ndarray, r, u, v) -> np.ndarray:
+    """Partitions of the element ids, one per row of labels, each id
+    labelled by the least id of its block, with the blocks of u[i] and v[i]
+    merged in row r[i] (r may be one row for all): a union-find over all
+    rows at once.  A round hooks the larger root of every pair still apart
+    below the smaller one, then compresses paths by pointer jumping, so
+    every label stays the least member of its block."""
+    base = labels.shape[1] * np.arange(len(labels))
+    root, x, y = (labels + base[:, None]).ravel(), base[r] + u, base[r] + v
+    while (apart := root[x] != root[y]).any():
+        x, y = x[apart], y[apart]
+        np.minimum.at(root, np.maximum(root[x], root[y]), np.minimum(root[x], root[y]))
+        while (root[root] != root).any():
+            root = root[root]
+    return root.reshape(labels.shape) - base[:, None]
 
 
-class _Pairs:
-    """Congruences as bool masks over the pairs a < b of every sort, the
-    elements of all sorts numbered in one range, sort by sort, and the
-    pairs in lexicographic order of their ids, so sort by sort too.  Con's
-    kernel is two array operations on these masks: reach, a pair matrix
-    built once per algebra, and close, the equivalence closure of a batch
-    of masks."""
+class _Con:
+    """Congruences of one algebra as labels, each element labelled by the
+    least member of its block, the elements of all sorts numbered in one
+    range, sort by sort.  steps lists the basic translations x -> f(c_1,
+    .., x, .., c_k), one (sort of x, outputs as ids with x's axis first,
+    product of the other domain sizes) per argument of each table."""
 
-    def __init__(self, carriers):
+    def __init__(self, carriers, tables=()):
         self.offsets = [0, *itertools.accumulate(carriers)]
         self.n = self.offsets[-1]
         self.sort = np.repeat(np.arange(len(carriers)), carriers)
-        self.a, self.b = np.nonzero(np.triu(self.sort[:, None] == self.sort, 1))
-        self.size = len(self.a)
-
-    def reach(self, alg: SortedAlgebra) -> np.ndarray:
-        """The size x size bools: pair q is an image of pair p under some
-        composite of basic translations x -> f(c_1, .., x, .., c_k), p
-        itself included.  Each table is taken along each argument position
-        at both ends of every pair of that sort at once; an image whose two
-        ends coincide is no pair.  The one-step matrix is then closed by
-        _transitive."""
-        index = np.zeros((self.n, self.n), dtype=np.int64)
-        index[self.a, self.b] = index[self.b, self.a] = np.arange(self.size)
-        step = np.eye(self.size, dtype=bool)
-        for tab in alg.tables:
-            outputs = self.offsets[tab.profile.cod] + np.asarray(tab.outputs, dtype=np.int64).reshape(tab.domain_sizes)
+        self.steps = []
+        for tab in tables:
+            outputs = self.offsets[tab.profile.cod] + np.array(tab.outputs, dtype=np.int64).reshape(tab.domain_sizes)
             for pos, s in enumerate(tab.profile.inputs):
-                p = np.flatnonzero(self.sort[self.a] == s)
-                left, right = (np.take(outputs, x[p] - self.offsets[s], axis=pos) for x in (self.a, self.b))
-                moved = left != right
-                step[p[np.nonzero(moved)[pos]], index[left[moved], right[moved]]] = True
-        return _transitive(step)
+                others = math.prod(tab.domain_sizes[:pos] + tab.domain_sizes[pos + 1:])
+                self.steps.append((s, np.moveaxis(outputs, pos, 0), others))
 
-    def close(self, rows: np.ndarray) -> np.ndarray:
-        """The least equivalence containing each row's pairs, as a mask:
-        the rows' n x n relations, made reflexive and symmetric, closed by
-        _transitive all at once."""
-        rel = np.zeros((len(rows), self.n, self.n), dtype=bool)
-        r, t = np.nonzero(rows)
-        rel[r, self.a[t], self.b[t]] = True
-        rel |= rel.swapaxes(1, 2) | np.eye(self.n, dtype=bool)
-        return _transitive(rel)[:, self.a, self.b]
+    def join(self, labels: np.ndarray, r, u, v) -> np.ndarray:
+        """Cg(theta | X) for each row's congruence theta, given as labels,
+        and the pairs X of (u, v) in row r, as labels.
 
-    def congruences(self, rows: np.ndarray) -> list[Congruence]:
-        """Each equivalence mask as a Congruence: every element keyed by the
-        least element it is related to, relabelled per sort."""
-        least = np.tile(np.arange(self.n), (len(rows), 1))
-        r, t = np.nonzero(rows)
-        np.minimum.at(least, (r, self.b[t]), self.a[t])
+        The pairs are merged, then in rounds every block root the last
+        round hooked is pushed, paired with its new root, through every
+        basic translation, and the images merged, until a round hooks
+        nothing.  theta and the pushed pairs generate each round's
+        partition, so by Mal'cev's lemma the last partition, holding the
+        images of its generators, is Cg(theta | X); theta's own pairs are
+        never pushed, theta being a congruence.  A push gathers about
+        _BATCH_BYTES of images at a time."""
+        ids = np.arange(self.n)
+        old, labels = labels, _union(labels, r, u, v)
+        while (hooked := (old == ids) & (labels != ids)).any():
+            (r, x), old = np.nonzero(hooked), labels
+            for s, outputs, others in self.steps:
+                mine = np.flatnonzero(self.sort[x] == s)
+                for i in (mine[part] for part in _spans(len(mine), 16 * others)):
+                    ends = [outputs[e - self.offsets[s]].ravel() for e in (old[r[i], x[i]], x[i])]
+                    labels = _union(labels, np.repeat(r[i], others), *ends)
+        return labels
+
+    def least(self, cong: Congruence) -> np.ndarray:
+        """A congruence as labels: each element keyed by its sort and its
+        block label, and labelled by the least id with its key."""
+        labels = np.fromiter(itertools.chain.from_iterable(cong.classes), dtype=np.int64, count=self.n)
+        key = self.n * self.sort + labels
+        least = np.full(self.n * len(self.offsets), self.n)
+        np.minimum.at(least, key, np.arange(self.n))
+        return least[key]
+
+    def congruences(self, labels: np.ndarray) -> list[Congruence]:
+        """Each row of labels as a Congruence."""
         return [Congruence(tuple(_relabel(row[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:])))
-                for row in least.tolist()]
+                for row in labels.tolist()]
 
 
 def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
     """Least congruence relating the given pairs, one pair set per sort.
 
     By Mal'cev's lemma Cg(X) is the equivalence closure of the images of X
-    under the composites of basic translations: the join of the bottom
-    with X in enumerate_congruences' walk, on one row."""
+    under unary polynomials, the composites of basic translations: the
+    join of the bottom with X (see _Con.join), on one row."""
     if len(pairs) != alg.n_sorts:
         raise ProfileError("need %d pair sets, got %d" % (alg.n_sorts, len(pairs)))
     for s, ps in enumerate(pairs):
         for a, b in ps:
             if not (0 <= a < alg.carriers[s] and 0 <= b < alg.carriers[s]):
                 raise ProfileError("pair (%d, %d) outside carrier %d" % (a, b, s))
-    con = _Pairs(alg.carriers)
+    con = _Con(alg.carriers, alg.tables)
     ends = np.array([(con.offsets[s] + x, con.offsets[s] + y) for s, ps in enumerate(pairs) for x, y in ps],
                     dtype=np.int64).reshape(-1, 2)
-    extra = np.isin(con.a * con.n + con.b, ends.min(axis=1) * con.n + ends.max(axis=1))[None]
-    return con.congruences(con.close(extra @ con.reach(alg)))[0]
+    return con.congruences(con.join(np.arange(con.n)[None], 0, *ends.T))[0]
 
 
 def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Congruence]:
     """Every congruence, in lexicographic order of their label tuples.
 
-    The lattice walk of _closed_sets over the pairs a < b of every sort
-    (see _Pairs): a congruence is the mask of the pairs it relates, so the
-    principals are the congruences Cg(a, b).  By Mal'cev's lemma (Mal'cev
-    1954; Bergman, Universal Algebra, 2012, ch. 4) Cg(X) is the
-    equivalence closure of the images of X under unary polynomials, the
-    composites of basic translations, which may change sort.  A congruence
-    theta is already closed under them, so Cg(theta | X) is the
-    equivalence closure of theta and the images of X alone: every join is
-    close(closed | extra @ reach), reach built once (cf. Freese, Algebra
-    Universalis 59, 2008)."""
-    con = _Pairs(alg.carriers)
-    reach = con.reach(alg)
-    found = _closed_sets(np.zeros(con.size, dtype=bool), lambda closed, extra: con.close(closed | extra @ reach), budget)
-    return sorted(con.congruences(found))
+    The lattice walk of _closed_sets over the pairs a < b of every sort,
+    in lexicographic order of their ids (see _Con): a congruence is the
+    mask of the pairs it relates, so the principals are the congruences
+    Cg(a, b).  By Mal'cev's lemma (Mal'cev 1954; Bergman, Universal
+    Algebra, 2012, ch. 4) Cg(X) is the equivalence closure of the images
+    of X under unary polynomials, the composites of basic translations,
+    which may change sort.  A congruence theta already holds the images of
+    its own pairs, so Cg(theta | X) only pushes X and the merges it causes
+    through the translations: each batch of joins is one _Con.join from
+    the rows' congruences, in spans of about _BATCH_BYTES of labels and
+    pair gathers (cf. Freese, Algebra Universalis 59, 2008)."""
+    con = _Con(alg.carriers, alg.tables)
+    a, b = np.nonzero(np.triu(con.sort[:, None] == con.sort, 1))
+
+    def labels(rows):
+        r, t = np.nonzero(rows)
+        return _union(np.tile(np.arange(con.n), (len(rows), 1)), r, a[t], b[t])
+
+    def join(closed, extra):
+        out = []
+        for part in _spans(len(closed), 16 * (len(a) + con.n)):
+            r, t = np.nonzero(extra[part] & ~closed[part])
+            joined = con.join(labels(closed[part]), r, a[t], b[t])
+            out.append(joined[:, a] == joined[:, b])
+        return np.concatenate(out)
+
+    return sorted(con.congruences(labels(_closed_sets(np.zeros(len(a), dtype=bool), join, budget))))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -590,9 +608,8 @@ def congruence_join(c1: Congruence, c2: Congruence) -> Congruence:
     """
     if [len(c) for c in c1.classes] != [len(c) for c in c2.classes]:
         raise ProfileError("the two partitions cover different carriers")
-    con = _Pairs([len(c) for c in c1.classes])
-    labels = np.array([list(itertools.chain.from_iterable(c.classes)) for c in (c1, c2)], dtype=np.int64).reshape(2, con.n)
-    return con.congruences(con.close((labels[:, con.a] == labels[:, con.b]).any(axis=0, keepdims=True)))[0]
+    con = _Con([len(c) for c in c1.classes])
+    return con.congruences(_union(con.least(c1)[None], 0, np.arange(con.n), con.least(c2)))[0]
 
 
 # ------------------------------------------------- quotients and products

@@ -226,8 +226,9 @@ def test_closure_and_compatibility_witnesses():
 
 
 def test_enumerate_subuniverses_budget():
+    # three closures short of the walk's pinned total (WALK_TOTALS below)
     with pytest.raises(BudgetError):
-        enumerate_subuniverses(corpus_algebra("a_tiny"), budget=7)
+        enumerate_subuniverses(corpus_algebra("a_tiny"), budget=WALK_TOTALS["a_tiny"][0] - 3)
 
 
 # ------------------------------------------------------------- congruences
@@ -250,6 +251,16 @@ def test_congruence_generate_principal_matches_oracle():
     got = congruence_generate(tiny, [set(), {(0, 1)}])
     assert got.classes == oracle_principal_congruence(tiny, 1, 0, 1)
     assert got.classes == ((0, 0), (0, 0, 1))
+
+
+def test_congruence_generate_along_a_long_chain():
+    # x -> min(x + 2, n - 1) sends (0, 1) to (2, 3), to (4, 5), and so on,
+    # and max keeps those pairs, so Cg(0, 1) pairs 2k with 2k + 1 after
+    # n / 2 rounds of translations
+    n = 100
+    alg = build_algebra([("s", n)], [("f", ("s",), "s", [min(x + 2, n - 1) for x in range(n)]),
+                                     ("g", ("s", "s"), "s", [max(x, y) for x in range(n) for y in range(n)])])
+    assert congruence_generate(alg, [{(0, 1)}]).classes == (tuple(x // 2 for x in range(n)),)
 
 
 def test_enumerate_congruences_frozen():
