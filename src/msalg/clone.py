@@ -12,13 +12,12 @@ The inner loop runs on numpy: a table is a vector over the domain points.  A
 round takes each symbol's lead-argument tuples in blocks of _CHUNK gathered
 values, in itertools.product order; one gather per block reads each tuple's
 slice of the table and one take reads every candidate row.  Rows are told
-apart by exact keys, each row's bytes as one np.void value: a binary search
-in the store's sorted keys finds each candidate's one possible stored
-equal, an exact row comparison drops the rows already stored, and np.unique
-with its first indexes sorted keeps the first occurrence of each remaining
-row.  Only new rows reach Python, which builds their witness terms.
+apart by their bytes: each store keeps a set of its rows' bytes, and a
+block's candidate rows, turned into bytes in one call, probe it once each
+in batch order, so a row is stored at its first occurrence and never
+again.  Only new rows build witness terms.
 
-Two facts read off each table before the rounds cut idle work.  A symbol
+Two facts read off each table, once per algebra, cut idle work.  A symbol
 whose profile and table repeat an earlier symbol's is skipped: it reads the
 same snapshot of the stores, so its rows are all stored by the time it
 runs.  And each argument position has classes: class(a) is the least
@@ -27,7 +26,9 @@ tables with the same pointwise class image give the same candidate rows
 there.  A round reads, at each position, only the first stored table of
 each class image (an ignored argument has one class, so it reads stored
 index 0 only; a unary symbol that is not constant reads every table, since
-its classes tell its rows apart no sooner than admission does).  A skipped
+its classes tell its rows apart no sooner than admission does); each
+round extends those first tables from the tables stored since the
+previous round, by the same set probe on their class images.  A skipped
 tuple's row is that of the tuple with each argument replaced by its
 class's first table.  Being first depends only on the tables stored
 before, so that tuple comes earlier in itertools.product order in the same
@@ -39,9 +40,8 @@ A fragment stays in the kernel's format: per profile one read-only matrix
 of the narrowest unsigned dtype, a row per table in insertion order, with
 the witness terms aligned.  Its consumers compare, gather and encode whole
 matrices, and fragment_contains compares rows.  OpTables are built from
-rows only at the API edges: CloneFragment.tables, which clone --tables and
-the Mal'cev and Jonsson searches read, the pairs find_diagonal_pairs
-returns and the maps cross_family_from_purity picks.
+rows only at the API edges: the Mal'cev and Jonsson witnesses, the pairs
+find_diagonal_pairs returns and the maps cross_family_from_purity picks.
 
 The same engine closes generator vectors over an arbitrary point set (a
 subalgebra of a direct power), which other modules use to compute
@@ -50,6 +50,7 @@ restrictions of high-arity fragments without materializing them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -97,58 +98,92 @@ def _classes(table: np.ndarray, axis: int) -> np.ndarray | None:
     return None if len(first) == n else first[inverse].astype(table.dtype)
 
 
-def _firsts(keys: np.ndarray) -> np.ndarray:
-    """Indexes of the keys that differ from every earlier key, ascending."""
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first)
+def _novel(rows: np.ndarray, seen: set) -> list[int]:
+    """Indexes of the rows whose bytes are not in seen, each at its first
+    occurrence in order; their bytes join seen."""
+    width = rows.shape[1] * rows.itemsize
+    data = np.ascontiguousarray(rows).tobytes()
+    keys = [data[at:at + width] for at in range(0, len(data), width)] if width else [b""] * len(rows)
+    # set.add returns None, so a key passes the filter once, when first met.
+    return [i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]
+
+
+@lru_cache(maxsize=256)
+def _symbols(alg: SortedAlgebra) -> tuple:
+    """(symbol, flat table, classes per argument position) for each symbol
+    whose profile and table do not repeat an earlier symbol's; tables hold
+    the stores' dtype.  Cached by value, like _closure_full."""
+    dtype = np.min_scalar_type(max(alg.carriers, default=0))
+    seen, symbols = set(), []
+    for sym, t in zip(alg.signature.symbols, alg.tables):
+        flat = np.asarray(t.outputs, dtype=dtype)
+        key = (sym.profile, flat.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        table = flat.reshape([alg.carriers[s] for s in sym.profile.inputs])
+        classes = [_classes(table, i) for i in range(table.ndim)]
+        if table.ndim == 1 and (flat != flat[:1]).any():
+            # A unary symbol's classes would cost what admitting its rows
+            # does, so only a constant one is pruned.
+            classes = [None]
+        for a in (flat, *classes):
+            if a is not None:
+                a.flags.writeable = False
+        symbols.append((sym, flat, tuple(classes)))
+    return tuple(symbols)
+
+
+class _Firsts:
+    """The stored tables of one sort that one argument position reads: the
+    first of each pointwise class image, extended as the store grows."""
+
+    def __init__(self, classes: np.ndarray):
+        self.classes = classes
+        self.seen: set = set()
+        self.reps = np.zeros(0, dtype=np.intp)
+        self.upto = 0
+
+    def extend(self, store: _Store, upto: int) -> np.ndarray:
+        """The reps among the first upto stored tables."""
+        if upto > self.upto:
+            new = _novel(self.classes.take(store.matrix[self.upto:upto]), self.seen)
+            if new:
+                self.reps = np.concatenate([self.reps, np.add(new, self.upto, dtype=np.intp)])
+            self.upto = upto
+        return self.reps
 
 
 class _Store:
     """Growable matrix of table vectors for one cod sort, with the terms and
-    the rows' keys sorted for batch lookups."""
+    the set of the stored rows' bytes."""
 
     def __init__(self, n_points: int, dtype):
         self.matrix = np.zeros((16, n_points), dtype=dtype)
         self.count = 0
         self.terms: list[Term] = []
-        self._sorted = None
+        self.seen: set[bytes] = set()
 
     def rows(self, upto: int | None = None) -> np.ndarray:
         return self.matrix[: self.count if upto is None else upto]
 
-    def _append(self, rows: np.ndarray, terms: list) -> None:
-        end = self.count + len(rows)
-        if end > len(self.matrix):
-            pad = max(len(self.matrix), end - self.count)
-            self.matrix = np.concatenate([self.rows(), np.zeros((pad, self.matrix.shape[1]), self.matrix.dtype)])
-        self.matrix[self.count:end] = rows
-        self.terms.extend(terms)
-        self.count = end
-        self._sorted = None
-
     def admit(self, rows: np.ndarray, term_of) -> int:
         """Append the rows of a candidate batch that are not stored yet, each
         at its first occurrence in batch order with the term term_of(r) of
-        batch row r; return how many were appended.
-
-        Each batch row is compared exactly with the stored row its key sorts
-        next to, and np.unique over the keys of the rest keeps first
-        occurrences.
-        """
-        keys = _keys(rows)
-        rest = np.arange(len(rows))
-        if self.count:
-            if self._sorted is None:
-                stored = _keys(self.rows())
-                order = np.argsort(stored, kind="stable")
-                self._sorted = (stored[order], order)
-            known, order = self._sorted
-            at = order[np.minimum(np.searchsorted(known, keys), self.count - 1)]
-            rest = np.flatnonzero((rows != self.matrix.take(at, axis=0)).any(axis=1))
-        if not len(rest):
+        batch row r; return how many were appended.  Each batch row's bytes
+        are probed once in the set of stored rows' bytes."""
+        rows = np.asarray(rows, dtype=self.matrix.dtype)
+        added = _novel(rows, self.seen)
+        if not added:
             return 0
-        added = rest[_firsts(keys[rest])]
-        self._append(rows[added], [term_of(int(r)) for r in added])
+        terms = [term_of(r) for r in added]
+        end = self.count + len(added)
+        if end > len(self.matrix):
+            pad = max(len(self.matrix), len(added))
+            self.matrix = np.concatenate([self.rows(), np.zeros((pad, self.matrix.shape[1]), self.matrix.dtype)])
+        self.matrix[self.count:end] = rows[added]
+        self.terms.extend(terms)
+        self.count = end
         return len(added)
 
 
@@ -164,15 +199,17 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
     is the input profile every witness term is built over; seed terms must
     already carry it.
 
-    Symbols that repeat an earlier symbol's profile and table are skipped,
-    and at each argument position only the stored tables whose pointwise
-    class image (see _classes) is new are enumerated: a pruned table gives
-    the rows of its class's first table, which an earlier tuple in
-    itertools.product order, in this round or an earlier one, has already
-    read.  The all-old test reads the real store index, so an argument sort
-    that was empty in the previous round counts as new; the first
-    occurrence of every row, and so every witness, stays where the full
-    enumeration puts it.
+    Symbols that repeat an earlier symbol's profile and table are skipped
+    (see _symbols), and at each argument position only the stored tables
+    whose pointwise class image (see _classes) is new are enumerated: a
+    pruned table gives the rows of its class's first table, which an
+    earlier tuple in itertools.product order, in this round or an earlier
+    one, has already read.  Each round extends a position's first tables
+    from the tables stored since the previous round (see _Firsts).  The
+    all-old test reads the real store index, so an argument sort that was
+    empty in the previous round counts as new; the first occurrence of
+    every row, and so every witness, stays where the full enumeration puts
+    it.
     """
     dtype = np.min_scalar_type(max(alg.carriers, default=0))
     stores = {s: _Store(n_points, dtype) for s in range(alg.n_sorts)}
@@ -181,30 +218,19 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
             vecs, terms = zip(*pairs)
             stores[s].admit(np.asarray(vecs, dtype=dtype).reshape(len(vecs), n_points),
                             terms.__getitem__)
-    flats = [np.asarray(t.outputs, dtype=dtype) for t in alg.tables]
-    seen, symbols = set(), []
-    for sym, flat in zip(alg.signature.symbols, flats):
-        key = (sym.profile, flat.tobytes())
-        if key in seen:
-            continue
-        seen.add(key)
-        table = flat.reshape([alg.carriers[s] for s in sym.profile.inputs])
-        classes = [_classes(table, i) for i in range(table.ndim)]
-        if table.ndim == 1 and (flat != flat[:1]).any():
-            # A unary symbol's classes would cost what admitting its rows
-            # does, so only a constant one is pruned.
-            classes = [None]
-        symbols.append((sym, flat, classes))
+    symbols = [(sym, flat, [None if c is None else _Firsts(c) for c in classes])
+               for sym, flat, classes in _symbols(alg)]
+    profiles = [Profile(ambient_inputs, s) for s in range(alg.n_sorts)]
 
     before_prev = {s: 0 for s in stores}
     prev = {s: stores[s].count for s in stores}
     round_no = 1
     while True:
         added = False
-        for sym, flat, classes in symbols:
+        for sym, flat, firsts in symbols:
             in_sorts, cod = sym.profile.inputs, sym.profile.cod
             target = stores[cod]
-            prof = Profile(ambient_inputs, cod)
+            prof = profiles[cod]
             if not in_sorts:
                 if round_no == 1:
                     vec = np.full((1, n_points), flat[0], dtype=dtype)
@@ -213,9 +239,8 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
                 continue
             # The stored tables each position reads: the first of each class
             # image, or all of them where the classes are the identity.
-            reps = [np.arange(prev[s]) if c is None
-                    else _firsts(_keys(c.take(stores[s].rows(prev[s]))))
-                    for s, c in zip(in_sorts, classes)]
+            reps = [np.arange(prev[s]) if f is None else f.extend(stores[s], prev[s])
+                    for s, f in zip(in_sorts, firsts)]
             lead_sorts, last_sort = in_sorts[:-1], in_sorts[-1]
             lead_reps, last_reps = reps[:-1], reps[-1]
             sizes = [alg.carriers[s] for s in in_sorts]
@@ -256,11 +281,14 @@ def saturate(alg: SortedAlgebra, n_points: int, seeds, budget: int = TABLE_BUDGE
                                        .reshape((b - a) * (hi - lo[a]), n_points)
                                        for a, b in zip(cuts, cuts[1:])])
                 ends = np.cumsum(counts)
+                # Batch row r of lead tuple t reads last_reps[shift[t] + r].
+                shift = (lo + counts - ends).tolist()
+                ends = ends.tolist()
 
                 def term_of(r):
-                    t = int(np.searchsorted(ends, r, side="right"))
+                    t = bisect_right(ends, r)
                     args = [stores[s].terms[p[t]] for p, s in zip(picks, lead_sorts)]
-                    last = last_reps[lo[t] + r - (ends[t] - counts[t])]
+                    last = last_reps[shift[t] + r]
                     return App(prof, sym.name, tuple(args) + (stores[last_sort].terms[last],))
 
                 if target.admit(rows, term_of):

@@ -2,10 +2,12 @@
 
 oracle_clone.saturate evaluates one numpy gather per tuple of lead
 arguments and probes a bytes-key dict once per candidate row.  The kernel
-in msalg.clone gathers whole blocks of lead tuples at once, tells rows
-apart by exact keys, a batch at a time, skips symbols that repeat an
-earlier one and, at each argument position, reads only the first stored
-table of each pointwise class image (an ignored argument has one class).
+in msalg.clone gathers whole blocks of lead tuples at once, probes a set
+of the stored rows' bytes once per candidate row of a block, skips symbols
+that repeat an earlier one and, at each argument position, reads only the
+first stored table of each pointwise class image (an ignored argument has
+one class), extending those first tables each round from the tables
+stored since the previous one.
 Each case below closes the same seeds with both and requires the same
 tables in the same insertion order, the same witness terms, and the same
 BudgetError at the same budgets: every corpus algebra, its collapse and
@@ -22,6 +24,7 @@ its fixpoint fails the comparison instead of hanging the set-up.
 """
 
 import contextlib
+import hashlib
 import itertools
 from functools import lru_cache
 from math import prod
@@ -37,14 +40,16 @@ from msalg.corpus import corpus_algebra
 from msalg.diagonal import _class_assembled_fragment, find_diagonal_pairs, matrix_product
 from msalg.hetero import heterogenize
 from msalg.homog import homogenize
+from test_cli import SCALE
 
 
 @contextlib.contextmanager
 def _on_the_oracle():
     """Fragments generated inside come from oracle.saturate; the closure
-    cache and test_tabulate's cached inputs are cleared on entry and exit,
-    so nothing built by either kernel leaks into the other's runs."""
-    caches = (clone._closure_full, test_tabulate.collapses, test_tabulate.pairs)
+    and symbol caches and test_tabulate's cached inputs are cleared on
+    entry and exit, so nothing built by either kernel leaks into the
+    other's runs."""
+    caches = (clone._closure_full, clone._symbols, test_tabulate.collapses, test_tabulate.pairs)
     for cache in caches:
         cache.cache_clear()
     saved, clone.saturate = clone.saturate, oracle.saturate
@@ -262,3 +267,75 @@ def test_store_admits_each_row_once_at_its_first_occurrence():
     assert wide.admit(high, lambda r: "t%d" % r) == 3
     assert wide.rows().tolist() == [[1, 2], [0x101, 2], [1, 0x202]]
     assert wide.admit(high[1:], lambda r: "u%d" % r) == 0
+
+
+def _unique_firsts(classes, rows):
+    """np.unique's first occurrences of the rows' class images, ascending."""
+    _, first = np.unique(classes.take(rows), axis=0, return_index=True)
+    return sorted(first.tolist())
+
+
+def test_first_tables_grow_as_the_unique_first_occurrences():
+    """_Firsts, extended round by round, reads the same stored tables as
+    np.unique's first occurrences over the whole stored prefix: an image
+    repeated in a later round adds nothing, one first seen in round 3 is
+    added then, a zero-width store has one first table, and uint16 images
+    that differ only in the high byte stay apart."""
+    classes = np.array([0, 0, 2], dtype=np.uint8)
+    rounds = [[[0, 1], [1, 0], [2, 2]],  # images (0, 0) (0, 0) (2, 2)
+              [[1, 1], [0, 2]],          # (0, 0) again, (0, 2) new
+              [[2, 0], [1, 2], [2, 1]]]  # (2, 0) new in round 3, then repeats
+    wide = np.arange(300, dtype=np.uint16)
+    wide[2] = 0
+    cases = [(classes, 2, [np.array(r, dtype=np.uint8) for r in rounds], [0, 2, 4, 5]),
+             (classes, 0, [np.zeros((3, 0), dtype=np.uint8)] * 3, [0]),
+             (wide, 1, [np.array([[1], [2]], dtype=np.uint16),
+                        np.array([[0x101], [0]], dtype=np.uint16),
+                        np.array([[0x100], [0x102]], dtype=np.uint16)], [0, 1, 2, 4, 5])]
+    for classes, n_points, batches, reps in cases:
+        store, firsts = clone._Store(n_points, classes.dtype), clone._Firsts(classes)
+        for batch in batches:
+            before = store.count
+            store.admit(batch, lambda r: r)
+            # saturate extends to the previous round's count, then to this one's.
+            for upto in (before, store.count):
+                got = firsts.extend(store, upto).tolist()
+                assert got == _unique_firsts(classes, store.rows(upto)), (classes, upto)
+        assert got == reps
+
+
+def test_symbol_prep_is_cached_by_value():
+    """Two equal algebras built apart share one _symbols entry; changing
+    one table entry makes a new one."""
+    def build(outputs):
+        return build_algebra([("u", 2), ("w", 3)], [
+            ("f", ("u", "w"), "u", outputs), ("g", ("w",), "u", (0, 1, 1)), ("h", ("w",), "u", (0, 1, 1))])
+
+    clone._symbols.cache_clear()
+    try:
+        first, second = build((0, 1, 0, 1, 1, 0)), build((0, 1, 0, 1, 1, 0))
+        assert first is not second
+        prep = clone._symbols(first)
+        assert [sym.name for sym, _flat, _classes in prep] == ["f", "g"]
+        assert clone._symbols(second) is prep
+        assert clone._symbols.cache_info().currsize == 1
+        assert clone._symbols(build((0, 1, 0, 1, 1, 1))) is not prep
+        assert clone._symbols.cache_info().currsize == 2
+    finally:
+        clone._symbols.cache_clear()
+
+
+def test_the_scale_fragment_keeps_its_tables_and_witnesses():
+    """The (0, 0) fragment of the SCALE collapse in test_cli.py: 86048
+    tables over 36 points, too many for the oracle.  Its matrix bytes and
+    its witness terms' reprs, one per line, hash to the digests the
+    sorted-key kernel gave before set-keyed admission."""
+    h = homogenize(SCALE).algebra
+    matrix, terms = clone._closure_full.__wrapped__(h, (0, 0), TABLE_BUDGET)[0]
+    assert matrix.shape == (86048, 36) and matrix.dtype == np.uint8
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == \
+        "ed60755fcac03b37f7abd250b0e5c7f689788f0b0c7ba18b38c2b0ca8c8fb1bd"
+    digest = hashlib.sha256()
+    for term in terms:
+        digest.update(repr(term).encode() + b"\n")
+    assert digest.hexdigest() == "57b51a3090165345d1f3eb2d6d106964bbb26ed9b04e18500c8e24c196180ca5"
