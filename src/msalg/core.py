@@ -406,6 +406,13 @@ def first_failure(mask):
     return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape)) if mask.any() else None
 
 
+def distinct_rows(m: np.ndarray) -> np.ndarray:
+    """np.unique(m, axis=0): the sorted distinct rows, same dtype.  Asking
+    for the first indexes too keeps numpy 2.4 from calling np.ma.is_masked
+    on the result, which imports numpy.ma (10-18 ms) on first use."""
+    return np.unique(m, axis=0, return_index=True)[0]
+
+
 def tabulate(profile: Profile, carriers: tuple[int, ...], fn) -> OpTable:
     """The table of fn(*open_grid(domain)), broadcast to the domain and
     raveled row-major into Python ints, as table_search_key expects."""

@@ -57,6 +57,7 @@ from .core import (
     check_nonnegative,
     decode_digits,
     decode_mixed,
+    distinct_rows,
     encode_choices,
     encode_digits,
     encode_mixed,
@@ -270,9 +271,11 @@ def decompose_table(source: SortedAlgebra, pair: DiagonalPair, f: OpTable,
                     lambda *cols: split[gather(f, [recombine[c] for c in cols])])
 
 
+@lru_cache(maxsize=256)
 def matrix_product(source: SortedAlgebra, pair: DiagonalPair) -> MatrixProduct:
     """Build the product algebra: one transported symbol per source symbol,
-    plus the transported pair itself as mp_d and mp_e<s>."""
+    plus the transported pair itself as mp_d and mp_e<s>.  Cached by value,
+    like clone._closure_full."""
     ver = verify_diagonal_pair(source, pair)
     if not ver.ok:
         raise ProfileError("not a diagonal pair: %s" % (ver.failures()[0].name))
@@ -316,11 +319,11 @@ def _class_assembled_fragment(mp: MatrixProduct, lam: int, *,
     matrix, _terms = closed[0]
     # The e_s-image classes as slot-index rows; closure point j is domain
     # point j of a lam-ary product table, so one class per slot is a table.
-    classes = [np.searchsorted(r, np.unique(gather(e, [matrix]), axis=0))
+    classes = [np.searchsorted(r, distinct_rows(gather(e, [matrix])))
                for r, e in zip(retracts, mp.pair.es)]
     if prod(len(c) for c in classes) > budget:
         raise BudgetError("class assembly would exceed the table budget")
-    return np.unique(encode_choices(classes, mp.sizes), axis=0)
+    return distinct_rows(encode_choices(classes, mp.sizes))
 
 
 def _composition_failure(lam, F, P, G, phi_G, recombine, split):
@@ -372,13 +375,13 @@ def verify_decomposition(source: SortedAlgebra, pair: DiagonalPair, lam: int, *,
     P = phi(F, lam)
     checks = []
 
-    images = np.unique(P, axis=0)
+    images = distinct_rows(P)
     checks.append(CheckResult(
         "phi-injective", len(images) == len(F),
         "%d tables, %d images" % (len(F), len(images))))
 
     frag_mp = generate_fragment(mp.algebra, [(0,) * lam], budget=budget)
-    mp_tables = np.unique(frag_mp.matrices[Profile((0,) * lam, 0)], axis=0)
+    mp_tables = distinct_rows(frag_mp.matrices[Profile((0,) * lam, 0)])
     checks.append(CheckResult(
         "phi-image-equals-generated", np.array_equal(images, mp_tables),
         "image %d vs generated %d" % (len(images), len(mp_tables))))

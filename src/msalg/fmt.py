@@ -22,6 +22,7 @@ single value.  Parse errors carry the 1-based line and column.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .core import SortedAlgebra, build_algebra
 
@@ -83,7 +84,11 @@ class _Tokens:
         return self.pos >= len(self.items)
 
 
+@lru_cache(maxsize=256)
 def parse_algebra(text: str) -> SortedAlgebra:
+    """The algebra a file's text describes; FormatError names the line
+    and column of the first problem.  Cached by value, like
+    clone._closure_full."""
     tk = _Tokens(text)
     tk.keyword("msalg")
     ver, ln, col = tk.next("format version")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .core import (
     Verification,
     check_nonnegative,
     decode_digits,
+    distinct_rows,
     encode_digits,
     first_failure,
     gather,
@@ -105,8 +107,10 @@ def mu_maps(h: HomogenizedAlgebra, family: CrossSortFamily):
         for s in range(S))
 
 
+@lru_cache(maxsize=256)
 def canonical_pair(h: HomogenizedAlgebra, family: CrossSortFamily | None = None) -> DiagonalPair:
-    """The diag table together with e_s built from the cross family."""
+    """The diag table together with e_s built from the cross family.
+    Cached by value, like clone._closure_full."""
     if family is None:
         family = cross_family_from_purity(h.source)
         if family is None:
@@ -129,8 +133,12 @@ class HeterogenizedAlgebra:
     retracts: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=256)
 def heterogenize(source: SortedAlgebra, pair: DiagonalPair, *,
                  budget: int = TABLE_BUDGET) -> HeterogenizedAlgebra:
+    """The split of source along the pair; BudgetError when its tables
+    need more than budget entries.  Cached by value, like
+    clone._closure_full."""
     ver = verify_diagonal_pair(source, pair)
     if not ver.ok:
         raise ProfileError("not a diagonal pair: %s" % ver.failures()[0].name)
@@ -216,8 +224,8 @@ def _fragment_mismatch(source: SortedAlgebra, split: SortedAlgebra, inputs, fwd,
         frag_b = generate_fragment(split, [ins], budget=budget)
         for cod in range(split.n_sorts):
             p = Profile(ins, cod)
-            want = np.unique(_conjugated(frag_a.matrices[p], p, fwd, inv, source.carriers), axis=0)
-            got = np.unique(frag_b.matrices[p], axis=0)
+            want = distinct_rows(_conjugated(frag_a.matrices[p], p, fwd, inv, source.carriers))
+            got = distinct_rows(frag_b.matrices[p])
             if not np.array_equal(want, got):
                 return p, len(want), len(got)
     return None

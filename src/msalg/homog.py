@@ -21,6 +21,7 @@ and an extra unary "diag" that is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -38,6 +39,7 @@ from .core import (
     check_arity,
     decode_digits,
     decode_mixed,
+    distinct_rows,
     encode_choices,
     encode_digits,
     encode_mixed,
@@ -68,7 +70,7 @@ class HomogenizedAlgebra:
 def _closed_term_values(alg: SortedAlgebra):
     """Per sort, the sorted set of values closed terms can take."""
     frag = generate_fragment(alg, [()])
-    return [tuple(np.unique(frag.matrices[Profile((), s)]).tolist()) for s in range(alg.n_sorts)]
+    return [tuple(distinct_rows(frag.matrices[Profile((), s)]).ravel().tolist()) for s in range(alg.n_sorts)]
 
 
 def _lift(radices, f: OpTable) -> OpTable:
@@ -91,7 +93,10 @@ def _diag_table(radices) -> OpTable:
                         [decode_digits(c, radices)[s] for s, c in enumerate(cols)], radices))
 
 
+@lru_cache(maxsize=256)
 def homogenize(alg: SortedAlgebra, *, max_arity: int = MAX_ARITY) -> HomogenizedAlgebra:
+    """The collapse of alg onto its product carrier.  Cached by value, like
+    clone._closure_full."""
     S = alg.n_sorts
     check_arity(S, max_arity, "diag symbol (one argument per sort)")
     radices = alg.carriers

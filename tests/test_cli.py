@@ -597,3 +597,20 @@ def test_module_entry_point_runs_in_a_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pure: yes" in proc.stdout
+
+
+def test_no_transport_command_or_criterion_imports_numpy_ma():
+    """np.unique without return_index imports numpy.ma in numpy 2.4, about
+    10 ms in a fresh process; core.distinct_rows avoids it.  decompose,
+    roundtrip-mu and criteria 1-6 run without loading it."""
+    code = """if True:
+        import contextlib, io, sys
+        from msalg import suite
+        from msalg.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["decompose", "@a_tiny", "--lam", "1"]), main(["roundtrip-mu", "@a_tiny"])]
+            oks = [fn()[0] for index, _name, fn in suite.CRITERIA if index <= 6]
+        print(codes, oks, "numpy.ma" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "[0, 0] [True, True, True, True, True, True] False\n", proc.stderr

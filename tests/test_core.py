@@ -6,6 +6,7 @@ loop (the oracle for compose) or small enough to state directly.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from msalg.core import (
@@ -20,6 +21,7 @@ from msalg.core import (
     compose,
     constant_table,
     decode_mixed,
+    distinct_rows,
     encode_mixed,
     eval_term,
     projection,
@@ -211,3 +213,20 @@ def test_table_search_key_distinguishes_tables():
     assert k1 != k2
     assert k1 == table_search_key(alg.table("m"))
     assert len(k1) == 32
+
+
+def test_distinct_rows_is_unique_along_axis_zero():
+    """Values, dtype and shape as np.unique(m, axis=0), on uint8, on
+    uint16 rows that differ only in the high byte, on int64, and with no
+    rows or no columns."""
+    cases = [
+        np.array([[2, 1], [0, 3], [2, 1], [0, 0]], dtype=np.uint8),
+        np.array([[0x100, 1], [0, 1], [0x100, 1], [0x200, 1]], dtype=np.uint16),
+        np.array([[5, -1, 2], [5, -1, 2], [-7, 0, 0]], dtype=np.int64),
+        np.zeros((0, 4), dtype=np.uint8),
+        np.zeros((3, 0), dtype=np.int64),
+    ]
+    for m in cases:
+        got, want = distinct_rows(m), np.unique(m, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape, m
+        assert np.array_equal(got, want), m

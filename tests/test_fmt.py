@@ -2,6 +2,7 @@
 
 import pytest
 
+from msalg.core import build_algebra
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.fmt import FormatError, emit_algebra, parse_algebra
 
@@ -91,3 +92,24 @@ def test_nullary_and_empty_tables():
     assert alg.table("c").outputs == (1,)
     assert alg.table("f").outputs == ()
     assert parse_algebra(emit_algebra(alg)) == alg
+
+
+def test_parse_is_cached_by_value():
+    """Equal text in two separate strings parses to one object; changing
+    one table entry parses to another; a FormatError raises on every call
+    and is never stored."""
+    def text(outputs):
+        return emit_algebra(build_algebra([("u", 2), ("w", 3)], [
+            ("cu", ("u",), "w", outputs), ("cw", ("w",), "u", (0, 1, 1))]))
+
+    first, second = text((0, 1)), text((0, 1))
+    assert first is not second
+    alg = parse_algebra(first)
+    assert parse_algebra(second) is alg
+    changed = parse_algebra(text((0, 2)))
+    assert changed is not alg and changed != alg
+    stored = parse_algebra.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(FormatError, match="outside carrier"):
+            parse_algebra(text((0, 1)).replace("table cu 2\n0 1", "table cu 2\n0 3"))
+    assert parse_algebra.cache_info().currsize == stored

@@ -98,6 +98,14 @@ def test_heterogenize_rejects_non_pairs_and_tiny_budgets():
         heterogenize(h.algebra, DiagonalPair(pair.d, (pair.es[1], pair.es[0])))
     with pytest.raises(BudgetError):
         heterogenize(h.algebra, pair, budget=10)
+    # the budget counts the split's table entries; an error is never cached
+    entries = sum(len(t.outputs) for t in heterogenize(h.algebra, pair).algebra.tables)
+    stored = heterogenize.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="needs %d table entries, budget is %d" % (entries, entries - 1)):
+            heterogenize(h.algebra, pair, budget=entries - 1)
+    assert heterogenize.cache_info().currsize == stored
+    assert heterogenize(h.algebra, pair, budget=entries) == heterogenize(h.algebra, pair)
 
 
 def test_mu_roundtrip_recovers_every_pure_corpus_algebra():

@@ -157,9 +157,15 @@ def test_nullary_lift_gains_a_dummy_argument_otherwise():
 
 
 def test_arity_bound_applies_to_diag():
+    # on every call: homogenize's cache stores no error
     alg = build_algebra([("s%d" % i, 1) for i in range(7)], [])
-    with pytest.raises(ProfileError):
-        homogenize(alg)
+    stored = homogenize.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ProfileError):
+            homogenize(alg)
+        with pytest.raises(ProfileError):
+            homogenize(alg, max_arity=6)
+    assert homogenize.cache_info().currsize == stored
     homogenize(alg, max_arity=7)
 
 

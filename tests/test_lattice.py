@@ -400,6 +400,23 @@ def test_transfer_passes_on_pure_corpus_algebras():
         assert ver.ok, (name, ver.failures())
 
 
+def test_a_quotient_collapse_leaves_the_cached_collapse_alone():
+    """Closed terms take the values {1, 2} in w.  Modulo the w blocks
+    {0, 2} and {1}, the image 1 of the collapse's padding is no longer
+    the least closed value, so _quotient_collapse replaces the nullary
+    lifts of homogenize(q); the collapse cached for q keeps its own."""
+    alg = build_algebra([("u", 2), ("w", 3)], [
+        ("k", [], "u", [0]), ("c", [], "w", [1]), ("g", ["w"], "w", [1, 2, 1])])
+    theta = make_congruence(alg, ((0, 1), (0, 1, 0)))
+    q = quotient(alg, theta)
+    cached = homogenize(q)
+    hq = lattice._quotient_collapse(homogenize(alg), q, theta)
+    assert hq != cached
+    assert homogenize(q) is cached and cached == homogenize.__wrapped__(q)
+    ver = verify_sub_con_transfer(alg)
+    assert ver.ok, ver.failures()
+
+
 def test_transfer_single_sorted_is_identity_like():
     ver = verify_sub_con_transfer(corpus_algebra("a_group"))
     assert ver.ok, ver.failures()
