@@ -36,7 +36,7 @@ _HOME = {name: module for module, names in (
                " find_malcev_homog find_malcev_per_sort"),
 ) for name in names.split()}
 
-_SUBMODULES = frozenset(_HOME.values()) | {"cli", "suite"}
+_SUBMODULES = frozenset(_HOME.values())
 
 __all__ = list(_HOME)
 

@@ -1,8 +1,9 @@
 """The package namespace: its exports, and which submodules it loads.
 
 `import msalg` loads no submodule; each is imported the first time one of
-its names is read through the package.  Load order is only visible in a
-fresh interpreter, so those checks run in a subprocess."""
+its names is read through the package.  `msalg.cli` imports `lattice` before
+anything that loads numpy.  Load order is only visible in a fresh
+interpreter, so those checks run in a subprocess."""
 
 import importlib
 import subprocess
@@ -42,6 +43,22 @@ def test_a_submodule_is_reachable_through_the_package_in_a_fresh_interpreter():
         print(msalg.lattice.enumerate_subuniverses.__module__)
     """
     assert _fresh(code) == "msalg.lattice\n"
+
+
+def test_the_cli_starts_lattice_before_numpy_is_imported():
+    code = """if True:
+        import sys
+        started = []
+
+        class Watch:
+            def find_spec(self, name, path=None, target=None):
+                started.append(name)
+
+        sys.meta_path.insert(0, Watch())
+        import msalg.cli
+        print(started.index("msalg.lattice") < started.index("numpy"))
+    """
+    assert _fresh(code) == "True\n"
 
 
 def test_every_export_is_the_object_of_its_home_module():
