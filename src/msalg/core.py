@@ -14,7 +14,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -494,6 +493,8 @@ class Verification:
 
 def table_search_key(t: OpTable) -> bytes:
     """Deterministic hash key for search ordering (process independent)."""
+    import hashlib  # here, so that only a term search loads it
+
     h = hashlib.sha256()
     h.update(repr((t.profile.inputs, t.profile.cod, t.carriers)).encode())
     h.update(bytes(b % 256 for b in t.outputs) if t.outputs else b"")

@@ -19,6 +19,9 @@ the pairs a < b of each sort, joined by Mal'cev's lemma (_Con.join): a
 batch of congruences, as least-member labels, takes the added pairs and
 then, round by round, the images of its new merges under the basic
 translations, merged by one union-find over all rows at once.
+inv_enumerate and enumerate_congruences keep each walk's result in a
+value-keyed cache (_inv_relations, _congruences), so a session that asks
+for the same Inv or Con lattice again reads it instead of walking it.
 Invariant relations take two independent routes: inv_enumerate closes the
 mu-th power of the homogenized algebra under its basic operations, and
 verify_inv_iso's matrix route takes the boxes of the closed sets of the
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -561,7 +565,15 @@ def congruence_generate(alg: SortedAlgebra, pairs) -> Congruence:
 
 
 def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Congruence]:
+    """Every congruence, in lexicographic order of their label tuples, as
+    a new list of the cached _congruences(alg, budget)."""
+    return list(_congruences(alg, budget))
+
+
+@lru_cache(maxsize=256)
+def _congruences(alg: SortedAlgebra, budget: int) -> tuple[Congruence, ...]:
     """Every congruence, in lexicographic order of their label tuples.
+    Cached by value, like clone._closure_full.
 
     The lattice walk of _closed_sets over the pairs a < b of every sort,
     in lexicographic order of their ids (see _Con): a congruence is the
@@ -589,7 +601,7 @@ def enumerate_congruences(alg: SortedAlgebra, *, budget: int = SUBUNIVERSE_BUDGE
             out.append(joined[:, a] == joined[:, b])
         return np.concatenate(out)
 
-    return sorted(con.congruences(labels(_closed_sets(np.zeros(len(a), dtype=bool), join, budget))))
+    return tuple(sorted(con.congruences(labels(_closed_sets(np.zeros(len(a), dtype=bool), join, budget)))))
 
 
 def congruence_meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -845,11 +857,19 @@ def invariance_witness(halg: SortedAlgebra, rel: Relation):
 
 def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDGET) -> list[Relation]:
     """Every subset of the mu-th power of the product carrier closed under
-    its basic operations acting coordinatewise.
+    its basic operations acting coordinatewise, as a new list of the cached
+    _inv_relations(alg, mu, budget).
 
     These are exactly the subuniverses of the mu-th direct power, each
     holding every nullary operation's constant row (see invariance_witness);
     budget bounds the power carrier and the closures computed."""
+    return list(_inv_relations(alg, mu, budget))
+
+
+@lru_cache(maxsize=256)
+def _inv_relations(alg: SortedAlgebra, mu: int, budget: int) -> tuple[Relation, ...]:
+    """The invariant relations of arity mu, smaller ones first, then by
+    their sorted members.  Cached by value, like clone._closure_full."""
     if mu < 1:
         raise ProfileError("relation arity must be at least 1, got %d" % mu)
     h = homogenize(alg)
@@ -858,7 +878,7 @@ def inv_enumerate(alg: SortedAlgebra, mu: int, *, budget: int = SUBUNIVERSE_BUDG
         raise BudgetError("power carrier %d^%d exceeds budget %d" % (n, mu, budget))
     power = _Power((n,), h.algebra.tables, mu)
     out = [Relation(mu, _decoded(np.flatnonzero(row), (n,) * mu)) for row in power.lattice(budget)]
-    return sorted(out, key=_relation_key)
+    return tuple(sorted(out, key=_relation_key))
 
 
 def _matrix_route(alg: SortedAlgebra, mu: int, *, budget: int):
@@ -1008,8 +1028,9 @@ def _pp_outside_inv(h, rels, invs, span, spot_checks):
     c2) what (c2, c1) does, so a _pp_rows row of a pair c1 <= c2 counts as
     two formulas; a block's rows are looked up at once in invs[mu]'s sorted
     keys.  The first spot_checks rows are compared with pp_evaluate, each
-    result and, once, each input verified invariant.  Returns (#formulas,
-    #rows outside Inv, spot ok)."""
+    input and then each distinct result verified invariant once (a repeat
+    of a result that passed cannot fail).  Returns (#formulas, #rows
+    outside Inv, spot ok)."""
 
     def keys(rows):  # a row as one void scalar, 8 zero bits appended so empty rows have keys
         octets = np.packbits(np.concatenate([rows, np.zeros((len(rows), 8), dtype=bool)], axis=1), axis=1)
@@ -1026,14 +1047,16 @@ def _pp_outside_inv(h, rels, invs, span, spot_checks):
                 lo, hi = (np.searchsorted(inv[mu], keys(rows[mu]), side) for side in ("left", "right"))
                 bad += 2 * int(np.count_nonzero(lo == hi))
 
-    spot_ok = True
+    spot_ok, verified = True, set()
     spots = (row for _, rows in _pp_grid(n, rels, span) for row in rows)
     spot = list(zip(itertools.islice(_formula_sample(rels, span), spot_checks), spots))
     if spot:
         _require_invariant(h.algebra, rels)
     for f, row in spot:
         direct = pp_evaluate(rels, f, n)
-        _require_invariant(h.algebra, (), direct)
+        if direct not in verified:
+            verified.add(direct)
+            _require_invariant(h.algebra, (), direct)
         spot_ok &= np.array_equal(sorted(encode_mixed(t, (n,) * f.mu) for t in direct.tuples), np.flatnonzero(row))
     return total, bad, spot_ok
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import oracle_lattice as oracle
+from value_caches import clear_msalg_caches, msalg_caches
 from msalg import lattice
 from msalg.clone import is_pure
 from msalg.core import BudgetError, ProfileError, build_algebra, open_grid
@@ -622,7 +623,10 @@ def test_verify_inv_iso_a_tiny():
 def _join_counts(monkeypatch) -> list:
     """The closures each lattice walk's join computes from the bottom (each
     principal, then each join with a principal), one entry per walk in call
-    order: the rows of the batches it is handed."""
+    order: the rows of the batches it is handed.  msalg's value caches are
+    cleared first, so a result an earlier test left there is walked again
+    and counted."""
+    clear_msalg_caches()
     counts = []
     walk = lattice._closed_sets
 
@@ -686,6 +690,69 @@ def test_a_walk_raises_exactly_when_its_total_passes_the_budget():
                         walk(a, budget=budget)
                 else:
                     assert walk(a, budget=budget) == full, (name, budget)
+
+
+def test_a_repeated_walk_reads_the_cache(monkeypatch):
+    # inv --mu 2 then inv-iso, and cp --homogenize then cd --homogenize,
+    # in one process: the second call of each walks nothing
+    counts = _join_counts(monkeypatch)
+    alg = corpus_algebra("a_tiny")
+    h = homogenize(alg).algebra
+    rels, cons = inv_enumerate(alg, 2), enumerate_congruences(h)
+    assert inv_enumerate(alg, 2) == rels and enumerate_congruences(h) == cons
+    assert counts == [1619, CON_JOINS["a_tiny"][1]]
+
+
+def _pair_of_algebras(last):
+    return build_algebra([("u", 2), ("w", 3)], [
+        ("cu", ("u",), "w", (0, 2)), ("cw", ("w",), "u", (0, 1, 1)), ("m", ("u",), "u", (1, last))])
+
+
+def test_walks_are_cached_by_value():
+    # two equal algebras built apart share one entry; a changed table
+    # entry makes a new one
+    clear_msalg_caches()
+    first, second = _pair_of_algebras(1), _pair_of_algebras(1)
+    assert first is not second
+    for cache, walk in ((lattice._inv_relations, lambda a: inv_enumerate(a, 2)),
+                        (lattice._congruences, enumerate_congruences)):
+        found = walk(first)
+        assert walk(second) == found
+        assert cache.cache_info().currsize == 1 and cache.cache_info().hits == 1
+        walk(_pair_of_algebras(0))
+        assert cache.cache_info().currsize == 2 and cache.cache_info().misses == 2
+
+
+def test_a_returned_list_is_the_callers_own():
+    alg = corpus_algebra("a_tiny")
+    for walk in (lambda: inv_enumerate(alg, 1), lambda: enumerate_congruences(alg)):
+        found = walk()
+        kept = list(found)
+        found.reverse()
+        found.append(found[0])
+        assert walk() == kept
+
+
+def test_a_walk_over_budget_raises_on_every_call_and_stores_nothing():
+    alg = corpus_algebra("a_tiny")
+    walks = ((enumerate_congruences, WALK_TOTALS["a_tiny"][1]),
+             (lambda a, budget: inv_enumerate(a, 1, budget=budget), WALK_TOTALS["a_tiny"][2]),
+             (lambda a, budget: inv_enumerate(a, 2, budget=budget), WALK_TOTALS["a_tiny"][3]))
+    for walk, total in walks:
+        sizes = [cache.cache_info().currsize for cache in (lattice._inv_relations, lattice._congruences)]
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="^more than %d closures computed$" % (total - 1)):
+                walk(alg, budget=total - 1)
+        assert [cache.cache_info().currsize for cache in (lattice._inv_relations, lattice._congruences)] == sizes
+
+
+def test_the_cache_helper_finds_every_value_cache():
+    import msalg.cli  # noqa: F401  (loads every module that holds a cache)
+    assert sorted("%s.%s" % (f.__module__, f.__qualname__) for f in msalg_caches()) == [
+        "msalg.cli._parser", "msalg.clone._closure_full", "msalg.clone._symbols",
+        "msalg.diagonal._transport_maps", "msalg.diagonal.matrix_product", "msalg.fmt.parse_algebra",
+        "msalg.hetero.canonical_pair", "msalg.hetero.heterogenize", "msalg.homog.homogenize",
+        "msalg.lattice._congruences", "msalg.lattice._inv_relations"]
 
 
 def test_a_walk_counts_the_bottom_against_the_budget():
@@ -823,13 +890,18 @@ def test_pp_batches_match_the_oracle_at_every_spot_check_count():
 
 
 def test_pp_spot_checks_verify_each_input_relation_once(monkeypatch):
+    # the inputs in order, then the distinct results of the first 25
+    # sampled formulas in first-seen order: a repeat of a result that
+    # passed cannot fail, so it is not checked again
     h, rels, invs = _pp_relations("a_group")
+    results = [pp_evaluate(rels, f, h.size) for f in itertools.islice(_formula_sample(rels, 2), 25)]
+    distinct = list(dict.fromkeys(results))
+    assert len(results) == 25 and len(distinct) < len(results)
     checked = []
     witness = lattice.invariance_witness
     monkeypatch.setattr(lattice, "invariance_witness", lambda halg, rel: checked.append(rel) or witness(halg, rel))
     assert _pp_outside_inv(h, rels, invs, 2, 25)[2]
-    assert checked[:len(rels)] == list(rels)
-    assert len(checked) == len(rels) + 25
+    assert checked == list(rels) + distinct
 
 
 def test_pp_spot_checks_name_an_input_that_is_not_invariant():

@@ -21,9 +21,10 @@ _Power closes a batch of sets by one of two paths, picked by size: the
 bit-packed reach words when the reach tensors fit lattice._REACH_CELLS,
 which every case here does, and the digit gather otherwise.  Each case that
 closes powers runs once on each path, the other path stubbed out so that it
-cannot run unseen.  The corpus powers have at most 64 points, one word per
-mask row; power_close also closes seeds on the cube of a 5-element algebra,
-125 points in two words, which case_inv walks at mu = 3.
+cannot run unseen, and msalg's value caches cleared first so that no result
+of the other path is read back.  The corpus powers have at most 64 points,
+one word per mask row; power_close also closes seeds on the cube of a
+5-element algebra, 125 points in two words, which case_inv walks at mu = 3.
 """
 
 import itertools
@@ -46,6 +47,7 @@ from msalg.lattice import (
     subalgebra_generate,
 )
 from test_tabulate import bases, collapses
+from value_caches import clear_msalg_caches
 
 # A 5-element algebra with one unary and one binary symbol: its cube has 125
 # points, two words per mask row, and reach tensors under the cap.
@@ -183,6 +185,7 @@ def _unused(*args):
 
 
 def _compare(case):
+    clear_msalg_caches()
     count = 0
     for label, fast, slow in CASES[case]():
         assert fast == slow, (case, label)

@@ -2,7 +2,8 @@
 
 `import msalg` loads no submodule; each is imported the first time one of
 its names is read through the package.  `msalg.cli` imports `lattice` before
-anything that loads numpy.  Load order is only visible in a fresh
+anything that loads numpy, and `hashlib` loads only when a search key is
+taken.  Load order is only visible in a fresh
 interpreter, so those checks run in a subprocess."""
 
 import importlib
@@ -35,6 +36,20 @@ def test_import_loads_no_submodule_and_loading_algebras_needs_core_corpus_and_fm
         print(loaded())
     """
     assert _fresh(code, str(path)) == "[]\n['msalg.core', 'msalg.corpus', 'msalg.fmt']\n"
+
+
+def test_loading_an_algebra_leaves_hashlib_unloaded_until_a_search_key_is_taken():
+    # only the Mal'cev and Jonsson searches rank candidates by
+    # core.table_search_key, so only they should pay for hashlib
+    code = """if True:
+        import sys
+        import msalg
+        alg = msalg.corpus_algebra("a_tiny")
+        print("hashlib" in sys.modules)
+        msalg.core.table_search_key(alg.tables[0])
+        print("hashlib" in sys.modules)
+    """
+    assert _fresh(code) == "False\nTrue\n"
 
 
 def test_a_submodule_is_reachable_through_the_package_in_a_fresh_interpreter():

@@ -34,34 +34,36 @@ import pytest
 
 import oracle_clone as oracle
 import test_tabulate
-from msalg import clone, diagonal, fmt, hetero, homog
+from msalg import clone, diagonal
 from msalg.core import BudgetError, Profile, TABLE_BUDGET, Var, build_algebra, grid_columns
 from msalg.corpus import corpus_algebra
 from msalg.diagonal import _class_assembled_fragment, find_diagonal_pairs, matrix_product
 from msalg.hetero import heterogenize
 from msalg.homog import homogenize
 from test_cli import SCALE
+from value_caches import clear_msalg_caches
 
 
 @contextlib.contextmanager
 def _on_the_oracle():
-    """Fragments generated inside come from oracle.saturate; the closure
-    and symbol caches, the value caches of fmt, homog, hetero and diagonal
-    (a collapse's closed-term values come from generate_fragment) and
-    test_tabulate's cached inputs are cleared on entry and exit, so
-    nothing built by either kernel leaks into the other's runs."""
-    caches = (clone._closure_full, clone._symbols, fmt.parse_algebra, homog.homogenize,
-              hetero.canonical_pair, hetero.heterogenize, diagonal.matrix_product,
-              test_tabulate.collapses, test_tabulate.pairs)
-    for cache in caches:
-        cache.cache_clear()
+    """Fragments generated inside come from oracle.saturate; every msalg
+    value cache (a collapse's closed-term values come from
+    generate_fragment) and test_tabulate's cached inputs are cleared on
+    entry and exit, so nothing built by either kernel leaks into the
+    other's runs."""
+
+    def clear():
+        clear_msalg_caches()
+        test_tabulate.collapses.cache_clear()
+        test_tabulate.pairs.cache_clear()
+
+    clear()
     saved, clone.saturate = clone.saturate, oracle.saturate
     try:
         yield
     finally:
         clone.saturate = saved
-        for cache in caches:
-            cache.cache_clear()
+        clear()
 
 
 def _idle():
