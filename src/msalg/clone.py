@@ -71,6 +71,8 @@ from .core import (
     decode_digits,
     encode_digits,
     grid_columns,
+    novel_rows,
+    row_keys,
 )
 
 
@@ -80,32 +82,14 @@ from .core import (
 _CHUNK = 1 << 16
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each row as one opaque np.void value of its bytes (V0 for zero-width
-    rows, which .view cannot make)."""
-    if not rows.shape[1]:
-        return np.zeros(len(rows), dtype="V0")
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
 def _classes(table: np.ndarray, axis: int) -> np.ndarray | None:
     """class(a) for every value a along one axis of a table: the least value
     whose slice along that axis equals a's; None when every value is its own
     class."""
     n = table.shape[axis]
     slices = np.moveaxis(table, axis, 0).reshape(n, table.size // n if n else 0)
-    _, first, inverse = np.unique(_keys(slices), return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(row_keys(slices), return_index=True, return_inverse=True)
     return None if len(first) == n else first[inverse].astype(table.dtype)
-
-
-def _novel(rows: np.ndarray, seen: set) -> list[int]:
-    """Indexes of the rows whose bytes are not in seen, each at its first
-    occurrence in order; their bytes join seen."""
-    width = rows.shape[1] * rows.itemsize
-    data = np.ascontiguousarray(rows).tobytes()
-    keys = [data[at:at + width] for at in range(0, len(data), width)] if width else [b""] * len(rows)
-    # set.add returns None, so a key passes the filter once, when first met.
-    return [i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]
 
 
 @lru_cache(maxsize=256)
@@ -147,7 +131,7 @@ class _Firsts:
     def extend(self, store: _Store, upto: int) -> np.ndarray:
         """The reps among the first upto stored tables."""
         if upto > self.upto:
-            new = _novel(self.classes.take(store.matrix[self.upto:upto]), self.seen)
+            new = novel_rows(self.classes.take(store.matrix[self.upto:upto]), self.seen)
             if new:
                 self.reps = np.concatenate([self.reps, np.add(new, self.upto, dtype=np.intp)])
             self.upto = upto
@@ -173,7 +157,7 @@ class _Store:
         batch row r; return how many were appended.  Each batch row's bytes
         are probed once in the set of stored rows' bytes."""
         rows = np.asarray(rows, dtype=self.matrix.dtype)
-        added = _novel(rows, self.seen)
+        added = novel_rows(rows, self.seen)
         if not added:
             return 0
         terms = [term_of(r) for r in added]

@@ -412,6 +412,24 @@ def distinct_rows(m: np.ndarray) -> np.ndarray:
     return np.unique(m, axis=0, return_index=True)[0]
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one opaque np.void value of its bytes (V0 for zero-width
+    rows, which .view cannot make)."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="V0")
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def novel_rows(rows: np.ndarray, seen: set) -> list[int]:
+    """Indexes of the rows whose bytes are not in seen, each at its first
+    occurrence in order; their bytes join seen."""
+    width = rows.shape[1] * rows.itemsize
+    data = np.ascontiguousarray(rows).tobytes()
+    keys = [data[at:at + width] for at in range(0, len(data), width)] if width else [b""] * len(rows)
+    # set.add returns None, so a key passes the filter once, when first met.
+    return [i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]
+
+
 def tabulate(profile: Profile, carriers: tuple[int, ...], fn) -> OpTable:
     """The table of fn(*open_grid(domain)), broadcast to the domain and
     raveled row-major into Python ints, as table_search_key expects."""

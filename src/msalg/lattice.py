@@ -60,7 +60,9 @@ from .core import (
     first_failure,
     gather,
     is_isomorphism,
+    novel_rows,
     open_grid,
+    row_keys,
     tabulate,
 )
 from .homog import HomogenizedAlgebra, homogenize, morphism_lift
@@ -119,22 +121,16 @@ def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
             raise BudgetError("more than %d closures computed" % budget)
         spent += closures
 
-    def novel(rows, seen):
-        """The rows not in seen, each added to it."""
-        out = []
-        for row, key in zip(rows, _pack(rows)):
-            key = key.tobytes()
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return out
+    def novel(rows):
+        """The rows not in seen, in order, each added to it."""
+        return rows[novel_rows(_pack(rows), seen)]
 
     count(1 + size)
-    principals, seen = [], {_pack(bottom).tobytes()}
+    principals, seen = [np.zeros((0, size), dtype=bool)], {_pack(bottom).tobytes()}
     for part in _spans(size, 2 * size):
         extra = np.arange(size)[part, None] == np.arange(size)
-        principals += novel(join(np.broadcast_to(bottom, extra.shape), extra), seen)
-    principals = level = np.array(principals, dtype=bool).reshape(len(principals), size)
+        principals.append(novel(join(np.broadcast_to(bottom, extra.shape), extra)))
+    principals = level = np.concatenate(principals)
     words = _pack(principals)
     found = [bottom[None], level]
     while len(level):
@@ -144,12 +140,12 @@ def _closed_sets(bottom: np.ndarray, join, budget: int) -> np.ndarray:
             return (words & ~_pack(level[block])[:, None]).any(axis=2)
 
         count(sum(np.count_nonzero(outside(b)) for b in blocks))
-        rows = []
+        rows = [np.zeros((0, size), dtype=bool)]
         for b in blocks:
             i, j = np.nonzero(outside(b))
             for part in _spans(len(i), 2 * size):
-                rows += novel(join(level[b][i[part]], principals[j[part]]), seen)
-        level = np.array(rows, dtype=bool).reshape(len(rows), size)
+                rows.append(novel(join(level[b][i[part]], principals[j[part]])))
+        level = np.concatenate(rows)
         found.append(level)
     return np.concatenate(found)
 
@@ -1031,20 +1027,17 @@ def _pp_outside_inv(h, rels, invs, span, spot_checks):
     input and then each distinct result verified invariant once (a repeat
     of a result that passed cannot fail).  Returns (#formulas, #rows
     outside Inv, spot ok)."""
-
-    def keys(rows):  # a row as one void scalar, 8 zero bits appended so empty rows have keys
-        octets = np.packbits(np.concatenate([rows, np.zeros((len(rows), 8), dtype=bool)], axis=1), axis=1)
-        return octets.view(np.dtype((np.void, octets.shape[1]))).ravel()
-
-    n = h.size
-    inv = {mu: np.sort(keys(np.array([_pp_members(r.tuples, (n,) * mu) for r in rs], dtype=bool)
-                            .reshape(len(rs), n ** mu))) for mu, rs in invs.items()}
+    n, inv = h.size, {}
+    for mu, rs in invs.items():
+        members = np.array([_pp_members(r.tuples, (n,) * mu) for r in rs], dtype=bool).reshape(len(rs), n ** mu)
+        inv[mu] = np.sort(row_keys(_pack(members)))
     total = bad = 0
     for m in range(1, span + 1):
         for rows in _pp_rows(n, rels, m, *np.triu_indices(sum(m ** r.arity for r in rels))):
             total += 2 * (m + 1) * len(rows[0])
             for mu in [mu for mu in inv if mu <= m]:
-                lo, hi = (np.searchsorted(inv[mu], keys(rows[mu]), side) for side in ("left", "right"))
+                keys = row_keys(_pack(rows[mu]))
+                lo, hi = (np.searchsorted(inv[mu], keys, side) for side in ("left", "right"))
                 bad += 2 * int(np.count_nonzero(lo == hi))
 
     spot_ok, verified = True, set()

@@ -109,8 +109,9 @@ def find_diagonal_pairs(alg, width):
 
 
 def composition_failure(source, pair, retracts, tables, unary, phi):
-    """The composition-compatible check of verify_decomposition: one
-    transported composite per (f, gs) pair."""
+    """The composition law verify_decomposition's composition-compatible
+    check certifies, phi(f(gs)) = phi(f)(phi(gs)): one transported
+    composite per (f, gs) pair."""
     phi_unary = {g.outputs: oracle_tabulate.decompose_table(source, pair, g, retracts) for g in unary}
     for f in tables:
         for gs in itertools.product(unary, repeat=f.arity):

@@ -472,6 +472,55 @@ def test_a_certified_roundtrip_nu_needs_no_binary_source_fragment(tmp_path, monk
     assert (0, 0) not in calls
 
 
+DECOMPOSE = """command: msalg %s
+max-arity: 6
+table-budget: %d
+jonsson-max: 4
+mu-max: 2
+lam: %d
+check phi-injective: pass (%d tables, %d images)
+check phi-image-equals-generated: pass (image %d vs generated %d)
+check phi-image-equals-classes: pass (image %d vs classes %d)
+check composition-compatible: pass
+check element-bijection: pass (carrier %d, product %d, distinct %d)
+check product-pair: pass
+verdict: pass
+elapsed-s: 0.000
+"""
+
+
+def decompose_report(args, budget, lam, tables, carrier):
+    return DECOMPOSE % ((" ".join(args), budget, lam) + (tables,) * 6 + (carrier,) * 3)
+
+
+def test_decompose_scale_at_lam_2_reports_every_check(tmp_path):
+    # 86048 binary tables on a carrier of 6: the composition law is
+    # certified by the element bijection, not checked table by table
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "scale.alg")
+    save_algebra(path, SCALE)
+    args = ["decompose", path, "--lam", "2", "--deterministic-timing"]
+    assert run_cli(args) == (0, decompose_report(args, 2_000_000, 2, 86048, 6))
+
+
+# sorts u, w of 2 with a constant k: the collapse has 4 closed terms and
+# 36 unary term operations
+CONSTANTS = build_algebra([("u", 2), ("w", 2)], [("cu", ["u"], "w", [1, 0]), ("cw", ["w"], "u", [0, 1]),
+                                                 ("k", [], "u", [1])])
+
+
+def test_decompose_at_lam_0_generates_only_the_closed_terms(tmp_path, capsys):
+    # a table budget of 4 holds the 4 closed terms, though not the 36
+    # unary tables, so lam 0 passes; a budget of 3 trips on the closed terms
+    from msalg.fmt import save_algebra
+    path = str(tmp_path / "constants.alg")
+    save_algebra(path, CONSTANTS)
+    args = ["decompose", path, "--lam", "0", "--table-budget", "4", "--deterministic-timing"]
+    assert run_cli(args) == (0, decompose_report(args, 4, 0, 4, 4))
+    assert main(["decompose", path, "--lam", "0", "--table-budget", "3"]) == 2
+    assert capsys.readouterr().err == "error: fragment for cod sort 0 exceeds the table budget 3\n"
+
+
 ROUNDTRIP_NU = ROUNDTRIP_MU_HEAD + """psi: %s
 check element-bijection: pass (source %d, collapsed %d, distinct %d)
 check fragments-match: pass

@@ -8,8 +8,10 @@ independent paths.
 
 import itertools
 
+import numpy as np
 import pytest
 
+from msalg import diagonal
 from msalg.core import OpTable, Profile, ProfileError, build_algebra, compose
 from msalg.clone import generate_fragment
 from oracle_clone import fragment_tables
@@ -210,13 +212,26 @@ def test_decomposition_checks_a_malcev():
 
 
 def test_decomposition_at_lam_0_with_constants():
-    # the nullary tables compose with no unary g, so composition holds
     alg = build_algebra([("u", 2), ("w", 2)], [("cu", ["u"], "w", [1, 0]), ("cw", ["w"], "u", [0, 1]),
                                                ("k", [], "u", [1])])
     h = homogenize(alg)
     ver = verify_decomposition(h.algebra, canonical_pair(h), 0)
     assert ver.ok, ver.failures()
     assert ver.checks[0].detail == "4 tables, 4 images"
+
+
+def test_an_uncertified_split_fails_closed(monkeypatch):
+    # every pair matrix_product accepts makes recombine . split the
+    # identity; a split that breaks it must fail the composition check
+    # rather than pass it unproved
+    h = homogenize(corpus_algebra("a_tiny"))
+    pair = canonical_pair(h)
+    mp = matrix_product(h.algebra, pair)
+    recombine, split = diagonal._transport_maps(pair, mp.retracts)
+    monkeypatch.setattr(diagonal, "_transport_maps", lambda p, r: (recombine, np.roll(split, 1)))
+    checks = {c.name: c for c in verify_decomposition(h.algebra, pair, 1).checks}
+    assert (checks["composition-compatible"].ok, checks["composition-compatible"].detail) == (False, "not certified")
+    assert not checks["element-bijection"].ok
 
 
 def test_matrix_product_rejects_non_pairs():

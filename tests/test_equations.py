@@ -15,6 +15,7 @@ and exercise the witness order.
 import itertools
 import random
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 import pytest
@@ -24,19 +25,19 @@ import oracle_equations as oracle
 from oracle_clone import fragment_tables
 from oracle_lattice import growth_strings
 from test_tabulate import _all_python_ints, bases, collapses
-from msalg import diagonal, malcev
+from msalg import malcev
 from msalg.clone import generate_fragment
-from msalg.core import OpTable, Profile, ProfileError, build_algebra, eval_term, table_search_key, term_str, App, Var
+from msalg.core import (OpTable, Profile, ProfileError, build_algebra, decode_digits, encode_digits, eval_term,
+                        table_search_key, term_str, App, Var)
 from msalg.diagonal import (
     DiagonalPair,
-    _composition_failure,
     _transport_maps,
     decompose_table,
     exact_projection_holds,
     find_diagonal_pairs,
-    matrix_product,
     satisfies_diagonal_identity,
     stack_tables,
+    verify_decomposition,
     verify_diagonal_pair,
 )
 from msalg.hetero import canonical_pair, cross_family_from_purity, verify_pair_independence
@@ -134,37 +135,6 @@ def case_diagonal_identity():
         frag = generate_fragment(alg, [(0,) * width])
         for d in fragment_tables(frag, Profile((0,) * width, 0)):
             yield name, satisfies_diagonal_identity(alg, d), oracle.satisfies_diagonal_identity(alg, d)
-
-
-def case_composition():
-    for name, alg, pair in pairs():
-        mp = matrix_product(alg, pair)
-        recombine, split = _transport_maps(pair, mp.retracts)
-        lams = (1, 2) if alg.carriers[0] <= 4 else (1,)
-        for lam in lams:
-            frag = generate_fragment(alg, [(0,) * lam, (0,)])
-            tables, unary = fragment_tables(frag, Profile((0,) * lam, 0)), fragment_tables(frag, Profile((0,), 0))
-            phi = {f.outputs: decompose_table(alg, pair, f, mp.retracts) for f in tables}
-            # rotating phi breaks the check at varied f; changing one value
-            # of the last phi(f), with constants first, at varied gs too
-            keys = list(phi)
-            wrong = dict(zip(keys, [phi[k] for k in keys[1:] + keys[:1]]))
-            last = phi[keys[-1]]
-            patched = dict(phi)
-            outs, mid = list(last.outputs), len(last.outputs) // 2
-            outs[mid:mid + 1] = [(v + 1) % len(recombine) for v in outs[mid:mid + 1]]
-            patched[keys[-1]] = OpTable(last.profile, last.carriers, tuple(outs))
-            by_image = sorted(unary, key=lambda g: len(set(g.outputs)))
-            F = stack_tables(tables, len(split) ** lam)
-            for label, table, order in (("", phi, unary), (" rotated", wrong, unary),
-                                        (" one value", patched, by_image)):
-                P = stack_tables([table[f.outputs] for f in tables], len(recombine) ** lam)
-                G = stack_tables(order, len(split))
-                phi_G = stack_tables([decompose_table(alg, pair, g, mp.retracts) for g in order], len(recombine))
-                yield (name + label, _composition_failure(lam, F, P, G, phi_G, recombine, split),
-                       oracle.composition_failure(alg, pair, mp.retracts, tables, order, table))
-            yield (name + " no tables", _composition_failure(lam, F[:0], P[:0], G, phi_G, recombine, split),
-                   oracle.composition_failure(alg, pair, mp.retracts, [], order, table))
 
 
 def case_pair_independence():
@@ -274,10 +244,28 @@ def test_matches_oracle(case):
     _compare(case)
 
 
-def test_composition_in_blocks_of_one_table(monkeypatch):
-    # a witness in a later block is found only through the block offset
-    monkeypatch.setattr(diagonal, "_CHUNK", 1)
-    _compare("composition")
+def _composition_certified(alg, pair, tables, unary):
+    """(recombine . split is the identity on the carrier, the oracle's first
+    (f, gs) at which phi does not commute with composition or None)."""
+    retracts = pair.retracts()
+    recombine, split = _transport_maps(pair, retracts)
+    phi = {f.outputs: decompose_table(alg, pair, f, retracts) for f in tables}
+    return (recombine[split].tolist() == list(range(alg.carriers[0])),
+            oracle.composition_failure(alg, pair, retracts, tables, unary, phi))
+
+
+def test_composition_law_is_certified_on_every_corpus_pair():
+    """The pair equations make recombine . split the identity, so phi is
+    conjugation by a bijection and commutes with every composite; the
+    oracle finds none it does not commute with, and verify_decomposition
+    passes composition-compatible with an empty detail."""
+    for name, alg, pair in pairs():
+        for lam in (1, 2) if alg.carriers[0] <= 4 else (1,):
+            frag = generate_fragment(alg, [(0,) * lam, (0,)])
+            tables, unary = fragment_tables(frag, Profile((0,) * lam, 0)), fragment_tables(frag, Profile((0,), 0))
+            assert _composition_certified(alg, pair, tables, unary) == (True, None), (name, lam)
+            check = next(c for c in verify_decomposition(alg, pair, lam).checks if c.name == "composition-compatible")
+            assert (check.ok, check.detail) == (True, ""), (name, lam)
 
 
 # ------------------------------------------------------------- hypothesis
@@ -302,6 +290,41 @@ def test_random_diagonal_candidates(case):
     assert _checks(verify_diagonal_pair(alg, pair)) == _checks(oracle.verify_diagonal_pair(alg, pair))
     assert exact_projection_holds(alg, pair) == oracle.exact_projection_holds(alg, pair)
     assert satisfies_diagonal_identity(alg, pair.d) == oracle.satisfies_diagonal_identity(alg, pair.d)
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """A pair that passes verify_diagonal_pair, on a carrier coded onto a
+    product of slot ranges by a random bijection: d(x) is the element whose
+    slot s digit is that of x_s, and e_s sends y to a randomly chosen
+    element with y's slot s digit.  Every diagonal pair has this form, up to
+    the code; with it, random lam-ary tables f and unary tables g."""
+    width = draw(st.integers(1, 3))
+    sizes = tuple(draw(st.lists(st.integers(1, 3 if width < 3 else 2), min_size=width, max_size=width)))
+    n = prod(sizes)
+    code = np.asarray(draw(st.permutations(range(n))))
+    digits, element = decode_digits(code, sizes), np.argsort(code)
+    d = OpTable(Profile((0,) * width, 0), (n,), tuple(
+        element[encode_digits([digits[s][x] for s, x in enumerate(xs)], sizes)].tolist()
+        for xs in itertools.product(range(n), repeat=width)))
+    es = []
+    for s, m in enumerate(sizes):
+        pick = [draw(st.sampled_from(np.flatnonzero(digits[s] == v).tolist())) for v in range(m)]
+        es.append(OpTable(Profile((0,), 0), (n,), tuple(pick[v] for v in digits[s].tolist())))
+    alg = build_algebra([("c", n)], [("d", ("c",) * width, "c", d.outputs)] +
+                        [("e%d" % s, ("c",), "c", e.outputs) for s, e in enumerate(es)])
+    lam = draw(st.integers(1, 2))
+    tables = [_table(draw, n, lam) for _ in range(draw(st.integers(1, 3)))]
+    unary = [_table(draw, n, 1) for _ in range(draw(st.integers(1, 3)))]
+    return alg, DiagonalPair(d, tuple(es)), tables, unary
+
+
+@SETTINGS
+@given(diagonal_pairs())
+def test_random_pairs_certify_the_composition_law(case):
+    alg, pair, tables, unary = case
+    assert verify_diagonal_pair(alg, pair).ok
+    assert _composition_certified(alg, pair, tables, unary) == (True, None)
 
 
 @st.composite

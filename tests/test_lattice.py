@@ -437,6 +437,30 @@ def test_transfer_nonpure_collapse():
     assert not is_pure(alg).pure
 
 
+def test_input_checks_raise_profile_error_with_their_message():
+    # inv_enumerate's mu and verify_inv_iso's mu_max below 1 are pinned
+    # through the CLI in test_cli.py
+    alg = corpus_algebra("a_tiny")
+    h = homogenize(alg)
+    for call, message in [
+        (lambda: quotient(alg, Congruence(((0, 1), (0, 0, 1)))),
+         "not compatible, so the quotient is not well defined: ('cw', 0, (0, 1), ())"),
+        (lambda: restrict_to_subuniverse(alg, SubUniverse(((0,), (0,)))), "family is not closed, m escapes at (0,)"),
+        (lambda: direct_product([]), "direct product needs at least one factor"),
+        (lambda: congruence_join(Congruence(((0, 0),)), Congruence(((0, 0, 1),))),
+         "the two partitions cover different carriers"),
+        (lambda: congruence_product(h, Congruence(((0, 0),))), "partition has 1 sorts, the collapse 2"),
+        (lambda: subalgebra_generate(alg, [{0}]), "need 2 generator sets, got 1"),
+        (lambda: congruence_generate(alg, [[]]), "need 2 pair sets, got 1"),
+        (lambda: is_closed_family(alg, [(0, 2), ()]), "family member outside carrier 0 of size 2"),
+        (lambda: invariance_witness(alg, Relation(1, frozenset({(0,)}))),
+         "invariance is checked on a single-sorted algebra"),
+    ]:
+        with pytest.raises(ProfileError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_family_product_codes():
     alg = corpus_algebra("a_tiny")
     h = homogenize(alg)
@@ -786,6 +810,18 @@ def test_the_digit_path_computes_no_closure_past_the_budget(monkeypatch):
         with pytest.raises(BudgetError, match="^more than %d closures computed$" % budget):
             inv_enumerate(corpus_algebra("a_tiny"), mu, budget=budget)
         assert sum(closed) == computed, (mu, budget)
+
+
+def test_the_digit_path_caps_the_argument_rows_of_a_closure_step(monkeypatch):
+    # a step over _STEP_ROWS raises before it gathers, on every call, and
+    # the failed walk leaves nothing in the Inv cache
+    clear_msalg_caches()
+    monkeypatch.setattr(lattice, "_REACH_CELLS", 0)
+    monkeypatch.setattr(lattice, "_STEP_ROWS", 100)
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="^closure step wants 165 argument rows$"):
+            inv_enumerate(corpus_algebra("a_tiny"), 2)
+    assert lattice._inv_relations.cache_info().currsize == 0
 
 
 def test_verify_inv_iso_a_malcev():
