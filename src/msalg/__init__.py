@@ -10,17 +10,18 @@ tuples rather than yes/no alone.
 
 The namespace is lazy (PEP 562): `import msalg` loads no submodule, and a
 submodule is imported the first time one of its names, or the submodule
-itself, is read through the package.  Loading algebras needs only `core`,
-`fmt` and `corpus`.
+itself, is read through the package.  Loading algebras needs only `model`,
+`fmt` and `corpus`, none of which imports numpy; the array kernels are in
+`core`.
 """
 
 import importlib
 
 # Each exported name and the submodule it lives in, in the order of __all__.
 _HOME = {name: module for module, names in (
-    ("core", "App BudgetError CheckResult OpTable Profile ProfileError SortedAlgebra"
-             " SortedSignature Symbol Term Var Verification build_algebra compose eval_term"
-             " projection table_of_term term_str"),
+    ("model", "App BudgetError CheckResult OpTable Profile ProfileError SortedAlgebra"
+              " SortedSignature Symbol Term Var Verification build_algebra eval_term term_str"),
+    ("core", "compose projection table_of_term"),
     ("clone", "CloneFragment PurityReport fragment_contains generate_fragment is_pure"),
     ("corpus", "CORPUS corpus_algebra corpus_names"),
     ("diagonal", "DiagonalPair MatrixProduct decompose_table find_diagonal_pairs matrix_product"

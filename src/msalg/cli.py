@@ -17,10 +17,25 @@ import functools
 import sys
 import time
 
-# lattice comes first on purpose.  Without a bytecode cache, compiling it
-# takes the most memory of any module (about 3.9 MB).  Done before numpy
-# loads, numpy's import reuses those freed pages instead of stacking on
-# them, which lowers a command's peak RSS by about 1 MB.
+# The import order is chosen for peak RSS.  model loads no numpy and comes
+# first: imported after lattice's compile, its objects raised the relations
+# benchmark's pass peak by about 0.1 MB.  lattice comes next, before
+# anything that loads numpy.  Without a bytecode cache, compiling it takes
+# the most memory of any module (about 3.9 MB); done before numpy loads,
+# numpy's import reuses those freed pages instead of stacking on them, which
+# lowers a command's peak RSS by about 1 MB.
+from .model import (
+    JONSSON_MAX,
+    MAX_ARITY,
+    MU_MAX,
+    TABLE_BUDGET,
+    BudgetError,
+    Profile,
+    ProfileError,
+    SortedAlgebra,
+    check_nonnegative,
+    term_str,
+)
 from .lattice import (
     PPFormula,
     congruence_generate,
@@ -35,18 +50,6 @@ from .lattice import (
     verify_sub_con_transfer,
 )
 from .clone import check_inputs, generate_fragment, is_pure
-from .core import (
-    JONSSON_MAX,
-    MAX_ARITY,
-    MU_MAX,
-    TABLE_BUDGET,
-    BudgetError,
-    Profile,
-    ProfileError,
-    SortedAlgebra,
-    check_nonnegative,
-    term_str,
-)
 from .corpus import corpus_algebra
 from .diagonal import (
     DiagonalPair,

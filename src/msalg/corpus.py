@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import SortedAlgebra, build_algebra
+from .model import SortedAlgebra, build_algebra
 
 
 def _table(sizes, fn):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .core import SortedAlgebra, build_algebra
+from .model import SortedAlgebra, build_algebra
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

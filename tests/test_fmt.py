@@ -2,7 +2,7 @@
 
 import pytest
 
-from msalg.core import build_algebra
+from msalg.model import build_algebra
 from msalg.corpus import corpus_algebra, corpus_names
 from msalg.fmt import FormatError, emit_algebra, parse_algebra
 

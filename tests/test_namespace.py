@@ -1,7 +1,8 @@
 """The package namespace: its exports, and which submodules it loads.
 
 `import msalg` loads no submodule; each is imported the first time one of
-its names is read through the package.  `msalg.cli` imports `lattice` before
+its names is read through the package.  Building, parsing and writing
+algebras loads neither numpy nor `core`.  `msalg.cli` imports `lattice` before
 anything that loads numpy, and `hashlib` loads only when a search key is
 taken.  Load order is only visible in a fresh
 interpreter, so those checks run in a subprocess."""
@@ -23,7 +24,7 @@ def _fresh(code, *args):
     return proc.stdout
 
 
-def test_import_loads_no_submodule_and_loading_algebras_needs_core_corpus_and_fmt(tmp_path):
+def test_import_loads_no_submodule_and_loading_algebras_needs_model_corpus_and_fmt(tmp_path):
     path = tmp_path / "tiny.alg"
     path.write_text(emit_algebra(corpus_algebra("a_tiny")))
     code = """if True:
@@ -31,11 +32,45 @@ def test_import_loads_no_submodule_and_loading_algebras_needs_core_corpus_and_fm
         import msalg
         loaded = lambda: sorted(m for m in sys.modules if m.startswith("msalg."))
         print(loaded())
-        msalg.corpus_algebra("a_tiny")
+        for name in msalg.corpus_names():
+            msalg.corpus_algebra(name)
         msalg.load_algebra(sys.argv[1])
-        print(loaded())
+        print(loaded(), "numpy" in sys.modules, "msalg.core" in sys.modules)
     """
-    assert _fresh(code, str(path)) == "[]\n['msalg.core', 'msalg.corpus', 'msalg.fmt']\n"
+    assert _fresh(code, str(path)) == "[]\n['msalg.corpus', 'msalg.fmt', 'msalg.model'] False False\n"
+
+
+def test_the_data_model_builds_parses_emits_and_evaluates_without_numpy():
+    # a finder that refuses numpy stands in for an interpreter without it
+    code = """if True:
+        import sys
+
+        class NoNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" or name.startswith("numpy."):
+                    raise ImportError("numpy is refused")
+
+        sys.meta_path.insert(0, NoNumpy())
+        from msalg.corpus import corpus_algebra, corpus_names
+        from msalg.fmt import emit_algebra, parse_algebra
+        from msalg.model import App, OpTable, Profile, ProfileError, Var, eval_term
+
+        for name in corpus_names():
+            alg = corpus_algebra(name)
+            text = emit_algebra(alg)
+            again = parse_algebra(text)
+            print(name, again == alg, emit_algebra(again) == text)
+        to_w = Profile((0,), 1)  # m(cu(x)) on a_tiny: u -> w, 0 -> m(0) = 1
+        print(eval_term(corpus_algebra("a_tiny"), App(to_w, "m", (App(to_w, "cu", (Var(Profile((0,), 0), 0),)),)), (0,)))
+        try:
+            OpTable(Profile((0,), 0), (2,), (0, 2))
+        except ProfileError as exc:
+            print("ProfileError:", exc)
+        print("numpy" in sys.modules)
+    """
+    lines = _fresh(code).splitlines()
+    assert lines[:-3] == ["%s True True" % name for name in msalg.corpus_names()]
+    assert lines[-3:] == ["1", "ProfileError: table output outside carrier of size 2", "False"]
 
 
 def test_loading_an_algebra_leaves_hashlib_unloaded_until_a_search_key_is_taken():
